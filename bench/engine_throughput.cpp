@@ -1,33 +1,28 @@
 // Machine-readable throughput benchmark for the sharded engine.
 //
-// Emits one JSON document (schema decloud-engine-bench-v5) timing a full
-// trace-driven engine run — submission, epoch scheduling, resubmission
-// tail — at each (shard count, thread count) pair, reporting bids/sec so
-// bench/trajectory/ can track cross-shard scaling the same way
-// perf_smoke tracks the intra-round pipeline.
+// Emits one JSON document (schema decloud-engine-bench-v6) timing a full
+// run of the trace drive loop — bid-by-bid submission, a micro-epoch close
+// every requests/4 bids, the resubmission tail — at each (shard count,
+// thread count) pair, reporting bids/sec so bench/trajectory/ can track
+// cross-shard scaling the same way perf_smoke tracks the intra-round
+// pipeline.
 //
 // Usage: engine_throughput [--rounds N] [--shards a,b,c] [--threads a,b,c]
-//                          [--requests N] [--mode batch|stream|both]
-//                          [--journal on|off] [--wal on|off]
+//                          [--requests N] [--journal on|off] [--wal on|off]
 //   --rounds    timing repetitions per entry; the MINIMUM time (max
 //               bids/sec) is reported (default 3)
 //   --shards    comma-separated shard counts (default "1,4,16")
 //   --threads   comma-separated scheduler thread counts
 //               (default "1,<hardware_concurrency>")
 //   --requests  workload size; offers are requests/2 (default 2048)
-//   --mode      "batch" drives epochs in bulk batches, "stream" feeds the
-//               continuous market bid-by-bid with the micro-epoch trigger
-//               on the same boundary (so the work content is identical and
-//               the delta is pure ingest/trigger overhead), "both" times
-//               the two side by side (default "batch")
 //   --journal   "on" records every run into a live flight recorder
 //               (journal_capacity 65536), "off" leaves the hooks at their
 //               one-pointer-test cost (default "off"); the header records
 //               which, so trajectory points stay comparable
-//   --wal       "on" drives every run through the durable path — a
-//               write-ahead log with fsync on every append, candidate-
-//               index cache off (the durable-mode contract) — "off" runs
-//               in-memory only (default "off"); the header records which.
+//   --wal       "on" attaches a write-ahead log to every run's drive loop
+//               — fsync on every append, candidate-index cache off (the
+//               durable-mode contract) — "off" runs in-memory only
+//               (default "off"); the header records which.
 //               WAL files land in a scratch directory under the system
 //               temp path
 #include <algorithm>
@@ -40,7 +35,6 @@
 
 #include "engine/driver.hpp"
 #include "engine/engine.hpp"
-#include "engine/epoch_scheduler.hpp"
 #include "obs/clock.hpp"
 #include "stream/stream_driver.hpp"
 #include "stream/streaming_market.hpp"
@@ -82,7 +76,6 @@ engine::EngineConfig engine_config(std::size_t shards, std::size_t journal_capac
 }
 
 struct Entry {
-  const char* mode;
   std::size_t shards;
   std::size_t threads;
   std::size_t bids;
@@ -97,7 +90,6 @@ struct Entry {
 int main(int argc, char** argv) {
   int rounds = 3;
   std::size_t num_requests = 2048;
-  std::string mode = "batch";
   bool journal = false;
   bool wal = false;
   std::vector<std::size_t> shard_counts = {1, 4, 16};
@@ -111,12 +103,6 @@ int main(int argc, char** argv) {
       thread_counts = parse_counts(argv[++i]);
     } else if (std::strcmp(argv[i], "--requests") == 0 && i + 1 < argc) {
       num_requests = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--mode") == 0 && i + 1 < argc) {
-      mode = argv[++i];
-      if (mode != "batch" && mode != "stream" && mode != "both") {
-        std::fprintf(stderr, "--mode must be batch, stream, or both\n");
-        return 2;
-      }
     } else if (std::strcmp(argv[i], "--journal") == 0 && i + 1 < argc) {
       journal = std::strcmp(argv[++i], "on") == 0;
     } else if (std::strcmp(argv[i], "--wal") == 0 && i + 1 < argc) {
@@ -124,7 +110,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--rounds N] [--shards a,b,c] [--threads a,b,c] [--requests N] "
-                   "[--mode batch|stream|both] [--journal on|off] [--wal on|off]\n",
+                   "[--journal on|off] [--wal on|off]\n",
                    argv[0]);
       return 2;
     }
@@ -137,8 +123,8 @@ int main(int argc, char** argv) {
   driver.workload.num_requests = num_requests;
   driver.workload.num_offers = num_requests / 2;
   driver.located_fraction = 0.9;
-  driver.bids_per_epoch = num_requests / 4;  // streamed in 6 batches
   driver.seed = 2;
+  const std::size_t bids_per_epoch = num_requests / 4;  // 6 micro-epochs
 
   const std::size_t journal_capacity = journal ? std::size_t{65536} : std::size_t{0};
   const std::string wal_dir =
@@ -156,66 +142,37 @@ int main(int argc, char** argv) {
   obs::SteadyClock clock;  // the sanctioned wall-clock source (src/obs)
   for (const std::size_t shards : shard_counts) {
     for (const std::size_t threads : thread_counts) {
-      if (mode != "stream") {
-        double best_ms = 1e300;
-        std::size_t allocated = 0;
-        std::size_t epochs = 0;
-        std::size_t bids = 0;
-        for (int round = 0; round < rounds; ++round) {
-          engine::MarketEngine market_engine(engine_config(shards, journal_capacity, wal));
-          engine::EpochScheduler scheduler(market_engine, threads);
-          // Directory reset is setup, not WAL cost — keep it untimed.
-          wal::DurableOptions opts;
-          if (wal) opts = durable_opts();
-          const std::uint64_t t0 = clock.now_ns();
-          const engine::DriveOutcome outcome =
-              wal ? wal::drive_trace_durable(market_engine, scheduler, driver, opts)
-                  : drive_trace(market_engine, scheduler, driver);
-          const std::uint64_t t1 = clock.now_ns();
-          best_ms = std::min(best_ms, static_cast<double>(t1 - t0) / 1e6);
-          allocated = outcome.report.total.requests_allocated;
-          epochs = outcome.report.epochs;
-          bids = outcome.bids_generated;
-        }
-        entries.push_back({"batch", shards, threads, bids, allocated, epochs, best_ms,
-                           static_cast<double>(bids) / (best_ms / 1000.0)});
+      double best_ms = 1e300;
+      std::size_t allocated = 0;
+      std::size_t epochs = 0;
+      std::size_t bids = 0;
+      for (int round = 0; round < rounds; ++round) {
+        stream::StreamConfig stream_config;
+        stream_config.engine = engine_config(shards, journal_capacity, wal);
+        stream_config.triggers.bids = bids_per_epoch;
+        stream_config.threads = threads;
+        stream::StreamingMarket market(std::move(stream_config));
+        // Directory reset is setup, not WAL cost — keep it untimed.
+        wal::DurableOptions opts;
+        if (wal) opts = durable_opts();
+        const std::uint64_t t0 = clock.now_ns();
+        const stream::StreamDriveOutcome outcome =
+            drive_trace_stream(market, driver, wal ? &opts : nullptr);
+        const std::uint64_t t1 = clock.now_ns();
+        best_ms = std::min(best_ms, static_cast<double>(t1 - t0) / 1e6);
+        allocated = outcome.drive.report.total.requests_allocated;
+        epochs = outcome.drive.report.epochs;
+        bids = outcome.drive.bids_generated;
       }
-      if (mode != "batch") {
-        double best_ms = 1e300;
-        std::size_t allocated = 0;
-        std::size_t epochs = 0;
-        std::size_t bids = 0;
-        for (int round = 0; round < rounds; ++round) {
-          stream::StreamConfig stream_config;
-          stream_config.engine = engine_config(shards, journal_capacity, wal);
-          stream_config.triggers.bids = driver.bids_per_epoch;  // batch-aligned
-          stream_config.threads = threads;
-          stream_config.start_time = driver.start_time;
-          stream_config.epoch_interval = driver.epoch_interval;
-          stream_config.drain_epochs = driver.drain_epochs;
-          stream::StreamingMarket market(std::move(stream_config));
-          wal::DurableOptions opts;
-          if (wal) opts = durable_opts();
-          const std::uint64_t t0 = clock.now_ns();
-          const stream::StreamDriveOutcome outcome =
-              wal ? wal::drive_trace_stream_durable(market, driver, opts)
-                  : drive_trace_stream(market, driver);
-          const std::uint64_t t1 = clock.now_ns();
-          best_ms = std::min(best_ms, static_cast<double>(t1 - t0) / 1e6);
-          allocated = outcome.drive.report.total.requests_allocated;
-          epochs = outcome.drive.report.epochs;
-          bids = outcome.drive.bids_generated;
-        }
-        entries.push_back({"stream", shards, threads, bids, allocated, epochs, best_ms,
-                           static_cast<double>(bids) / (best_ms / 1000.0)});
-      }
+      entries.push_back({shards, threads, bids, allocated, epochs, best_ms,
+                         static_cast<double>(bids) / (best_ms / 1000.0)});
     }
   }
 
   std::filesystem::remove_all(wal_dir);
 
   std::printf("{\n");
-  std::printf("  \"schema\": \"decloud-engine-bench-v5\",\n");
+  std::printf("  \"schema\": \"decloud-engine-bench-v6\",\n");
   std::printf("  \"hardware_concurrency\": %zu,\n", ThreadPool::default_workers());
   // Instrumented (DECLOUD_DSCHED=ON) numbers are not comparable to
   // production numbers; the field lets perf dashboards partition them.
@@ -229,10 +186,10 @@ int main(int argc, char** argv) {
   std::printf("  \"results\": [\n");
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];
-    std::printf("    {\"bench\": \"engine_drive\", \"mode\": \"%s\", \"shards\": %zu, "
+    std::printf("    {\"bench\": \"engine_drive\", \"shards\": %zu, "
                 "\"threads\": %zu, \"bids\": %zu, \"allocated\": %zu, \"epochs\": %zu, "
                 "\"ms\": %.4f, \"bids_per_sec\": %.1f}%s\n",
-                e.mode, e.shards, e.threads, e.bids, e.allocated, e.epochs, e.ms, e.bids_per_sec,
+                e.shards, e.threads, e.bids, e.allocated, e.epochs, e.ms, e.bids_per_sec,
                 i + 1 == entries.size() ? "" : ",");
   }
   std::printf("  ]\n}\n");

@@ -11,9 +11,9 @@
 //   * matching_pruned  — ScoreMatrix + CandidateIndex build + the pruned
 //     shortlist queries at 1..N threads (byte-identical results to dense);
 //   * full_mechanism   — DeCloudAuction::run end to end at 1..N threads;
-//   * engine_drive     — the sharded engine end to end (trace-driven
-//     stream, epoch scheduling) at each (shards, threads) pair, with
-//     bids/sec as the headline metric;
+//   * engine_drive     — the sharded engine end to end (the trace drive
+//     loop: bid-by-bid ingest, a micro-epoch close every 192 bids) at each
+//     (shards, threads) pair, with bids/sec as the headline metric;
 //   * mechanism_null_sink / mechanism_live_sink — full_mechanism with the
 //     observability hooks off (null MetricsSink*, the default) vs. on, so
 //     bench/trajectory/ tracks the instrumentation overhead against the
@@ -74,10 +74,11 @@
 #include "dsched/sync.hpp"
 #include "engine/driver.hpp"
 #include "engine/engine.hpp"
-#include "engine/epoch_scheduler.hpp"
 #include "fault/fault.hpp"
 #include "obs/clock.hpp"
 #include "obs/sink.hpp"
+#include "stream/stream_driver.hpp"
+#include "stream/streaming_market.hpp"
 #include "trace/workload.hpp"
 #include "wal/durable/durable.hpp"
 
@@ -92,6 +93,20 @@ auction::MarketSnapshot make_market(std::size_t requests, std::size_t offers,
   wc.num_offers = offers == 0 ? requests / 2 : offers;
   Rng rng(seed);
   return trace::make_workload(wc, auction::AuctionConfig{}, rng);
+}
+
+/// One trace drive through the drive loop at `threads` scheduler workers,
+/// closing a micro-epoch every 192 bids, optionally with a WAL attached.
+/// Returns the bids generated.
+std::size_t drive_bids(const engine::EngineConfig& config, std::size_t threads,
+                       const engine::TraceDriverConfig& driver,
+                       const wal::DurableOptions* durable = nullptr) {
+  stream::StreamConfig stream_config;
+  stream_config.engine = config;
+  stream_config.triggers.bids = 192;
+  stream_config.threads = threads;
+  stream::StreamingMarket market(std::move(stream_config));
+  return stream::drive_trace_stream(market, driver, durable).drive.bids_generated;
 }
 
 /// Minimum wall time of `rounds` invocations, in milliseconds.  Timing
@@ -320,7 +335,6 @@ int main(int argc, char** argv) {
     driver.workload.num_requests = 512;
     driver.workload.num_offers = 256;
     driver.located_fraction = 0.9;
-    driver.bids_per_epoch = 192;
     driver.seed = 8;
 
     const auto drive_ms = [&](const char* plan) {
@@ -335,9 +349,7 @@ int main(int argc, char** argv) {
       config.market.consensus.auction.threads = 1;
       if (plan != nullptr) config.fault_plan = fault::FaultPlan::parse(plan);
       return time_min_ms(rounds, [&] {
-        engine::MarketEngine market_engine(config);
-        engine::EpochScheduler scheduler(market_engine, 1);
-        volatile auto sink = drive_trace(market_engine, scheduler, driver).bids_generated;
+        volatile auto sink = drive_bids(config, 1, driver);
         (void)sink;
       });
     };
@@ -360,7 +372,6 @@ int main(int argc, char** argv) {
     driver.workload.num_requests = 512;
     driver.workload.num_offers = 256;
     driver.located_fraction = 0.9;
-    driver.bids_per_epoch = 192;
     driver.seed = 8;
 
     const auto drive_ms = [&](std::size_t journal_capacity) {
@@ -375,9 +386,7 @@ int main(int argc, char** argv) {
       config.market.consensus.auction.threads = 1;
       config.journal_capacity = journal_capacity;
       return time_min_ms(rounds, [&] {
-        engine::MarketEngine market_engine(config);
-        engine::EpochScheduler scheduler(market_engine, 1);
-        volatile auto sink = drive_trace(market_engine, scheduler, driver).bids_generated;
+        volatile auto sink = drive_bids(config, 1, driver);
         (void)sink;
       });
     };
@@ -400,7 +409,6 @@ int main(int argc, char** argv) {
     driver.workload.num_requests = 512;
     driver.workload.num_offers = 256;
     driver.located_fraction = 0.9;
-    driver.bids_per_epoch = 192;
     driver.seed = 8;
 
     const auto config = [] {
@@ -418,9 +426,7 @@ int main(int argc, char** argv) {
     };
 
     const double no_wal_ms = time_min_ms(rounds, [&] {
-      engine::MarketEngine market_engine(config());
-      engine::EpochScheduler scheduler(market_engine, 1);
-      volatile auto sink = drive_trace(market_engine, scheduler, driver).bids_generated;
+      volatile auto sink = drive_bids(config(), 1, driver);
       (void)sink;
     });
 
@@ -430,14 +436,11 @@ int main(int argc, char** argv) {
       return time_min_ms(rounds, [&] {
         std::filesystem::remove_all(wal_dir);
         std::filesystem::create_directories(wal_dir);
-        engine::MarketEngine market_engine(config());
-        engine::EpochScheduler scheduler(market_engine, 1);
         wal::DurableOptions opts;
         opts.wal_dir = wal_dir;
         opts.sync = sync;
         opts.fingerprint = 0x9EFC;  // arbitrary: nothing recovers this WAL
-        volatile auto sink =
-            wal::drive_trace_durable(market_engine, scheduler, driver, opts).bids_generated;
+        volatile auto sink = drive_bids(config(), 1, driver, &opts);
         (void)sink;
       });
     };
@@ -469,15 +472,10 @@ int main(int argc, char** argv) {
       driver.workload.num_requests = 512;
       driver.workload.num_offers = 256;
       driver.located_fraction = 0.9;
-      driver.bids_per_epoch = 192;
       driver.seed = 8;
 
       std::size_t bids = 0;
-      const double ms = time_min_ms(rounds, [&] {
-        engine::MarketEngine market_engine(config);
-        engine::EpochScheduler scheduler(market_engine, t);
-        bids = drive_trace(market_engine, scheduler, driver).bids_generated;
-      });
+      const double ms = time_min_ms(rounds, [&] { bids = drive_bids(config, t, driver); });
       Entry entry{"engine_drive", driver.workload.num_requests, driver.workload.num_offers,
                   t, ms};
       entry.shards = shards;

@@ -1,13 +1,14 @@
 // Sharded continuous market: many regional DeCloud markets behind one
 // engine.  Bids stream in with locations, the ShardRouter places each in
 // its regional market, bounded ingest queues push back when a region is
-// flooded, and the EpochScheduler clears every busy shard each tick —
+// flooded, and every micro-epoch close clears all busy shards at once —
 // the deployment shape ROADMAP's "planet-scale" direction calls for.
 #include <cstdio>
 
 #include "engine/driver.hpp"
 #include "engine/engine.hpp"
-#include "engine/epoch_scheduler.hpp"
+#include "stream/stream_driver.hpp"
+#include "stream/streaming_market.hpp"
 
 using namespace decloud;
 
@@ -42,21 +43,23 @@ int main() {
   config.market.num_verifiers = 1;
   config.market.consensus.auction.threads = 1;  // parallelism lives across shards
 
-  engine::MarketEngine engine(config);
-  engine::EpochScheduler scheduler(engine, /*threads=*/0);  // 0 = hardware
+  stream::StreamConfig stream_config;
+  stream_config.engine = config;
+  stream_config.triggers.bids = 60;  // clear every 60 arriving bids
+  stream_config.threads = 0;         // 0 = hardware
+  stream::StreamingMarket market(std::move(stream_config));
 
   std::printf("Sharded market: %zu shards, queue capacity %zu (watermark %zu), %zu threads\n\n",
-              engine.num_shards(), config.queue_capacity, config.queue_watermark,
-              scheduler.threads());
+              market.market_engine().num_shards(), config.queue_capacity,
+              config.queue_watermark, market.scheduler().threads());
 
   // Stream a trace workload through: 10%% of bids arrive location-less.
   engine::TraceDriverConfig driver;
   driver.workload.num_requests = 160;
   driver.workload.num_offers = 80;
   driver.located_fraction = 0.9;
-  driver.bids_per_epoch = 60;
   driver.seed = 42;
-  const engine::DriveOutcome outcome = drive_trace(engine, scheduler, driver);
+  (void)stream::drive_trace_stream(market, driver);
 
   // One hand-made VIP bid to show the admission result a producer sees.
   auction::Request vip;
@@ -67,12 +70,13 @@ int main() {
   vip.duration = 3600;
   vip.bid = 10.0;
   vip.location = auction::Location{12.0, 88.0};
-  const engine::EngineAdmission admission = engine.submit(vip);
+  const engine::EngineAdmission admission = market.submit(vip).engine;
   std::printf("VIP request at (12, 88): %s by shard %zu\n\n",
               admission_name(admission.status), admission.shard);
-  scheduler.run(/*max_epochs=*/8, /*start_time=*/static_cast<Time>(driver.epoch_interval) * 16);
+  (void)market.flush();
+  (void)market.drain();
 
-  const engine::EngineReport report = scheduler.report();
+  const engine::EngineReport report = market.report();
   std::printf("engine: %zu epochs, %zu bids spilled, %zu rejected by backpressure\n",
               report.epochs, report.bids_spilled, report.bids_rejected_backpressure);
   std::printf("totals: %zu/%zu requests allocated (%.0f%%), welfare %.3f\n\n",

@@ -12,6 +12,7 @@
 #include "common/thread_pool.hpp"
 #include "dsched/sync.hpp"
 #include "engine/driver.hpp"
+#include "stream/stream_driver.hpp"
 #include "stream/streaming_market.hpp"
 
 namespace decloud::dsched {
@@ -214,24 +215,12 @@ std::function<void()> stream_2shard_body() {
   driver.workload.num_offers = 4;
   driver.located_fraction = 1.0;
   driver.seed = 7;
-  auto fixture = std::make_shared<const engine::TraceStream>(
-      engine::make_trace_stream(driver, config->engine));
   auto expected = std::make_shared<std::string>();  // bytes from the first schedule
 
-  return [config, fixture, expected] {
+  return [config, driver, expected] {
     stream::StreamingMarket market(*config);
-    const auto& snapshot = fixture->snapshot;
-    const std::size_t n_req = snapshot.requests.size();
-    for (std::size_t idx : fixture->order) {
-      if (idx < n_req) {
-        market.submit(snapshot.requests[idx]);
-      } else {
-        market.submit(snapshot.offers[idx - n_req]);
-      }
-    }
-    market.flush();
-    market.drain();
-    const std::string summary = market.report().summary_json();
+    const std::string summary =
+        stream::drive_trace_stream(market, driver).drive.report.summary_json();
     if (expected->empty()) {
       *expected = summary;
     }

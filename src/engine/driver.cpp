@@ -49,52 +49,4 @@ TraceStream make_trace_stream(const TraceDriverConfig& config,
   return stream;
 }
 
-DriveOutcome drive_trace(MarketEngine& engine, EpochScheduler& scheduler,
-                         const TraceDriverConfig& config) {
-  const TraceStream stream = make_trace_stream(config, engine.config());
-  const auction::MarketSnapshot& snapshot = stream.snapshot;
-  const std::vector<std::size_t>& order = stream.order;
-
-  DriveOutcome outcome;
-  outcome.bids_generated = order.size();
-
-  const auto submit_one = [&](std::size_t i) {
-    const std::size_t n_req = snapshot.requests.size();
-    const EngineAdmission admission = i < n_req ? engine.submit(snapshot.requests[i])
-                                                : engine.submit(snapshot.offers[i - n_req]);
-    if (admission.admitted()) {
-      ++outcome.bids_admitted;
-    } else {
-      ++outcome.bids_rejected;
-    }
-  };
-
-  const std::size_t batch = config.bids_per_epoch == 0 ? order.size() : config.bids_per_epoch;
-  Time now = config.start_time;
-  for (std::size_t done = 0; done < order.size();) {
-    const std::size_t stop = std::min(order.size(), done + batch);
-    const std::uint64_t submitted = stop - done;
-    for (; done < stop; ++done) submit_one(order[done]);
-    // Journal attribution mirroring the streaming triggers: a full batch
-    // is what the bid-count trigger would have fired on; a short final
-    // batch (or the single whole-trace batch) is a flush.  Keeps aligned
-    // batch/stream runs byte-identical in the journal.
-    const journal::CloseReason reason = config.bids_per_epoch != 0 && submitted == batch
-                                            ? journal::CloseReason::kBidCount
-                                            : journal::CloseReason::kFlush;
-    scheduler.tick(now, reason, submitted);
-    now += config.epoch_interval;
-  }
-  scheduler.run(config.drain_epochs, now, config.epoch_interval);
-
-  outcome.report = scheduler.report();
-  if (obs::MetricsSink* sink = scheduler.sink(); sink != nullptr) {
-    obs::MetricsRegistry& m = sink->metrics();
-    m.counter("driver.bids_generated").add(outcome.bids_generated);
-    m.counter("driver.bids_admitted").add(outcome.bids_admitted);
-    m.counter("driver.bids_rejected").add(outcome.bids_rejected);
-  }
-  return outcome;
-}
-
 }  // namespace decloud::engine

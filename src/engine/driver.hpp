@@ -1,4 +1,4 @@
-// Trace-driven workload streaming for the engine.
+// Trace-driven workload generation for the engine.
 //
 // Bridges trace/workload (the paper's Section V setup: Google-trace
 // requests, EC2 offers, best-match valuations) to the sharded engine.
@@ -9,31 +9,28 @@
 // location-less otherwise (exercising the spillover policy).
 //
 // Bids are streamed in deterministic order (requests and offers
-// interleaved by index) in fixed-size batches, one batch per epoch — the
-// "online appearance" of Section VI: the market clears continuously while
-// bids keep arriving.  Submissions rejected by backpressure are dropped
-// (and counted); a real producer would retry.
+// interleaved by index) by the one trace drive loop,
+// stream::drive_trace_stream — the "online appearance" of Section VI: the
+// market clears continuously while bids keep arriving.  Submissions
+// rejected by backpressure are dropped (and counted); a real producer
+// would retry.
 #pragma once
 
 #include <cstdint>
 
-#include "engine/epoch_scheduler.hpp"
+#include "engine/engine.hpp"
 #include "trace/workload.hpp"
 
 namespace decloud::engine {
 
+/// The workload half of a trace drive; when and how the market clears is
+/// the StreamConfig's business (triggers, timestamps, drain budget).
 struct TraceDriverConfig {
   trace::WorkloadConfig workload;
   /// Probability a bid gets a location stamped (rest exercise spillover).
   double located_fraction = 1.0;
-  /// Bids submitted before each tick; 0 = everything before the first.
-  std::size_t bids_per_epoch = 0;
   /// RNG seed for workload generation and location stamping.
   std::uint64_t seed = 1;
-  /// Epochs allowed after the last submission batch (resubmission tail).
-  std::size_t drain_epochs = 32;
-  Time start_time = 0;
-  Seconds epoch_interval = 600;
 };
 
 /// Outcome of one driven run.
@@ -46,26 +43,18 @@ struct DriveOutcome {
 
 /// A generated, location-stamped workload plus its deterministic
 /// submission order (`order[i] < requests.size()` names a request,
-/// otherwise offer `order[i] - requests.size()`).  The batch driver and
-/// the streaming driver (stream/stream_driver.hpp) both consume this —
-/// SAME bytes in, which is what makes batch the streaming mode's
-/// reference oracle.
+/// otherwise offer `order[i] - requests.size()`).  The drive loop
+/// (stream/stream_driver.hpp) and every hand-fed harness consume this —
+/// SAME bytes in, which is what makes their outputs comparable.
 struct TraceStream {
   auction::MarketSnapshot snapshot;
   std::vector<std::size_t> order;
 };
 
-/// Generates the workload for `config` exactly as drive_trace does:
-/// workload from Rng(seed), locations from Rng(seed ^ "location"),
-/// requests and offers interleaved by index.
+/// Generates the workload for `config`: workload from Rng(seed),
+/// locations from Rng(seed ^ "location"), requests and offers interleaved
+/// by index.
 [[nodiscard]] TraceStream make_trace_stream(const TraceDriverConfig& config,
                                             const EngineConfig& engine_config);
-
-/// Generates the workload, streams it into `engine` batch-by-batch with
-/// one scheduler tick per batch, then drains.  Deterministic in
-/// (config, engine config, scheduler thread count — by the engine's
-/// determinism contract the latter does not affect results).
-DriveOutcome drive_trace(MarketEngine& engine, EpochScheduler& scheduler,
-                         const TraceDriverConfig& config);
 
 }  // namespace decloud::engine

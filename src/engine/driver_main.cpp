@@ -1,6 +1,7 @@
 // engine_driver — CLI front-end for the trace-driven sharded engine.
 //
-// Streams a generated workload through a MarketEngine with observability
+// Streams a generated workload bid-by-bid through a StreamingMarket (the
+// one trace drive loop, stream/stream_driver.hpp) with observability
 // enabled and writes the merged exports:
 //
 //   engine_driver --shards 4 --threads 2 --requests 200
@@ -15,7 +16,10 @@
 //   --threads N         scheduler threads; 0 = hardware (default 1)
 //   --requests N        workload requests; offers default to N/2
 //   --offers N          workload offers
-//   --bids-per-epoch N  batch size per tick; 0 = everything at once
+//   --bids-per-epoch N  bid-count trigger: close a micro-epoch every N
+//                       submissions (DESIGN.md §3h); 0 = off, so without
+//                       --watermark the whole trace clears in the one
+//                       flush close
 //   --seed N            workload + location seed (default 7)
 //   --metrics-out PATH  merged metrics JSON ("-" = stdout)
 //   --prom-out PATH     merged metrics, Prometheus text format
@@ -29,23 +33,15 @@
 //   --scoring MODE      matching scoring path: auto | dense | pruned
 //                       (default auto; both paths are byte-identical,
 //                       DESIGN.md §3g)
-//   --stream            continuous-market mode: bids stream in one at a
-//                       time and the market closes micro-epochs on its own
-//                       deterministic triggers (DESIGN.md §3h) instead of
-//                       the batch submit-then-tick loop
-//   --microepoch-bids N close a micro-epoch every N submissions (stream
-//                       mode; default = --bids-per-epoch, making the
-//                       stream close exactly on the batch epoch
-//                       boundaries — byte-identical summary to batch)
 //   --watermark K       close a micro-epoch when the stream's logical
 //                       clock advances K ticks since the last close
-//                       (stream mode; 0 = off)
+//                       (0 = off)
 //   --journal-out PATH  record the market flight recorder (DESIGN.md §3j)
 //                       and write its binary encoding ("-" = stdout); the
-//                       bytes are identical for any --threads value and
-//                       for aligned batch/stream runs (inspect with
-//                       tools/journal_query).  Also merges the journal's
-//                       economic telemetry sink into the metrics exports.
+//                       bytes are identical for any --threads value
+//                       (inspect with tools/journal_query).  Also merges
+//                       the journal's economic telemetry sink into the
+//                       metrics exports.
 //   --journal-limit N   per-ring journal capacity in events (default
 //                       65536); overflowing rings drop their OLDEST
 //                       events and count the drops
@@ -55,9 +51,9 @@
 //                       index cache off (snapshots do not carry it);
 //                       cache-off outcomes are bit-identical by contract.
 //   --snapshot-every N  write a deterministic snapshot of the whole
-//                       engine after every N epochs (needs --wal-dir;
-//                       must be >= 1 when given; default = no snapshots,
-//                       recovery then replays the whole WAL)
+//                       market after every N micro-epoch closes (needs
+//                       --wal-dir; must be >= 1 when given; default = no
+//                       snapshots, recovery then replays the whole WAL)
 //   --recover           recover from --wal-dir (latest snapshot + WAL
 //                       tail replay), then resume the run to completion.
 //                       The recovered run's summary/metrics/journal are
@@ -84,10 +80,9 @@
 #include "auction/config.hpp"
 #include "engine/driver.hpp"
 #include "engine/engine.hpp"
-#include "engine/epoch_scheduler.hpp"
 #include "fault/fault.hpp"
-#include "journal/journal.hpp"
 #include "fault/injector.hpp"
+#include "journal/journal.hpp"
 #include "obs/clock.hpp"
 #include "stream/stream_driver.hpp"
 #include "stream/streaming_market.hpp"
@@ -148,8 +143,6 @@ int main(int argc, char** argv) {
   std::uint64_t fault_seed = 1;
   std::size_t retry_attempts = 0;
   auction::ScoringPath scoring = auction::ScoringPath::kAuto;
-  bool stream_mode = false;
-  std::size_t microepoch_bids = SIZE_MAX;  // SIZE_MAX = default to bids_per_epoch
   std::size_t watermark = 0;
   const char* journal_out = nullptr;
   std::size_t journal_limit = 65536;
@@ -193,10 +186,6 @@ int main(int argc, char** argv) {
       fault_seed = std::strtoull(next(), nullptr, 10);
     } else if (std::strcmp(argv[i], "--retry-attempts") == 0) {
       retry_attempts = std::strtoul(next(), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--stream") == 0) {
-      stream_mode = true;
-    } else if (std::strcmp(argv[i], "--microepoch-bids") == 0) {
-      microepoch_bids = std::strtoul(next(), nullptr, 10);
     } else if (std::strcmp(argv[i], "--watermark") == 0) {
       watermark = std::strtoul(next(), nullptr, 10);
     } else if (std::strcmp(argv[i], "--journal-out") == 0) {
@@ -231,7 +220,7 @@ int main(int argc, char** argv) {
                    "          [--prom-out PATH] [--trace-out PATH] [--wallclock]\n"
                    "          [--fault-plan SPEC] [--fault-seed N] [--retry-attempts N]\n"
                    "          [--scoring auto|dense|pruned]\n"
-                   "          [--stream] [--microepoch-bids N] [--watermark K]\n"
+                   "          [--watermark K]\n"
                    "          [--journal-out PATH] [--journal-limit N]\n"
                    "          [--wal-dir DIR] [--snapshot-every N] [--recover]\n"
                    "          [--crash-plan SPEC]\n",
@@ -243,7 +232,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "engine_driver: --shards must be >= 1\n");
     return 2;
   }
-  // Flag-combination validation: refuse contradictory durable/stream
+  // Flag-combination validation: refuse contradictory durable-mode
   // configurations outright with a one-line diagnostic instead of running
   // a subtly meaningless market.
   if (snapshot_every_set && snapshot_every == 0) {
@@ -262,16 +251,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "engine_driver: --crash-plan needs --wal-dir (crashing without a WAL "
                          "leaves nothing to recover)\n");
     return 2;
-  }
-  if (stream_mode) {
-    const std::size_t effective_bids =
-        microepoch_bids == SIZE_MAX ? bids_per_epoch : microepoch_bids;
-    if (effective_bids == 0 && watermark == 0) {
-      std::fprintf(stderr,
-                   "engine_driver: --stream needs a micro-epoch trigger (--microepoch-bids or "
-                   "--watermark >= 1); with neither the market would never clear\n");
-      return 2;
-    }
   }
 
   obs::SteadyClock steady;
@@ -325,7 +304,6 @@ int main(int argc, char** argv) {
   driver.workload.num_requests = requests;
   driver.workload.num_offers = offers == 0 ? requests / 2 : offers;
   driver.located_fraction = 0.9;
-  driver.bids_per_epoch = bids_per_epoch;
   driver.seed = seed;
 
   // The crash injector is SEPARATE from the engine's --fault-plan one
@@ -342,8 +320,6 @@ int main(int argc, char** argv) {
     // count (legitimately different on recovery), output paths, snapshot
     // cadence, and the crash plan (only the crashed run carries one) stay
     // out.
-    const std::size_t effective_bids =
-        microepoch_bids == SIZE_MAX ? bids_per_epoch : microepoch_bids;
     const std::string canonical =
         "shards=" + std::to_string(shards) + ";requests=" + std::to_string(requests) +
         ";offers=" + std::to_string(driver.workload.num_offers) +
@@ -353,94 +329,41 @@ int main(int argc, char** argv) {
         ";fault_seed=" + std::to_string(fault_seed) +
         ";fault_plan=" + config.fault_plan.canonical() +
         ";journal=" + std::to_string(config.journal_capacity) +
-        ";stream=" + std::to_string(stream_mode ? 1 : 0) +
-        ";microepoch_bids=" + std::to_string(stream_mode ? effective_bids : 0) +
-        ";watermark=" + std::to_string(stream_mode ? watermark : 0);
+        ";watermark=" + std::to_string(watermark);
     durable.fingerprint = wal::config_fingerprint(canonical);
   }
 
-  if (stream_mode) {
-    stream::StreamConfig stream_config;
-    stream_config.engine = config;
-    // Default the bid-count trigger to the batch boundary so a bare
-    // `--stream` run is directly byte-comparable against batch mode.
-    stream_config.triggers.bids =
-        microepoch_bids == SIZE_MAX ? driver.bids_per_epoch : microepoch_bids;
-    stream_config.triggers.watermark = watermark;
-    stream_config.threads = threads;
-    stream_config.start_time = driver.start_time;
-    stream_config.epoch_interval = driver.epoch_interval;
-    stream_config.drain_epochs = driver.drain_epochs;
-
-    stream::StreamingMarket market(std::move(stream_config));
-    stream::StreamDriveOutcome outcome;
-    if (wal_dir != nullptr) {
-      try {
-        outcome = wal::drive_trace_stream_durable(market, driver, durable);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "engine_driver: %s\n", e.what());
-        return 1;
-      }
-    } else {
-      outcome = drive_trace_stream(market, driver);
-    }
-
-    const journal::Journal* journal = market.market_engine().journal();
-    if (journal != nullptr) {
-      // The telemetry sink joins the extra-sink merge order AFTER the
-      // stream's sink, before the shard sinks — the same slot it has in
-      // batch mode, so metrics stay batch/stream byte-comparable.
-      const obs::MetricsSink telemetry = journal::telemetry_sink(*journal);
-      const obs::MetricsSink* extras[] = {market.scheduler().sink(), market.sink(), &telemetry};
-      engine::MarketEngine& eng = market.market_engine();
-      if (metrics_out != nullptr && !write_out(metrics_out, eng.metrics_json(extras))) return 1;
-      if (prom_out != nullptr && !write_out(prom_out, eng.metrics_prometheus(extras))) return 1;
-      if (!write_binary(journal_out, journal->encode())) return 1;
-    } else {
-      if (metrics_out != nullptr && !write_out(metrics_out, market.metrics_json())) return 1;
-      if (prom_out != nullptr && !write_out(prom_out, market.metrics_prometheus())) return 1;
-    }
-    if (trace_out != nullptr && !write_out(trace_out, market.trace_json())) return 1;
-
-    const std::string summary = outcome.drive.report.summary_json();
-    std::fwrite(summary.data(), 1, summary.size(), stdout);
-    std::fputc('\n', stdout);
-    return 0;
+  stream::StreamConfig stream_config;
+  stream_config.engine = config;
+  stream_config.triggers.bids = bids_per_epoch;
+  stream_config.triggers.watermark = watermark;
+  stream_config.threads = threads;
+  stream::StreamingMarket market(std::move(stream_config));
+  stream::StreamDriveOutcome outcome;
+  try {
+    outcome = drive_trace_stream(market, driver, wal_dir != nullptr ? &durable : nullptr);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "engine_driver: %s\n", e.what());
+    return 1;
   }
 
-  engine::MarketEngine market_engine(config);
-  engine::EpochScheduler scheduler(market_engine, threads);
-  engine::DriveOutcome outcome;
-  if (wal_dir != nullptr) {
-    try {
-      outcome = wal::drive_trace_durable(market_engine, scheduler, driver, durable);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "engine_driver: %s\n", e.what());
-      return 1;
-    }
-  } else {
-    outcome = drive_trace(market_engine, scheduler, driver);
-  }
-
-  const journal::Journal* journal = market_engine.journal();
+  const journal::Journal* journal = market.market_engine().journal();
   if (journal != nullptr) {
+    // The telemetry sink joins the extra-sink merge order AFTER the
+    // stream's sink, before the shard sinks.
     const obs::MetricsSink telemetry = journal::telemetry_sink(*journal);
-    const obs::MetricsSink* extras[] = {scheduler.sink(), &telemetry};
-    if (metrics_out != nullptr && !write_out(metrics_out, market_engine.metrics_json(extras))) {
-      return 1;
-    }
-    if (prom_out != nullptr &&
-        !write_out(prom_out, market_engine.metrics_prometheus(extras))) {
-      return 1;
-    }
+    const obs::MetricsSink* extras[] = {market.scheduler().sink(), market.sink(), &telemetry};
+    engine::MarketEngine& eng = market.market_engine();
+    if (metrics_out != nullptr && !write_out(metrics_out, eng.metrics_json(extras))) return 1;
+    if (prom_out != nullptr && !write_out(prom_out, eng.metrics_prometheus(extras))) return 1;
     if (!write_binary(journal_out, journal->encode())) return 1;
   } else {
-    if (metrics_out != nullptr && !write_out(metrics_out, scheduler.metrics_json())) return 1;
-    if (prom_out != nullptr && !write_out(prom_out, scheduler.metrics_prometheus())) return 1;
+    if (metrics_out != nullptr && !write_out(metrics_out, market.metrics_json())) return 1;
+    if (prom_out != nullptr && !write_out(prom_out, market.metrics_prometheus())) return 1;
   }
-  if (trace_out != nullptr && !write_out(trace_out, scheduler.trace_json())) return 1;
+  if (trace_out != nullptr && !write_out(trace_out, market.trace_json())) return 1;
 
-  const std::string summary = outcome.report.summary_json();
+  const std::string summary = outcome.drive.report.summary_json();
   std::fwrite(summary.data(), 1, summary.size(), stdout);
   std::fputc('\n', stdout);
   return 0;

@@ -188,7 +188,6 @@ class MarketEngine {
   /// SEPARATE injector from config.fault_plan's, driving only
   /// fault::kCrashAtSite sites (see fault/crash.hpp for why).
   void set_crash_injector(const fault::FaultInjector* injector) { crash_ = injector; }
-  [[nodiscard]] const fault::FaultInjector* crash_injector() const { return crash_; }
 
   /// Snapshot/restore of the whole engine at a quiescent point: every
   /// shard's ingest queue must be drained (encode asserts), so what is

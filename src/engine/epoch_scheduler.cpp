@@ -2,8 +2,6 @@
 
 #include "common/audit.hpp"
 #include "common/ensure.hpp"
-#include "fault/crash.hpp"
-#include "wal/wal.hpp"
 
 namespace decloud::engine {
 
@@ -16,12 +14,6 @@ EpochScheduler::EpochScheduler(MarketEngine& engine, std::size_t threads) : engi
 }
 
 void EpochScheduler::tick(Time now, journal::CloseReason reason, std::uint64_t submissions) {
-  if (wal_ != nullptr) {
-    // Log-before-apply: the tick record is durable before any shard work
-    // starts, so a crash mid-epoch replays the whole tick.
-    (void)wal_->append_tick(now, static_cast<std::uint8_t>(reason), submissions);
-    fault::crash_if(engine_.crash_injector(), fault::CrashSite::kAfterTickAppend, epochs_);
-  }
   // One chunk per shard: the chunk layout (hence which bodies run) is
   // fixed, and each body touches only its own shard's state.  The "epoch"
   // span lives on the scheduler's own sink, so the workers (which write
@@ -71,9 +63,9 @@ void EpochScheduler::restore_state(ByteReader& r) {
 EngineReport EpochScheduler::report() const {
   EngineReport report = engine_.report();
   report.epochs = epochs_;
-  // Batch ticks ARE micro-epochs (degenerate ones: the whole queue drains
-  // each tick); streaming closes also run through tick(), so the equality
-  // holds in both modes and audit_report checks it.
+  // Every tick is a micro-epoch: the StreamingMarket's closes and drain
+  // epochs all run through tick(), so the equality always holds and
+  // audit_report checks it.
   report.micro_epochs = epochs_;
   if constexpr (decloud::audit::kEnabled) audit_report(report);
   return report;

@@ -34,9 +34,8 @@ class EpochScheduler {
   void tick(Time now) { tick(now, journal::CloseReason::kDrain, 0); }
 
   /// Same, attributing the close: `reason` is why this epoch closed and
-  /// `submissions` how many bids arrived since the previous close.  The
-  /// batch driver and the streaming triggers both call this so aligned
-  /// batch/stream runs journal identical kEpochClose events.
+  /// `submissions` how many bids arrived since the previous close — the
+  /// StreamingMarket's micro-epoch closes journal their trigger this way.
   void tick(Time now, journal::CloseReason reason, std::uint64_t submissions);
 
   /// Ticks until the engine is idle (no queued bids anywhere) or
@@ -64,13 +63,6 @@ class EpochScheduler {
   }
   [[nodiscard]] std::string trace_json() const { return engine_.trace_json(sink_.get()); }
 
-  /// Attaches the write-ahead log (not owned, may be null).  BATCH mode
-  /// only: every tick then logs a kTick input record before running, so
-  /// replay can re-issue the exact tick sequence.  Stream mode must NOT
-  /// attach here — its ticks are derived from logged bids/clock/flush
-  /// inputs and re-fire during replay (DESIGN.md §3k).
-  void set_wal_writer(wal::WalWriter* wal) { wal_ = wal; }
-
   /// Snapshot/restore of the scheduler's own state: the epoch counter and
   /// its sink's metrics registry.
   void encode_state(ByteWriter& w) const;
@@ -82,8 +74,6 @@ class EpochScheduler {
   std::size_t epochs_ = 0;
   /// Touched only by the thread calling tick(); workers never see it.
   std::unique_ptr<obs::MetricsSink> sink_;
-  /// Batch-mode WAL attachment (null otherwise); see set_wal_writer.
-  wal::WalWriter* wal_ = nullptr;
 };
 
 }  // namespace decloud::engine

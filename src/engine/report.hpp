@@ -58,8 +58,8 @@ struct EngineReport {
   std::size_t bids_retry_succeeded = 0;
   std::size_t bids_retry_dropped = 0;
   std::size_t epochs = 0;  ///< scheduler ticks executed
-  /// Micro-epochs closed.  In batch mode every scheduler tick is a
-  /// (degenerate) micro-epoch, so this equals `epochs`; streaming mode
+  /// Micro-epochs closed.  In a bare scheduler loop every tick is a
+  /// (degenerate) micro-epoch, so this equals `epochs`; a StreamingMarket
   /// counts its deterministic closes (bid-count / watermark / flush /
   /// drain triggers, see stream/streaming_market.hpp) through the same
   /// scheduler ticks.  Keeping the two equal is what lets an aligned

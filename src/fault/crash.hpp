@@ -7,15 +7,16 @@
 //
 //   attempt = crash site id (CrashSite below)
 //   index   = the site's own monotone sequence — input_seq for ingest
-//             sites, tick number for epoch sites, block height for
-//             append sites, logical ticks for snapshot sites
+//             sites, epoch number for epoch sites, block height for
+//             append sites, epoch count for snapshot sites
 //   shard   = shard index (0 for engine-global sites)
 //   round   = 0 (unused)
 //
-// e.g. `crash_at_site:attempts=1:index=3` kills the process right after
-// the 4th tick's WAL record reaches disk.  Crashes are driven by a
-// SEPARATE injector (`MarketEngine::set_crash_injector`) from the
-// behavioural `--fault-plan` one, so (a) the uninterrupted reference run
+// e.g. `crash_at_site:attempts=0:index=3` kills the process right after
+// the 4th input's WAL record reaches disk, before the bid is applied.
+// Crashes are driven by a SEPARATE injector
+// (`MarketEngine::set_crash_injector`) from the behavioural
+// `--fault-plan` one, so (a) the uninterrupted reference run
 // of a recovery check simply omits the crash plan without perturbing any
 // other fault coin, and (b) a recovered process resuming past the crash
 // site does not immediately die again.
@@ -38,7 +39,7 @@ inline constexpr int kCrashExitCode = 86;
 /// Site ids (the `attempts` coordinate of a crash_at_site rule).
 enum class CrashSite : std::uint64_t {
   kAfterBidAppend = 0,    ///< bid WAL record durable, bid not yet applied
-  kAfterTickAppend = 1,   ///< tick WAL record durable, epoch not yet run
+  // 1 is reserved: the retired after-tick-append site (ticks are not logged).
   kMidEpoch = 2,          ///< inside run_shard_epoch, before the round
   kAfterBlockAppend = 3,  ///< block WAL record durable, after chain append
   kMidSnapshot = 4,       ///< snapshot temp file written, rename pending

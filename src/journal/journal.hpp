@@ -23,9 +23,9 @@
 //     never interleave in the encoding, so the scheduler's thread count
 //     cannot reorder anything observable.
 //   * encode() walks the rings in fixed index order.  Journal bytes are
-//     therefore identical at any thread count, in batch vs aligned-
-//     trigger stream mode, chaos included — the property the CI byte-diff
-//     jobs pin (tests/journal/).
+//     therefore identical at any thread count, for the batch reference
+//     loop vs the aligned-trigger drive loop, chaos included — the
+//     property the CI byte-diff jobs pin (tests/journal/).
 //
 // Rings are bounded (drop-oldest) so a soak run cannot grow without
 // limit; drops are counted per ring and preserved in the encoding, which
@@ -70,7 +70,8 @@ enum class EventKind : std::uint8_t {
 inline constexpr std::size_t kNumEventKinds = 16;
 
 /// Why a micro-epoch closed — shared by the streaming triggers and the
-/// batch driver's tick attribution, so aligned runs journal identically
+/// batch reference loop's tick attribution, so aligned runs journal
+/// identically
 /// (stream/streaming_market.hpp documents the mapping).
 enum class CloseReason : std::uint8_t { kBidCount = 0, kWatermark = 1, kFlush = 2, kDrain = 3 };
 

@@ -1,39 +1,54 @@
 #include "stream/stream_driver.hpp"
 
+#include <optional>
+
 #include "common/ensure.hpp"
+#include "wal/durable/durable.hpp"
 
 namespace decloud::stream {
 
 StreamDriveOutcome drive_trace_stream(StreamingMarket& market,
-                                      const engine::TraceDriverConfig& config) {
-  // The market's own config governs micro-epoch timing; a driver config
-  // that disagrees would silently produce a differently-timestamped run,
-  // so refuse it outright.
-  DECLOUD_EXPECTS_MSG(config.start_time == market.config().start_time &&
-                          config.epoch_interval == market.config().epoch_interval &&
-                          config.drain_epochs == market.config().drain_epochs,
-                      "driver timing must match the StreamConfig it feeds");
+                                      const engine::TraceDriverConfig& config,
+                                      const wal::DurableOptions* durable) {
+  // The trace order indexes the run from its first bid, and recovery
+  // rebuilds the market from nothing, so the market must be untouched.
+  DECLOUD_EXPECTS_MSG(market.submitted() == 0 && market.micro_epochs() == 0,
+                      "a trace drive starts on a fresh market");
 
   const engine::TraceStream stream =
       engine::make_trace_stream(config, market.config().engine);
   const auction::MarketSnapshot& snapshot = stream.snapshot;
-
-  StreamDriveOutcome outcome;
-  outcome.drive.bids_generated = stream.order.size();
+  const std::vector<std::size_t>& order = stream.order;
   const std::size_t n_req = snapshot.requests.size();
-  for (const std::size_t i : stream.order) {
+
+  std::optional<wal::DurableLog> log;
+  if (durable != nullptr) log.emplace(market, order.size(), *durable);
+  wal::DriveProgress progress = log ? log->resume() : wal::DriveProgress{};
+
+  while (progress.done < order.size()) {
+    const std::size_t i = order[progress.done];
     const StreamAdmission admission = i < n_req ? market.submit(snapshot.requests[i])
                                                 : market.submit(snapshot.offers[i - n_req]);
-    if (admission.engine.admitted()) {
-      ++outcome.drive.bids_admitted;
-    } else {
-      ++outcome.drive.bids_rejected;
+    progress.count(admission.engine.admitted());
+    ++progress.done;
+    // A close by the final bid shares the snapshot point after the flush
+    // below, so that snapshot also covers the flush record.
+    if (log && admission.closed_micro_epoch && progress.done < order.size()) {
+      log->on_close(progress);
     }
   }
-  (void)market.flush();
+  if (!progress.flushed) {
+    (void)market.flush();
+    progress.flushed = true;
+    if (log) log->on_close(progress);
+  }
+
+  StreamDriveOutcome outcome;
   outcome.micro_epochs = market.micro_epochs();
   outcome.drain_epochs = market.drain();
-
+  outcome.drive.bids_generated = order.size();
+  outcome.drive.bids_admitted = progress.admitted;
+  outcome.drive.bids_rejected = progress.rejected;
   outcome.drive.report = market.report();
   if (obs::MetricsSink* sink = market.scheduler().sink(); sink != nullptr) {
     obs::MetricsRegistry& m = sink->metrics();

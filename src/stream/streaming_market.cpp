@@ -18,7 +18,7 @@ void StreamingMarket::close_micro_epoch(CloseReason reason) {
   DECLOUD_EXPECTS_MSG(scheduler_.epochs() < static_cast<std::size_t>(INT64_MAX),
                       "micro-epoch count overflows the simulated clock");
   // Simulated timestamps are a pure function of the close COUNT — the
-  // batch scheduler's start + n·interval sequence — never of wall time,
+  // scheduler run loop's start + n·interval sequence — never of wall time,
   // so every run over the same stream closes at identical timestamps.
   const Time now =
       config_.start_time + static_cast<Time>(scheduler_.epochs()) * config_.epoch_interval;
@@ -105,7 +105,7 @@ bool StreamingMarket::flush() {
   if (wal_ != nullptr) (void)wal_->append_flush();
   // Only close over PENDING submissions: an empty flush would still tick
   // the scheduler, desynchronizing the epoch count (hence the timestamp
-  // sequence and the report) from an aligned batch run.
+  // sequence and the report) from the reference batch loop.
   if (submitted_ == closed_submitted_) return false;
   close_micro_epoch(CloseReason::kFlush);
   return true;
@@ -113,8 +113,8 @@ bool StreamingMarket::flush() {
 
 std::size_t StreamingMarket::drain() {
   // The drain tail reuses the scheduler's own loop — identical stopping
-  // rule (idle or budget exhausted) and timestamp sequence to the batch
-  // driver's scheduler.run(drain_epochs, …) call.
+  // rule (idle or budget exhausted) and timestamp sequence as a bare
+  // scheduler.run(drain_epochs, …) call.
   const Time now =
       config_.start_time + static_cast<Time>(scheduler_.epochs()) * config_.epoch_interval;
   const std::size_t ran = scheduler_.run(config_.drain_epochs, now, config_.epoch_interval);

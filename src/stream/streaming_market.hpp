@@ -1,15 +1,13 @@
 // Epoch-less continuous-market front end (DESIGN.md §3h).
 //
-// A StreamingMarket wraps a MarketEngine + EpochScheduler and replaces the
-// batch driver's submit-batch-then-tick rhythm with a continuous ingest
-// stream: producers call submit() whenever a bid arrives, and the market
-// decides FOR ITSELF when to clear, by closing a "micro-epoch" — one
+// A StreamingMarket wraps a MarketEngine + EpochScheduler behind a
+// continuous ingest stream: producers call submit() whenever a bid
+// arrives, and the market decides FOR ITSELF when to clear, by closing a "micro-epoch" — one
 // scheduler tick over every shard — whenever a deterministic trigger
 // fires:
 //
 //   * bid-count: `triggers.bids` submissions have arrived since the last
-//     close (the continuous analogue of the batch driver's
-//     bids_per_epoch);
+//     close — periodic batch clearing is exactly this trigger;
 //   * watermark: the stream's logical clock — one tick per submission,
 //     the same event-sequence discipline the obs tracer uses in
 //     logical-clock-only mode — has advanced `triggers.watermark` ticks
@@ -22,10 +20,11 @@
 // the host is, which is what makes the streaming EngineReport
 // byte-reproducible (and declint's wallclock-outside-obs rule enforceable
 // over this subsystem).  Simulated round timestamps advance by
-// epoch_interval per close, exactly like the batch scheduler's run loop —
-// so a stream whose triggers fire on the batch driver's epoch boundaries
-// produces a byte-identical EngineReport to batch mode
-// (tests/stream/stream_determinism_test).
+// epoch_interval per close, exactly like the scheduler's run loop — so a
+// stream whose triggers fire every N bids produces a byte-identical
+// EngineReport to a submit-N-then-tick loop over MarketEngine +
+// EpochScheduler (the reference oracle of
+// tests/stream/stream_determinism_test).
 //
 // Unmatched bids are residue: they stay queued inside the shard markets
 // and re-enter the next micro-epoch's round automatically, with age
@@ -34,8 +33,8 @@
 // slowly-evolving offer books cheap to rescore (candidate_index.hpp).
 //
 // Threading: submit()/flush()/drain() must come from ONE thread (the
-// stream owner); the scheduler fans shard work out underneath exactly as
-// in batch mode, and the report is byte-identical for every thread count.
+// stream owner); the scheduler fans shard work out underneath, and the
+// report is byte-identical for every thread count.
 #pragma once
 
 #include <cstddef>
@@ -43,7 +42,6 @@
 #include <memory>
 #include <string>
 
-#include "engine/driver.hpp"
 #include "engine/engine.hpp"
 #include "engine/epoch_scheduler.hpp"
 
@@ -70,7 +68,7 @@ struct StreamConfig {
   /// Scheduler worker threads for the shard fan-out (0 = hardware).
   std::size_t threads = 1;
   /// Simulated time of the first micro-epoch; subsequent closes advance
-  /// by epoch_interval — the batch driver's timestamp sequence.
+  /// by epoch_interval — the scheduler's run-loop timestamp sequence.
   Time start_time = 0;
   Seconds epoch_interval = 600;
   /// Ticks drain() may spend clearing residue after the stream ends.
@@ -96,8 +94,8 @@ class StreamingMarket {
   /// clock and counts toward the bid-count trigger: triggers must depend
   /// only on the submission SEQUENCE, not on admission outcomes, or a
   /// fault plan rejecting an ingest would shift every later close and the
-  /// batch alignment (whose ticks also count rejected submissions against
-  /// the batch boundary) would break.
+  /// alignment with the reference batch loop (which also counts rejected
+  /// submissions against its batch boundary) would break.
   StreamAdmission submit(const auction::Request& request);
   StreamAdmission submit(const auction::Offer& offer);
 
@@ -108,11 +106,11 @@ class StreamingMarket {
 
   /// Closes a final micro-epoch over any submissions still pending since
   /// the last close; a no-op (returns false) when none are — an empty
-  /// close would tick the scheduler and break batch alignment.
+  /// close would tick the scheduler and shift every later timestamp.
   bool flush();
 
   /// Runs up to config.drain_epochs extra micro-epochs clearing carried
-  /// residue (the batch driver's drain tail).  Returns epochs run.
+  /// residue (the drain tail).  Returns epochs run.
   std::size_t drain();
 
   /// Micro-epochs closed so far (== scheduler ticks; every close is one
@@ -146,8 +144,7 @@ class StreamingMarket {
   /// stream's OWN inputs — clock advances and flushes.  Bids are logged
   /// by the engine (attach there too); micro-epoch closes are NOT logged:
   /// they re-fire deterministically when replay re-feeds the logged
-  /// inputs, which is why stream mode never attaches the scheduler
-  /// (DESIGN.md §3k).
+  /// inputs (DESIGN.md §3k).
   void set_wal_writer(wal::WalWriter* wal) { wal_ = wal; }
 
   /// Snapshot/restore of the stream's own trigger state (logical clock
@@ -157,8 +154,8 @@ class StreamingMarket {
 
  private:
   /// Close attribution is the journal's own taxonomy so the kEpochClose
-  /// events a stream run journals are byte-comparable with an aligned
-  /// batch run's (the batch driver attributes its ticks the same way).
+  /// events a stream run journals are byte-comparable with the reference
+  /// batch loop's (which attributes its ticks the same way).
   using CloseReason = journal::CloseReason;
 
   template <typename Bid>

@@ -1,37 +1,17 @@
 #include "wal/durable/durable.hpp"
 
-#include <algorithm>
-#include <memory>
-#include <vector>
+#include <optional>
+#include <utility>
 
 #include "common/ensure.hpp"
 #include "journal/wire.hpp"
 #include "ledger/codec.hpp"
+#include "wal/snapshot.hpp"
 
 namespace decloud::wal {
 namespace {
 
 namespace wire = journal::wire;
-
-/// Snapshot payload mode tags.
-constexpr std::uint8_t kBatchMode = 0;
-constexpr std::uint8_t kStreamMode = 1;
-
-/// Shared driver-side bookkeeping restored from a snapshot / advanced by
-/// replay and the live loop.
-struct DriveProgress {
-  std::size_t done = 0;  ///< workload bids submitted so far
-  std::size_t admitted = 0;
-  std::size_t rejected = 0;
-};
-
-void count_admission(DriveProgress& progress, bool admitted) {
-  if (admitted) {
-    ++progress.admitted;
-  } else {
-    ++progress.rejected;
-  }
-}
 
 /// Recovered chain tips must agree with whatever block fingerprints the
 /// dead process managed to log.  A missing entry is fine (the crash beat
@@ -45,31 +25,57 @@ void verify_block_fingerprints(const engine::MarketEngine& engine, const WalCont
   }
 }
 
-journal::CloseReason decode_reason(std::uint8_t reason) {
-  wire::check(reason <= static_cast<std::uint8_t>(journal::CloseReason::kDrain),
-              "wal tick record has an unknown close reason");
-  return static_cast<journal::CloseReason>(reason);
+/// Restores the latest snapshot (if any) into `market` and `progress`;
+/// returns its watermark — the first input_seq it does not cover.
+std::uint64_t restore_latest_snapshot(stream::StreamingMarket& market, std::size_t trace_size,
+                                      const DurableOptions& opts, DriveProgress& progress) {
+  const std::optional<std::string> path = find_latest_snapshot(opts.wal_dir);
+  if (!path) return 0;
+  const SnapshotFile snap = read_snapshot(*path, opts.fingerprint);
+  ByteReader r(snap.payload);
+  const std::uint64_t watermark = wire::read_u64(r);
+  progress.done = wire::read_u64(r);
+  progress.admitted = wire::read_u64(r);
+  progress.rejected = wire::read_u64(r);
+  wire::check(wire::read_u64(r) == trace_size,
+              "snapshot workload size differs from the configured run");
+  progress.flushed = wire::read_u8(r) != 0;
+  market.market_engine().restore_state(r);
+  market.scheduler().restore_state(r);
+  market.restore_state(r);
+  wire::check(r.exhausted(), "snapshot payload has trailing bytes");
+  return watermark;
 }
 
-/// Feeds one logged bid back through `submit` (any callable taking a
-/// Request or an Offer and returning whether it was admitted).
-template <typename Submit>
-void replay_bid(const Record& record, DriveProgress& progress, Submit&& submit) {
-  if (record.is_offer) {
-    count_admission(progress, submit(ledger::decode_offer(record.payload)));
-  } else {
-    count_admission(progress, submit(ledger::decode_request(record.payload)));
+/// Feeds the logged inputs from `watermark` on back through the market.
+/// A crash during the post-flush drain discards the partial drain work:
+/// replay rebuilds the post-flush state and the resumed drain re-runs the
+/// whole (deterministic) tail, re-logging identical block fingerprints
+/// (load_wal tolerates the equal duplicates).
+void replay_tail(stream::StreamingMarket& market, const WalContents& contents,
+                 std::uint64_t watermark, DriveProgress& progress) {
+  for (const Record& record : contents.inputs) {
+    if (record.input_seq < watermark) continue;
+    switch (record.kind) {
+      case RecordKind::kBid: {
+        const stream::StreamAdmission admission =
+            record.is_offer ? market.submit(ledger::decode_offer(record.payload))
+                            : market.submit(ledger::decode_request(record.payload));
+        progress.count(admission.engine.admitted());
+        ++progress.done;
+        break;
+      }
+      case RecordKind::kClockAdvance:
+        (void)market.advance_clock(record.ticks);
+        break;
+      case RecordKind::kFlush:
+        (void)market.flush();
+        progress.flushed = true;
+        break;
+      case RecordKind::kBlockAppend:
+        break;  // outputs, never in contents.inputs
+    }
   }
-  ++progress.done;
-}
-
-void write_driver_counters(obs::MetricsSink* sink, std::size_t generated,
-                           const DriveProgress& progress) {
-  if (sink == nullptr) return;
-  obs::MetricsRegistry& m = sink->metrics();
-  m.counter("driver.bids_generated").add(generated);
-  m.counter("driver.bids_admitted").add(progress.admitted);
-  m.counter("driver.bids_rejected").add(progress.rejected);
 }
 
 }  // namespace
@@ -83,260 +89,53 @@ std::uint64_t config_fingerprint(std::string_view canonical) {
   return h;
 }
 
-engine::DriveOutcome drive_trace_durable(engine::MarketEngine& engine,
-                                         engine::EpochScheduler& scheduler,
-                                         const engine::TraceDriverConfig& config,
-                                         const DurableOptions& opts) {
-  DECLOUD_EXPECTS_MSG(!opts.wal_dir.empty(), "durable drive needs a WAL directory");
+DurableLog::DurableLog(stream::StreamingMarket& market, std::size_t trace_size,
+                       DurableOptions opts)
+    : market_(market), opts_(std::move(opts)), trace_size_(trace_size) {
+  DECLOUD_EXPECTS_MSG(!opts_.wal_dir.empty(), "durable drive needs a WAL directory");
+  engine::MarketEngine& engine = market_.market_engine();
   DECLOUD_EXPECTS_MSG(!engine.config().market.reuse_candidate_index,
                       "durable mode requires reuse_candidate_index = false (snapshots do not "
                       "carry the producer's index cache)");
 
-  const engine::TraceStream stream = engine::make_trace_stream(config, engine.config());
-  const auction::MarketSnapshot& snapshot = stream.snapshot;
-  const std::vector<std::size_t>& order = stream.order;
-  const std::size_t n_req = snapshot.requests.size();
-  const std::size_t batch = config.bids_per_epoch == 0 ? order.size() : config.bids_per_epoch;
-
-  DriveProgress progress;
-  std::uint64_t submit_ticks = 0;  // non-drain ticks run so far
-  std::size_t drain_done = 0;      // drain ticks run so far
-
-  const WalWriter::Options wal_options{opts.wal_dir, engine.num_shards(), opts.fingerprint,
-                                       opts.sync};
-  std::unique_ptr<WalWriter> writer;
-
-  if (!opts.recover) {
-    writer = WalWriter::create(wal_options);
+  const WalWriter::Options wal_options{opts_.wal_dir, engine.num_shards(), opts_.fingerprint,
+                                       opts_.sync};
+  if (!opts_.recover) {
+    writer_ = WalWriter::create(wal_options);
   } else {
-    const WalContents contents = load_wal(opts.wal_dir, engine.num_shards(), opts.fingerprint);
-    std::uint64_t watermark = 0;
-    if (const std::optional<std::string> path = find_latest_snapshot(opts.wal_dir)) {
-      const SnapshotFile snap = read_snapshot(*path, opts.fingerprint);
-      ByteReader r(snap.payload);
-      wire::check(wire::read_u8(r) == kBatchMode, "snapshot was written by a stream-mode run");
-      watermark = wire::read_u64(r);
-      submit_ticks = wire::read_u64(r);
-      progress.done = wire::read_u64(r);
-      progress.admitted = wire::read_u64(r);
-      progress.rejected = wire::read_u64(r);
-      wire::check(wire::read_u64(r) == order.size(),
-                  "snapshot workload size differs from the configured run");
-      engine.restore_state(r);
-      scheduler.restore_state(r);
-      wire::check(r.exhausted(), "snapshot payload has trailing bytes");
-    }
-    // Replay the tail through the normal paths, writer detached.
-    for (const Record& record : contents.inputs) {
-      if (record.input_seq < watermark) continue;
-      switch (record.kind) {
-        case RecordKind::kBid:
-          replay_bid(record, progress, [&](const auto& bid) {
-            return engine.submit(bid).admitted();
-          });
-          break;
-        case RecordKind::kTick: {
-          const journal::CloseReason reason = decode_reason(record.reason);
-          scheduler.tick(record.now, reason, record.submissions);
-          if (reason == journal::CloseReason::kDrain) {
-            ++drain_done;
-          } else {
-            ++submit_ticks;
-          }
-          break;
-        }
-        default:
-          throw wire::decode_error("batch-mode WAL contains stream-mode records");
-      }
-    }
+    const WalContents contents = load_wal(opts_.wal_dir, engine.num_shards(), opts_.fingerprint);
+    const std::uint64_t watermark =
+        restore_latest_snapshot(market_, trace_size_, opts_, resume_);
+    replay_tail(market_, contents, watermark, resume_);
     verify_block_fingerprints(engine, contents);
-    writer = WalWriter::attach(wal_options, contents.valid_bytes, contents.next_input_seq);
+    writer_ = WalWriter::attach(wal_options, contents.valid_bytes, contents.next_input_seq);
   }
-
-  engine.set_wal_writer(writer.get());
-  scheduler.set_wal_writer(writer.get());
-  engine.set_crash_injector(opts.crash);
-
-  const auto maybe_snapshot = [&] {
-    if (opts.snapshot_every == 0 || scheduler.epochs() % opts.snapshot_every != 0) return;
-    ByteWriter w;
-    w.write_u8(kBatchMode);
-    w.write_u64(writer->next_input_seq());
-    w.write_u64(submit_ticks);
-    w.write_u64(progress.done);
-    w.write_u64(progress.admitted);
-    w.write_u64(progress.rejected);
-    w.write_u64(order.size());
-    engine.encode_state(w);
-    scheduler.encode_state(w);
-    write_snapshot(opts.wal_dir, scheduler.epochs(), w.bytes(), opts.fingerprint, opts.crash);
-  };
-
-  const auto submit_one = [&](std::size_t i) {
-    const engine::EngineAdmission admission = i < n_req
-                                                  ? engine.submit(snapshot.requests[i])
-                                                  : engine.submit(snapshot.offers[i - n_req]);
-    count_admission(progress, admission.admitted());
-  };
-
-  // Resume (or begin) the drive_trace loop.  Batch boundaries are a pure
-  // function of the submit-tick count, so a crash mid-batch resumes the
-  // partial batch and ticks at exactly the uninterrupted boundary.
-  while (progress.done < order.size()) {
-    const std::size_t tick_base = submit_ticks * batch;
-    const std::size_t stop = std::min(order.size(), tick_base + batch);
-    for (; progress.done < stop; ++progress.done) submit_one(order[progress.done]);
-    const std::uint64_t submitted = stop - tick_base;
-    const journal::CloseReason reason = config.bids_per_epoch != 0 && submitted == batch
-                                            ? journal::CloseReason::kBidCount
-                                            : journal::CloseReason::kFlush;
-    const Time now = config.start_time +
-                     static_cast<Time>(scheduler.epochs()) * config.epoch_interval;
-    scheduler.tick(now, reason, submitted);
-    ++submit_ticks;
-    maybe_snapshot();
-  }
-  if (drain_done < config.drain_epochs) {
-    const Time now = config.start_time +
-                     static_cast<Time>(scheduler.epochs()) * config.epoch_interval;
-    (void)scheduler.run(config.drain_epochs - drain_done, now, config.epoch_interval);
-  }
-
-  engine::DriveOutcome outcome;
-  outcome.bids_generated = order.size();
-  outcome.bids_admitted = progress.admitted;
-  outcome.bids_rejected = progress.rejected;
-  outcome.report = scheduler.report();
-  write_driver_counters(scheduler.sink(), order.size(), progress);
-
-  engine.set_wal_writer(nullptr);
-  scheduler.set_wal_writer(nullptr);
-  engine.set_crash_injector(nullptr);
-  return outcome;
+  engine.set_wal_writer(writer_.get());
+  market_.set_wal_writer(writer_.get());
+  engine.set_crash_injector(opts_.crash);
 }
 
-stream::StreamDriveOutcome drive_trace_stream_durable(stream::StreamingMarket& market,
-                                                      const engine::TraceDriverConfig& config,
-                                                      const DurableOptions& opts) {
-  DECLOUD_EXPECTS_MSG(!opts.wal_dir.empty(), "durable drive needs a WAL directory");
-  DECLOUD_EXPECTS_MSG(config.start_time == market.config().start_time &&
-                          config.epoch_interval == market.config().epoch_interval &&
-                          config.drain_epochs == market.config().drain_epochs,
-                      "driver timing must match the StreamConfig it feeds");
-  engine::MarketEngine& engine = market.market_engine();
-  DECLOUD_EXPECTS_MSG(!engine.config().market.reuse_candidate_index,
-                      "durable mode requires reuse_candidate_index = false (snapshots do not "
-                      "carry the producer's index cache)");
+DurableLog::~DurableLog() {
+  market_.market_engine().set_wal_writer(nullptr);
+  market_.set_wal_writer(nullptr);
+  market_.market_engine().set_crash_injector(nullptr);
+}
 
-  const engine::TraceStream stream = engine::make_trace_stream(config, market.config().engine);
-  const auction::MarketSnapshot& snapshot = stream.snapshot;
-  const std::vector<std::size_t>& order = stream.order;
-  const std::size_t n_req = snapshot.requests.size();
-
-  DriveProgress progress;
-  bool flushed = false;
-
-  const WalWriter::Options wal_options{opts.wal_dir, engine.num_shards(), opts.fingerprint,
-                                       opts.sync};
-  std::unique_ptr<WalWriter> writer;
-
-  if (!opts.recover) {
-    writer = WalWriter::create(wal_options);
-  } else {
-    const WalContents contents = load_wal(opts.wal_dir, engine.num_shards(), opts.fingerprint);
-    std::uint64_t watermark = 0;
-    if (const std::optional<std::string> path = find_latest_snapshot(opts.wal_dir)) {
-      const SnapshotFile snap = read_snapshot(*path, opts.fingerprint);
-      ByteReader r(snap.payload);
-      wire::check(wire::read_u8(r) == kStreamMode, "snapshot was written by a batch-mode run");
-      watermark = wire::read_u64(r);
-      progress.done = wire::read_u64(r);
-      progress.admitted = wire::read_u64(r);
-      progress.rejected = wire::read_u64(r);
-      wire::check(wire::read_u64(r) == order.size(),
-                  "snapshot workload size differs from the configured run");
-      engine.restore_state(r);
-      market.scheduler().restore_state(r);
-      market.restore_state(r);
-      wire::check(r.exhausted(), "snapshot payload has trailing bytes");
-    }
-    // Replay the tail.  Micro-epoch closes are not logged — they re-fire
-    // when the logged bids/clock advances cross the triggers again.  A
-    // crash during the post-flush drain discards the partial drain work:
-    // replay rebuilds the post-flush state and the resume drain re-runs
-    // the whole (deterministic) tail, re-logging identical block
-    // fingerprints (load_wal tolerates the equal duplicates).
-    for (const Record& record : contents.inputs) {
-      if (record.input_seq < watermark) continue;
-      switch (record.kind) {
-        case RecordKind::kBid:
-          replay_bid(record, progress, [&](const auto& bid) {
-            return market.submit(bid).engine.admitted();
-          });
-          break;
-        case RecordKind::kClockAdvance:
-          (void)market.advance_clock(record.ticks);
-          break;
-        case RecordKind::kFlush:
-          (void)market.flush();
-          flushed = true;
-          break;
-        default:
-          throw wire::decode_error("stream-mode WAL contains batch tick records");
-      }
-    }
-    verify_block_fingerprints(engine, contents);
-    writer = WalWriter::attach(wal_options, contents.valid_bytes, contents.next_input_seq);
-  }
-
-  engine.set_wal_writer(writer.get());
-  market.set_wal_writer(writer.get());
-  engine.set_crash_injector(opts.crash);
-
-  const auto maybe_snapshot = [&] {
-    if (opts.snapshot_every == 0 ||
-        static_cast<std::uint64_t>(market.micro_epochs()) % opts.snapshot_every != 0) {
-      return;
-    }
-    ByteWriter w;
-    w.write_u8(kStreamMode);
-    w.write_u64(writer->next_input_seq());
-    w.write_u64(progress.done);
-    w.write_u64(progress.admitted);
-    w.write_u64(progress.rejected);
-    w.write_u64(order.size());
-    engine.encode_state(w);
-    market.scheduler().encode_state(w);
-    market.encode_state(w);
-    write_snapshot(opts.wal_dir, market.micro_epochs(), w.bytes(), opts.fingerprint, opts.crash);
-  };
-
-  while (progress.done < order.size()) {
-    const std::size_t i = order[progress.done];
-    const stream::StreamAdmission admission = i < n_req
-                                                  ? market.submit(snapshot.requests[i])
-                                                  : market.submit(snapshot.offers[i - n_req]);
-    count_admission(progress, admission.engine.admitted());
-    // done must cover the bid that TRIGGERED the close before the snapshot
-    // captures it, or recovery resubmits that bid.
-    ++progress.done;
-    if (admission.closed_micro_epoch) maybe_snapshot();
-  }
-  if (!flushed) (void)market.flush();
-
-  stream::StreamDriveOutcome outcome;
-  outcome.drive.bids_generated = order.size();
-  outcome.micro_epochs = market.micro_epochs();
-  outcome.drain_epochs = market.drain();
-  outcome.drive.bids_admitted = progress.admitted;
-  outcome.drive.bids_rejected = progress.rejected;
-  outcome.drive.report = market.report();
-  write_driver_counters(market.scheduler().sink(), order.size(), progress);
-
-  engine.set_wal_writer(nullptr);
-  market.set_wal_writer(nullptr);
-  engine.set_crash_injector(nullptr);
-  return outcome;
+void DurableLog::on_close(const DriveProgress& progress) {
+  DECLOUD_EXPECTS(progress.done <= trace_size_);
+  const std::uint64_t closes = market_.micro_epochs();
+  if (opts_.snapshot_every == 0 || closes % opts_.snapshot_every != 0) return;
+  ByteWriter w;
+  w.write_u64(writer_->next_input_seq());
+  w.write_u64(progress.done);
+  w.write_u64(progress.admitted);
+  w.write_u64(progress.rejected);
+  w.write_u64(trace_size_);
+  w.write_u8(progress.flushed ? 1 : 0);
+  market_.market_engine().encode_state(w);
+  market_.scheduler().encode_state(w);
+  market_.encode_state(w);
+  write_snapshot(opts_.wal_dir, closes, w.bytes(), opts_.fingerprint, opts_.crash);
 }
 
 }  // namespace decloud::wal

@@ -1,14 +1,16 @@
-// Durable-market composition: snapshot payloads, recovery, and the
-// resume drivers (DESIGN.md §3k).
+// The durable attachment of the trace drive loop (DESIGN.md §3k).
 //
-// The low-level pieces live one directory up (wal/wal.hpp framing and
-// segments, wal/snapshot.hpp atomic snapshot files); this layer knows the
-// ENGINE — it composes the snapshot payload out of the engine, scheduler,
-// and stream state blobs, replays a WAL tail through the normal submit and
-// tick paths, and then continues the trace drive from exactly where the
-// dead process stopped.  The byte-identity contract: a crashed-and-
-// recovered run's EngineReport, journal bytes, and metrics exports equal
-// an uninterrupted run's at any thread count, chaos included.
+// stream::drive_trace_stream is the one trace drive loop; given
+// DurableOptions it opens a DurableLog, which owns everything durable
+// about the run.  The low-level pieces live one directory up (wal/wal.hpp
+// framing and segments, wal/snapshot.hpp atomic snapshot files); this
+// layer knows the MARKET — it composes the snapshot payload out of the
+// engine, scheduler and stream state blobs and replays a WAL tail through
+// the market's normal submit/advance_clock/flush paths, so the loop
+// continues from exactly where a dead process stopped.  The byte-identity
+// contract: a crashed-and-recovered run's EngineReport, journal bytes and
+// metrics exports equal an uninterrupted run's at any thread count, chaos
+// included.
 //
 // What recovery does, in order:
 //   1. load_wal: every segment's valid prefix, inputs merged by input_seq;
@@ -16,36 +18,36 @@
 //   3. replay the input tail PAST the snapshot's watermark through the
 //      normal code paths, with the WAL writer detached (replay must not
 //      re-log) and no crash injector (a recovered run must get past the
-//      site that killed its predecessor);
+//      site that killed its predecessor).  Micro-epoch closes are not
+//      logged: they re-fire when the replayed inputs cross the triggers;
 //   4. cross-check recovered chain tips against the WAL's block
 //      fingerprints;
 //   5. re-attach the writer in append mode (truncating torn tails) and
-//      resume the drive loop from the recovered position.
+//      hand the loop its resume position.
 //
 // Durable mode requires MarketConfig::reuse_candidate_index == false:
 // snapshots do not carry the producer's cross-round index cache, and the
 // cache-off contract is what guarantees bit-identical outcomes either
-// way.  The drivers assert this.
+// way.  DurableLog asserts this.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 
-#include "engine/driver.hpp"
 #include "fault/injector.hpp"
-#include "stream/stream_driver.hpp"
-#include "wal/snapshot.hpp"
+#include "stream/streaming_market.hpp"
 #include "wal/wal.hpp"
 
 namespace decloud::wal {
 
-/// Durable-mode parameters shared by both drivers.
+/// Durable-mode parameters of a trace drive.
 struct DurableOptions {
   std::string wal_dir;
-  /// Snapshot after every N scheduler epochs (batch: submit ticks;
-  /// stream: micro-epoch closes).  0 = never snapshot; recovery then
-  /// replays the whole WAL from a fresh engine.
+  /// Snapshot after every N micro-epoch closes.  0 = never snapshot;
+  /// recovery then replays the whole WAL from a fresh market.
   std::uint64_t snapshot_every = 0;
   /// Recover from wal_dir (snapshot + tail replay) instead of starting a
   /// fresh WAL.
@@ -60,25 +62,59 @@ struct DurableOptions {
   const fault::FaultInjector* crash = nullptr;
 };
 
+/// How far a trace drive has got: restored by recovery, advanced by the
+/// drive loop.
+struct DriveProgress {
+  std::size_t done = 0;  ///< trace bids submitted so far
+  std::size_t admitted = 0;
+  std::size_t rejected = 0;
+  bool flushed = false;  ///< the end-of-trace flush has run (and is logged)
+
+  void count(bool was_admitted) {
+    if (was_admitted) {
+      ++admitted;
+    } else {
+      ++rejected;
+    }
+  }
+};
+
 /// FNV-1a (64-bit) over a canonical configuration string.  The driver
 /// builds the string from every flag that shapes results (workload,
-/// shards, seeds, fault plan, mode, triggers — NOT thread count, which
-/// may legitimately differ between the crashed and the recovering run,
-/// and NOT the crash plan, which only the crashed run carries).
+/// shards, seeds, fault plan, triggers — NOT thread count, which may
+/// legitimately differ between the crashed and the recovering run, and
+/// NOT the crash plan, which only the crashed run carries).
 [[nodiscard]] std::uint64_t config_fingerprint(std::string_view canonical);
 
-/// Batch-mode durable drive: engine::drive_trace plus WAL logging,
-/// periodic snapshots, and (opts.recover) crash recovery.  Without a
-/// wal_dir this is an error — use drive_trace instead.
-engine::DriveOutcome drive_trace_durable(engine::MarketEngine& engine,
-                                         engine::EpochScheduler& scheduler,
-                                         const engine::TraceDriverConfig& config,
-                                         const DurableOptions& opts);
+/// A WAL attached to one StreamingMarket for one drive of a trace.
+class DurableLog {
+ public:
+  /// Opens the log of a `trace_size`-bid drive into the FRESH `market`:
+  /// creates a new WAL, or (opts.recover) recovers the one in
+  /// opts.wal_dir as described above, leaving the recovered state in
+  /// `market` and the resume position in resume().  The writer and the
+  /// crash injector stay attached to the market until destruction.
+  DurableLog(stream::StreamingMarket& market, std::size_t trace_size, DurableOptions opts);
+  ~DurableLog();
+  DurableLog(const DurableLog&) = delete;
+  DurableLog& operator=(const DurableLog&) = delete;
 
-/// Stream-mode durable drive: stream::drive_trace_stream plus WAL
-/// logging, snapshots at micro-epoch closes, and crash recovery.
-stream::StreamDriveOutcome drive_trace_stream_durable(stream::StreamingMarket& market,
-                                                      const engine::TraceDriverConfig& config,
-                                                      const DurableOptions& opts);
+  /// Where the drive resumes: all zero for a fresh log.
+  [[nodiscard]] const DriveProgress& resume() const { return resume_; }
+
+  /// The drive loop's snapshot callback, called at each close point:
+  /// writes a snapshot every opts.snapshot_every micro-epoch closes.
+  /// `progress` must already count the bid that triggered the close (or
+  /// recovery would resubmit it) and the flush once it has run (or the
+  /// resumed loop would log a second one).
+  void on_close(const DriveProgress& progress);
+
+ private:
+  stream::StreamingMarket& market_;
+  DurableOptions opts_;
+  std::size_t trace_size_;
+  DriveProgress resume_;
+  std::unique_ptr<WalWriter> writer_;
+};
 
 }  // namespace decloud::wal

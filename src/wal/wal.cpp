@@ -44,12 +44,6 @@ std::vector<std::uint8_t> encode_record(const Record& record) {
       w.write_u8(record.is_offer ? 1 : 0);
       w.write_bytes(record.payload);
       break;
-    case RecordKind::kTick:
-      wire::write_varint(w, record.input_seq);
-      w.write_i64(record.now);
-      w.write_u8(record.reason);
-      wire::write_varint(w, record.submissions);
-      break;
     case RecordKind::kClockAdvance:
       wire::write_varint(w, record.input_seq);
       wire::write_varint(w, record.ticks);
@@ -72,18 +66,13 @@ Record decode_record(std::span<const std::uint8_t> payload, std::uint64_t segmen
   record.segment = segment;
   const std::uint8_t kind = wire::read_u8(r);
   wire::check(kind < kNumRecordKinds, "wal record kind out of range");
+  wire::check(kind != kRetiredTickKind, "wal record kind is the retired tick record");
   record.kind = static_cast<RecordKind>(kind);
   switch (record.kind) {
     case RecordKind::kBid:
       record.input_seq = wire::read_varint(r);
       record.is_offer = wire::read_u8(r) != 0;
       record.payload = wire::read_blob(r);
-      break;
-    case RecordKind::kTick:
-      record.input_seq = wire::read_varint(r);
-      record.now = wire::read_i64(r);
-      record.reason = wire::read_u8(r);
-      record.submissions = wire::read_varint(r);
       break;
     case RecordKind::kClockAdvance:
       record.input_seq = wire::read_varint(r);
@@ -286,18 +275,6 @@ std::uint64_t WalWriter::append_bid(std::size_t segment, bool is_offer,
   const std::lock_guard<dsched::mutex> lock(input_mutex_);
   record.input_seq = next_input_seq_++;
   write_frame(*segments_[segment], encode_record(record));
-  return record.input_seq;
-}
-
-std::uint64_t WalWriter::append_tick(Time now, std::uint8_t reason, std::uint64_t submissions) {
-  Record record;
-  record.kind = RecordKind::kTick;
-  record.now = now;
-  record.reason = reason;
-  record.submissions = submissions;
-  const std::lock_guard<dsched::mutex> lock(input_mutex_);
-  record.input_seq = next_input_seq_++;
-  write_frame(*segments_[0], encode_record(record));
   return record.input_seq;
 }
 

@@ -6,6 +6,7 @@
 
 #include <string>
 
+#include "batch_reference.hpp"
 #include "common/rng.hpp"
 #include "engine/driver.hpp"
 #include "engine/engine.hpp"
@@ -17,6 +18,7 @@ namespace decloud::engine {
 namespace {
 
 constexpr std::uint64_t kSeed = 7;
+constexpr std::size_t kBatch = 20;  // bids per epoch
 
 ledger::MarketConfig market_config() {
   ledger::MarketConfig mc;
@@ -42,7 +44,6 @@ TraceDriverConfig driver_config() {
   driver.workload.num_requests = 40;
   driver.workload.num_offers = 20;
   driver.located_fraction = 0.8;
-  driver.bids_per_epoch = 20;
   driver.seed = kSeed;
   return driver;
 }
@@ -84,9 +85,10 @@ TEST(EngineDeterminism, OneShardEngineMatchesDirectOrchestratorByteForByte) {
       if (i < n_req) order.push_back(i);
       if (i < n_off) order.push_back(n_req + i);
     }
-    Time now = driver.start_time;
+    const stream::StreamConfig timing;  // the batch oracle's timestamps and drain
+    Time now = timing.start_time;
     for (std::size_t done = 0; done < order.size();) {
-      const std::size_t stop = std::min(order.size(), done + driver.bids_per_epoch);
+      const std::size_t stop = std::min(order.size(), done + kBatch);
       for (; done < stop; ++done) {
         const std::size_t i = order[done];
         if (i < n_req) {
@@ -96,18 +98,18 @@ TEST(EngineDeterminism, OneShardEngineMatchesDirectOrchestratorByteForByte) {
         }
       }
       if (reference.queued_bids() > 0) (void)reference.run_round(now);
-      now += driver.epoch_interval;
+      now += timing.epoch_interval;
     }
-    reference.drain(driver.drain_epochs, now, driver.epoch_interval);
+    reference.drain(timing.drain_epochs, now, timing.epoch_interval);
   }
 
   // Engine under test: one shard, every bid lands there regardless of
-  // location, identical batching via the trace driver.
+  // location, identical batching via the batch oracle.
   MarketEngine engine(engine_config(1));
   EpochScheduler scheduler(engine, /*threads=*/1);
   TraceDriverConfig engine_driver = driver;
   engine_driver.located_fraction = 0.0;  // all spill — same bids either way
-  const DriveOutcome outcome = drive_trace(engine, scheduler, engine_driver);
+  const DriveOutcome outcome = test::drive_batch(engine, scheduler, engine_driver, kBatch);
 
   expect_stats_identical(outcome.report.total, reference.stats());
   expect_stats_identical(outcome.report.shards.at(0).stats, reference.stats());
@@ -120,7 +122,7 @@ TEST(EngineDeterminism, MultiShardReportIsByteIdenticalAcrossThreadCounts) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, hw}) {
     MarketEngine engine(engine_config(4));
     EpochScheduler scheduler(engine, threads);
-    const DriveOutcome outcome = drive_trace(engine, scheduler, driver_config());
+    const DriveOutcome outcome = test::drive_batch(engine, scheduler, driver_config(), kBatch);
     const std::string summary = outcome.report.summary_json();
     if (baseline.empty()) {
       baseline = summary;
@@ -139,12 +141,12 @@ TEST(EngineDeterminism, ShardCountChangesResultsButEachCountIsSelfConsistent) {
     MarketEngine first(engine_config(shards));
     EpochScheduler first_scheduler(first, 2);
     const std::string a =
-        drive_trace(first, first_scheduler, driver_config()).report.summary_json();
+        test::drive_batch(first, first_scheduler, driver_config(), kBatch).report.summary_json();
 
     MarketEngine second(engine_config(shards));
     EpochScheduler second_scheduler(second, 1);
-    const std::string b =
-        drive_trace(second, second_scheduler, driver_config()).report.summary_json();
+    const std::string b = test::drive_batch(second, second_scheduler, driver_config(), kBatch)
+                              .report.summary_json();
     EXPECT_EQ(a, b) << "shards=" << shards;
   }
 }

@@ -4,6 +4,7 @@
 
 #include <numeric>
 
+#include "batch_reference.hpp"
 #include "engine/driver.hpp"
 #include "engine/epoch_scheduler.hpp"
 
@@ -152,9 +153,8 @@ TEST(MarketEngineIntegration, ReportReconcilesWithSummedShardStats) {
   driver.workload.num_requests = 48;
   driver.workload.num_offers = 24;
   driver.located_fraction = 0.75;  // a real spillover population
-  driver.bids_per_epoch = 24;
   driver.seed = 11;
-  const DriveOutcome outcome = drive_trace(engine, scheduler, driver);
+  const DriveOutcome outcome = test::drive_batch(engine, scheduler, driver, 24);
 
   const EngineReport& report = outcome.report;
   ASSERT_EQ(report.shards.size(), 4u);

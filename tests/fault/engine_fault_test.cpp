@@ -7,6 +7,7 @@
 
 #include <string>
 
+#include "batch_reference.hpp"
 #include "common/thread_pool.hpp"
 #include "engine/driver.hpp"
 #include "engine/epoch_scheduler.hpp"
@@ -137,7 +138,6 @@ TEST(EngineFault, ChaosRunIsByteIdenticalAcrossThreadCounts) {
   driver.workload.num_requests = 40;
   driver.workload.num_offers = 20;
   driver.located_fraction = 0.8;
-  driver.bids_per_epoch = 20;
   driver.seed = 7;
 
   const std::size_t hw = ThreadPool::default_workers();
@@ -146,7 +146,7 @@ TEST(EngineFault, ChaosRunIsByteIdenticalAcrossThreadCounts) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, hw}) {
     MarketEngine engine(config());
     EpochScheduler scheduler(engine, threads);
-    const DriveOutcome outcome = drive_trace(engine, scheduler, driver);
+    const DriveOutcome outcome = test::drive_batch(engine, scheduler, driver, 20);
     const std::string summary = outcome.report.summary_json();
     const std::string metrics = scheduler.metrics_json();
     if (summary_baseline.empty()) {
@@ -173,9 +173,8 @@ TEST(EngineFault, SameChaosPlanReproducesAndSeedChangesOutcome) {
     TraceDriverConfig driver;
     driver.workload.num_requests = 24;
     driver.workload.num_offers = 12;
-    driver.bids_per_epoch = 12;
     driver.seed = 9;
-    return drive_trace(engine, scheduler, driver).report.summary_json();
+    return test::drive_batch(engine, scheduler, driver, 12).report.summary_json();
   };
   const std::string a = run(1);
   EXPECT_EQ(run(1), a);

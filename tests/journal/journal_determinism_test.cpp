@@ -1,6 +1,7 @@
 // The flight recorder's acceptance bar (ISSUE 9): journal bytes are
-// IDENTICAL at scheduler threads {1, 2, hw}, in batch vs aligned-trigger
-// stream mode, with and without an active fault plan — and still identical
+// IDENTICAL at scheduler threads {1, 2, hw}, for the batch reference loop
+// (tests/batch_reference.hpp) and the aligned-trigger drive loop, with and
+// without an active fault plan — and still identical
 // when tiny rings force drop-oldest overflow.  This is the same oracle
 // discipline as stream_determinism_test, applied to the journal encoding
 // instead of the report summary.
@@ -9,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "batch_reference.hpp"
 #include "common/thread_pool.hpp"
 #include "engine/driver.hpp"
 #include "engine/engine.hpp"
@@ -47,7 +49,6 @@ engine::TraceDriverConfig driver_config() {
   driver.workload.num_requests = 60;
   driver.workload.num_offers = 30;
   driver.located_fraction = 0.8;
-  driver.bids_per_epoch = kBatch;
   driver.seed = 7;
   return driver;
 }
@@ -56,7 +57,7 @@ std::vector<std::uint8_t> batch_journal(std::size_t threads, const char* fault_p
                                         std::size_t capacity = 4096) {
   engine::MarketEngine engine(engine_config(fault_plan, capacity));
   engine::EpochScheduler scheduler(engine, threads);
-  (void)engine::drive_trace(engine, scheduler, driver_config());
+  (void)test::drive_batch(engine, scheduler, driver_config(), kBatch);
   return engine.journal()->encode();
 }
 
@@ -141,13 +142,13 @@ TEST(JournalDeterminism, JournalOffByDefaultAndNeverChangesResults) {
   engine::MarketEngine off(engine_config(nullptr, 0));
   engine::EpochScheduler off_scheduler(off, 2);
   const std::string without =
-      engine::drive_trace(off, off_scheduler, driver_config()).report.summary_json();
+      test::drive_batch(off, off_scheduler, driver_config(), kBatch).report.summary_json();
   EXPECT_EQ(off.journal(), nullptr);
 
   engine::MarketEngine on(engine_config(nullptr, 4096));
   engine::EpochScheduler on_scheduler(on, 2);
   const std::string with =
-      engine::drive_trace(on, on_scheduler, driver_config()).report.summary_json();
+      test::drive_batch(on, on_scheduler, driver_config(), kBatch).report.summary_json();
   ASSERT_NE(on.journal(), nullptr);
   EXPECT_EQ(with, without);
 }

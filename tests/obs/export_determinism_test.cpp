@@ -6,6 +6,7 @@
 
 #include <string>
 
+#include "batch_reference.hpp"
 #include "common/thread_pool.hpp"
 #include "engine/driver.hpp"
 #include "engine/engine.hpp"
@@ -31,12 +32,13 @@ EngineConfig engine_config(std::size_t shards, bool observability,
   return config;
 }
 
+constexpr std::size_t kBatch = 20;  // bids per epoch
+
 TraceDriverConfig driver_config() {
   TraceDriverConfig driver;
   driver.workload.num_requests = 40;
   driver.workload.num_offers = 20;
   driver.located_fraction = 0.8;
-  driver.bids_per_epoch = 20;
   driver.seed = 7;
   return driver;
 }
@@ -51,7 +53,7 @@ struct Exports {
 Exports run_instrumented(std::size_t threads) {
   MarketEngine engine(engine_config(4, /*observability=*/true));
   EpochScheduler scheduler(engine, threads);
-  const DriveOutcome outcome = drive_trace(engine, scheduler, driver_config());
+  const DriveOutcome outcome = test::drive_batch(engine, scheduler, driver_config(), kBatch);
   return {outcome.report.summary_json(), scheduler.metrics_json(),
           scheduler.metrics_prometheus(), scheduler.trace_json()};
 }
@@ -84,12 +86,12 @@ TEST(ExportDeterminism, SinksNeverChangeMarketResults) {
   MarketEngine bare(engine_config(4, /*observability=*/false));
   EpochScheduler bare_scheduler(bare, 2);
   const std::string without =
-      drive_trace(bare, bare_scheduler, driver_config()).report.summary_json();
+      test::drive_batch(bare, bare_scheduler, driver_config(), kBatch).report.summary_json();
 
   MarketEngine instrumented(engine_config(4, /*observability=*/true));
   EpochScheduler scheduler(instrumented, 2);
   const std::string with =
-      drive_trace(instrumented, scheduler, driver_config()).report.summary_json();
+      test::drive_batch(instrumented, scheduler, driver_config(), kBatch).report.summary_json();
 
   EXPECT_EQ(with, without);
 }
@@ -101,13 +103,13 @@ TEST(ExportDeterminism, WallClockChangesTraceButNotMetrics) {
   obs::FakeClock clock(/*start_ns=*/0, /*auto_step_ns=*/1000);
   MarketEngine engine(engine_config(2, /*observability=*/true, &clock));
   EpochScheduler scheduler(engine, 1);
-  (void)drive_trace(engine, scheduler, driver_config());
+  (void)test::drive_batch(engine, scheduler, driver_config(), kBatch);
   const std::string timed_metrics = scheduler.metrics_json();
   const std::string timed_trace = scheduler.trace_json();
 
   MarketEngine logical(engine_config(2, /*observability=*/true));
   EpochScheduler logical_scheduler(logical, 1);
-  (void)drive_trace(logical, logical_scheduler, driver_config());
+  (void)test::drive_batch(logical, logical_scheduler, driver_config(), kBatch);
 
   EXPECT_EQ(timed_metrics, logical_scheduler.metrics_json());
   EXPECT_NE(timed_trace, logical_scheduler.trace_json());
@@ -119,7 +121,7 @@ TEST(ExportDeterminism, ObservabilityOffExportsOnlyTheSummarySink) {
   // works (engine ingest counters + router annotation) and stays valid.
   MarketEngine engine(engine_config(2, /*observability=*/false));
   EpochScheduler scheduler(engine, 1);
-  (void)drive_trace(engine, scheduler, driver_config());
+  (void)test::drive_batch(engine, scheduler, driver_config(), kBatch);
   EXPECT_EQ(engine.shard_sink(0), nullptr);
   EXPECT_EQ(scheduler.sink(), nullptr);
   const std::string metrics = scheduler.metrics_json();

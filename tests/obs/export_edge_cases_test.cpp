@@ -6,6 +6,7 @@
 
 #include <string>
 
+#include "batch_reference.hpp"
 #include "engine/driver.hpp"
 #include "engine/engine.hpp"
 #include "engine/epoch_scheduler.hpp"
@@ -43,9 +44,8 @@ TEST(ExportEdgeCases, EmptyExtraSinkNeverChangesEngineExports) {
   engine::TraceDriverConfig driver;
   driver.workload.num_requests = 20;
   driver.workload.num_offers = 10;
-  driver.bids_per_epoch = 10;
   driver.seed = 7;
-  (void)engine::drive_trace(eng, scheduler, driver);
+  (void)test::drive_batch(eng, scheduler, driver, 10);
 
   const std::string baseline_json = eng.metrics_json(scheduler.sink());
   const std::string baseline_prom = eng.metrics_prometheus(scheduler.sink());

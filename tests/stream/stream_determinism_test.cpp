@@ -1,15 +1,16 @@
-// The continuous market's headline contract (ISSUE 7, mirroring PR 6's
-// dense-vs-pruned discipline): batch mode is the streaming mode's
-// reference oracle.  A stream whose micro-epoch triggers fire on the batch
-// driver's epoch boundaries must produce a BYTE-identical EngineReport
-// summary to the batch run — same trace, same shard layout — at 1, 2 and
-// hardware scheduler threads, with and without an active fault plan.
+// The continuous market's headline contract: the batch submit-then-tick
+// loop (tests/batch_reference.hpp) is the drive loop's reference oracle.
+// A stream whose micro-epoch triggers fire on the batch epoch boundaries
+// must produce a BYTE-identical EngineReport summary to the batch run —
+// same trace, same shard layout — at 1, 2 and hardware scheduler
+// threads, with and without an active fault plan.
 // summary_json prints every double %.17g, so equality here is bit
 // equality of every welfare/settlement sum in every shard.
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "batch_reference.hpp"
 #include "common/thread_pool.hpp"
 #include "engine/driver.hpp"
 #include "engine/engine.hpp"
@@ -41,46 +42,65 @@ engine::EngineConfig engine_config(std::size_t shards, const char* fault_plan) {
   return config;
 }
 
-engine::TraceDriverConfig driver_config() {
+constexpr std::size_t kRequests = 60;  // 90 bids: a short final batch
+
+engine::TraceDriverConfig driver_config(std::size_t requests = kRequests) {
   engine::TraceDriverConfig driver;
-  driver.workload.num_requests = 60;
-  driver.workload.num_offers = 30;
+  driver.workload.num_requests = requests;
+  driver.workload.num_offers = requests / 2;
   driver.located_fraction = 0.8;
-  driver.bids_per_epoch = kBatch;
   driver.seed = 7;
   return driver;
 }
 
-std::string batch_summary(std::size_t shards, std::size_t threads, const char* fault_plan) {
+std::string batch_summary(std::size_t shards, std::size_t threads, const char* fault_plan,
+                          std::size_t requests = kRequests) {
   engine::MarketEngine engine(engine_config(shards, fault_plan));
   engine::EpochScheduler scheduler(engine, threads);
-  return drive_trace(engine, scheduler, driver_config()).report.summary_json();
+  return test::drive_batch(engine, scheduler, driver_config(requests), kBatch)
+      .report.summary_json();
 }
 
-std::string stream_summary(std::size_t shards, std::size_t threads, const char* fault_plan,
-                           std::size_t bid_trigger, std::size_t watermark) {
+StreamDriveOutcome stream_drive(std::size_t shards, std::size_t threads, const char* fault_plan,
+                                std::size_t bid_trigger, std::size_t watermark,
+                                std::size_t requests = kRequests) {
   StreamConfig config;
   config.engine = engine_config(shards, fault_plan);
   config.triggers.bids = bid_trigger;
   config.triggers.watermark = watermark;
   config.threads = threads;
   StreamingMarket market(config);
-  return drive_trace_stream(market, driver_config()).drive.report.summary_json();
+  return drive_trace_stream(market, driver_config(requests));
+}
+
+std::string stream_summary(std::size_t shards, std::size_t threads, const char* fault_plan,
+                           std::size_t bid_trigger, std::size_t watermark) {
+  return stream_drive(shards, threads, fault_plan, bid_trigger, watermark)
+      .drive.report.summary_json();
 }
 
 TEST(StreamDeterminism, AlignedStreamMatchesBatchByteForByteAcrossThreads) {
   const std::size_t hw = ThreadPool::default_workers();
-  const std::string oracle = batch_summary(4, 1, nullptr);
-  ASSERT_NE(oracle.find("\"micro_epochs\""), std::string::npos);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, hw}) {
-    EXPECT_EQ(batch_summary(4, threads, nullptr), oracle) << "batch threads=" << threads;
-    // Bid-count trigger on the batch boundary.
-    EXPECT_EQ(stream_summary(4, threads, nullptr, kBatch, 0), oracle)
-        << "stream(bids) threads=" << threads;
-    // Watermark trigger: the stream clocks one tick per submission, so a
-    // watermark of kBatch closes on the same boundaries.
-    EXPECT_EQ(stream_summary(4, threads, nullptr, 0, kBatch), oracle)
-        << "stream(watermark) threads=" << threads;
+  // 90 bids end on a short batch (a flush close); 96 bids are exactly six
+  // batches, so the last close is bid-count and the flush closes nothing.
+  for (const std::size_t requests : {kRequests, std::size_t{64}}) {
+    const std::string oracle = batch_summary(4, 1, nullptr, requests);
+    ASSERT_NE(oracle.find("\"micro_epochs\""), std::string::npos);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, hw}) {
+      EXPECT_EQ(batch_summary(4, threads, nullptr, requests), oracle)
+          << "batch threads=" << threads << " requests=" << requests;
+      // Bid-count trigger on the batch boundary.
+      const StreamDriveOutcome by_bids = stream_drive(4, threads, nullptr, kBatch, 0, requests);
+      EXPECT_EQ(by_bids.drive.report.summary_json(), oracle)
+          << "stream(bids) threads=" << threads << " requests=" << requests;
+      // Watermark trigger: the stream clocks one tick per submission, so a
+      // watermark of kBatch closes on the same boundaries.
+      EXPECT_EQ(stream_drive(4, threads, nullptr, 0, kBatch, requests).drive.report.summary_json(),
+                oracle)
+          << "stream(watermark) threads=" << threads << " requests=" << requests;
+      const std::size_t bids = requests + requests / 2;
+      EXPECT_EQ(by_bids.micro_epochs, (bids + kBatch - 1) / kBatch) << "requests=" << requests;
+    }
   }
 }
 
@@ -120,14 +140,14 @@ TEST(StreamDeterminism, StreamIsSelfConsistentForAnyTriggerConfig) {
 }
 
 TEST(StreamDeterminism, SingleBatchStreamFlushMatchesBatchMode) {
-  // bids_per_epoch = 0 batch mode submits everything then ticks once; the
+  // A batch of the whole trace submits everything then ticks once; the
   // stream analogue closes nothing until flush().  Byte-identical too.
-  engine::TraceDriverConfig driver = driver_config();
-  driver.bids_per_epoch = 0;
+  const engine::TraceDriverConfig driver = driver_config();
 
   engine::MarketEngine engine(engine_config(2, nullptr));
   engine::EpochScheduler scheduler(engine, 1);
-  const std::string oracle = drive_trace(engine, scheduler, driver).report.summary_json();
+  const std::string oracle =
+      test::drive_batch(engine, scheduler, driver, /*bids_per_epoch=*/0).report.summary_json();
 
   StreamConfig config;
   config.engine = engine_config(2, nullptr);

@@ -146,8 +146,9 @@ TEST(StreamingMarketTest, ObservabilityExportsCarryStreamCounters) {
 TEST(StreamingMarketTest, RejectedSubmissionsStillAdvanceTriggers) {
   // A fault plan that rejects every ingest: the market admits nothing,
   // yet micro-epochs still close on the submission count — trigger state
-  // must track the SEQUENCE, not admissions (batch mode ticks on rejected
-  // batches too, and alignment depends on matching that).
+  // must track the SEQUENCE, not admissions (the batch reference loop
+  // ticks on rejected batches too, and alignment depends on matching
+  // that).
   StreamConfig config = stream_config(1, /*bids=*/5, 0);
   config.engine.fault_plan = fault::FaultPlan::parse("reject_ingest:p=1.0");
   StreamingMarket market(config);

@@ -1,4 +1,4 @@
-// Recovery edge cases at the durable-driver level (DESIGN.md §3k):
+// Recovery edge cases of the durable drive loop (DESIGN.md §3k):
 // empty-WAL recovery, snapshot-only recovery (empty tail), recovery from
 // an abandoned partial run (the in-process stand-in for a kill), and
 // double-recover idempotence.  recover_check covers the real
@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <string>
 
+#include "batch_reference.hpp"
 #include "engine/driver.hpp"
 #include "engine/engine.hpp"
 #include "engine/epoch_scheduler.hpp"
@@ -19,6 +20,7 @@
 #include "stream/stream_driver.hpp"
 #include "stream/streaming_market.hpp"
 #include "wal/durable/durable.hpp"
+#include "wal/snapshot.hpp"
 #include "wal/wal.hpp"
 
 namespace decloud::wal {
@@ -45,20 +47,30 @@ engine::EngineConfig engine_config() {
   config.market.consensus.difficulty_bits = 8;
   config.market.num_verifiers = 1;
   config.market.consensus.auction.threads = 1;
-  // The durable drivers require the cross-round index cache off.
+  // Durable mode requires the cross-round index cache off.
   config.market.reuse_candidate_index = false;
   return config;
 }
+
+constexpr std::size_t kBatch = 20;       // bid-count trigger == batch size
+constexpr std::size_t kDrainEpochs = 8;
 
 engine::TraceDriverConfig driver_config() {
   engine::TraceDriverConfig driver;
   driver.workload.num_requests = 40;
   driver.workload.num_offers = 20;
   driver.located_fraction = 0.8;
-  driver.bids_per_epoch = 20;
   driver.seed = kSeed;
-  driver.drain_epochs = 8;
   return driver;
+}
+
+stream::StreamConfig stream_config(std::size_t drain_epochs = kDrainEpochs) {
+  stream::StreamConfig config;
+  config.engine = engine_config();
+  config.triggers.bids = kBatch;
+  config.threads = 1;
+  config.drain_epochs = drain_epochs;
+  return config;
 }
 
 void expect_outcomes_identical(const engine::DriveOutcome& a, const engine::DriveOutcome& b) {
@@ -70,16 +82,17 @@ void expect_outcomes_identical(const engine::DriveOutcome& a, const engine::Driv
   EXPECT_EQ(a.report.summary_json(), b.report.summary_json());
 }
 
-engine::DriveOutcome run_durable(const DurableOptions& opts) {
-  engine::MarketEngine engine(engine_config());
-  engine::EpochScheduler scheduler(engine, 1);
-  return drive_trace_durable(engine, scheduler, driver_config(), opts);
+engine::DriveOutcome run_durable(const DurableOptions& opts,
+                                 std::size_t drain_epochs = kDrainEpochs) {
+  stream::StreamingMarket market(stream_config(drain_epochs));
+  return stream::drive_trace_stream(market, driver_config(), &opts).drive;
 }
 
+/// The uninterrupted, WAL-less batch reference run.
 engine::DriveOutcome run_plain() {
   engine::MarketEngine engine(engine_config());
   engine::EpochScheduler scheduler(engine, 1);
-  return engine::drive_trace(engine, scheduler, driver_config());
+  return test::drive_batch(engine, scheduler, driver_config(), kBatch, kDrainEpochs);
 }
 
 TEST(Recovery, EmptyWalRecoversToFreshRun) {
@@ -105,60 +118,50 @@ TEST(Recovery, CompletedRunRecoversIdempotently) {
 }
 
 TEST(Recovery, SnapshotOnlyEmptyTail) {
-  // snapshot_every=1 makes the LAST tick's snapshot cover the entire
-  // input sequence: recovery restores it and replays nothing.
+  // snapshot_every=1 makes the LAST close point's snapshot — taken after
+  // the flush, which it records — cover the entire input sequence:
+  // recovery restores it and replays nothing.
   const std::string dir = fresh_dir("rec_snaponly");
-  engine::TraceDriverConfig config = driver_config();
-  config.drain_epochs = 0;  // no drain ticks after the last snapshot
-  engine::DriveOutcome first;
-  {
-    engine::MarketEngine engine(engine_config());
-    engine::EpochScheduler scheduler(engine, 1);
-    first = drive_trace_durable(engine, scheduler, config,
-                                {dir, /*snapshot_every=*/1, false, false, kFp});
-  }
+  // No drain epochs after the last snapshot.
+  const engine::DriveOutcome first = run_durable({dir, /*snapshot_every=*/1, false, false, kFp}, 0);
   const std::optional<std::string> latest = find_latest_snapshot(dir);
   ASSERT_TRUE(latest.has_value());
   const SnapshotFile snap = read_snapshot(*latest, kFp);
   EXPECT_EQ(load_wal(dir, 2, kFp).next_input_seq,
             [&] {  // watermark == next_input_seq: nothing left to replay
               ByteReader r(snap.payload);
-              (void)journal::wire::read_u8(r);
               return journal::wire::read_u64(r);
             }());
-  engine::MarketEngine engine(engine_config());
-  engine::EpochScheduler scheduler(engine, 1);
-  const engine::DriveOutcome recovered =
-      drive_trace_durable(engine, scheduler, config, {dir, 1, true, false, kFp});
+  const engine::DriveOutcome recovered = run_durable({dir, 1, true, false, kFp}, 0);
   expect_outcomes_identical(recovered, first);
 }
 
 TEST(Recovery, AbandonedPartialRunRecovers) {
   // In-process kill stand-in: drive part of the workload with a WAL
-  // attached, then abandon the engine (state dies with it, the WAL
-  // survives) and recover into a FRESH engine.
+  // attached, then abandon the market (state dies with it, the WAL
+  // survives) and recover into a FRESH market.
   const std::string dir = fresh_dir("rec_partial");
-  const engine::TraceDriverConfig config = driver_config();
   {
-    engine::MarketEngine engine(engine_config());
-    engine::EpochScheduler scheduler(engine, 1);
+    stream::StreamingMarket market(stream_config());
     const auto writer = WalWriter::create({dir, 2, kFp, false});
-    engine.set_wal_writer(writer.get());
-    scheduler.set_wal_writer(writer.get());
-    const engine::TraceStream stream = engine::make_trace_stream(config, engine.config());
+    market.market_engine().set_wal_writer(writer.get());
+    market.set_wal_writer(writer.get());
+    const engine::TraceStream stream =
+        engine::make_trace_stream(driver_config(), market.config().engine);
     const std::size_t n_req = stream.snapshot.requests.size();
-    // One full batch + tick, then half a batch, then "die".
+    // One full batch (closed by the bid-count trigger), then half a
+    // batch, then "die".
     for (std::size_t i = 0; i < 30 && i < stream.order.size(); ++i) {
       const std::size_t pick = stream.order[i];
       if (pick < n_req) {
-        (void)engine.submit(stream.snapshot.requests[pick]);
+        (void)market.submit(stream.snapshot.requests[pick]);
       } else {
-        (void)engine.submit(stream.snapshot.offers[pick - n_req]);
+        (void)market.submit(stream.snapshot.offers[pick - n_req]);
       }
-      if (i == 19) scheduler.tick(config.start_time, journal::CloseReason::kBidCount, 20);
     }
-    engine.set_wal_writer(nullptr);
-    scheduler.set_wal_writer(nullptr);
+    EXPECT_EQ(market.micro_epochs(), 1u);
+    market.market_engine().set_wal_writer(nullptr);
+    market.set_wal_writer(nullptr);
   }
   const engine::DriveOutcome recovered =
       run_durable({dir, /*snapshot_every=*/0, /*recover=*/true, /*sync=*/false, kFp});
@@ -167,33 +170,29 @@ TEST(Recovery, AbandonedPartialRunRecovers) {
 
 TEST(Recovery, StreamDurableMatchesPlainStream) {
   const std::string dir = fresh_dir("rec_stream");
-  stream::StreamConfig stream_config;
-  stream_config.engine = engine_config();
-  stream_config.triggers.bids = 15;
-  stream_config.threads = 1;
-  stream_config.drain_epochs = 8;
-  engine::TraceDriverConfig config = driver_config();
-  config.drain_epochs = 8;
+  stream::StreamConfig config = stream_config();
+  config.triggers.bids = 15;  // unaligned with any batch: stream vs stream
 
   stream::StreamDriveOutcome plain;
   {
-    stream::StreamingMarket market(stream_config);
-    plain = stream::drive_trace_stream(market, config);
+    stream::StreamingMarket market(config);
+    plain = stream::drive_trace_stream(market, driver_config());
   }
+  const DurableOptions fresh{dir, /*snapshot_every=*/1, false, false, kFp};
   stream::StreamDriveOutcome durable;
   {
-    stream::StreamingMarket market(stream_config);
-    durable = drive_trace_stream_durable(market, config,
-                                         {dir, /*snapshot_every=*/1, false, false, kFp});
+    stream::StreamingMarket market(config);
+    durable = stream::drive_trace_stream(market, driver_config(), &fresh);
   }
   EXPECT_EQ(durable.micro_epochs, plain.micro_epochs);
   EXPECT_EQ(durable.drain_epochs, plain.drain_epochs);
   expect_outcomes_identical(durable.drive, plain.drive);
 
   // Recover the completed stream WAL into a fresh market: same outcome.
-  stream::StreamingMarket market(stream_config);
+  const DurableOptions recover{dir, 1, true, false, kFp};
+  stream::StreamingMarket market(config);
   const stream::StreamDriveOutcome recovered =
-      drive_trace_stream_durable(market, config, {dir, 1, true, false, kFp});
+      stream::drive_trace_stream(market, driver_config(), &recover);
   EXPECT_EQ(recovered.micro_epochs, plain.micro_epochs);
   expect_outcomes_identical(recovered.drive, plain.drive);
 }

@@ -147,8 +147,8 @@ constexpr EntryPoint kEntryPoints[] = {
     {"src/wal/wal.cpp", "WalWriter::append_block"},
     {"src/wal/snapshot.cpp", "write_snapshot"},
     {"src/wal/snapshot.cpp", "read_snapshot"},
-    {"src/wal/durable/durable.cpp", "drive_trace_durable"},
-    {"src/wal/durable/durable.cpp", "drive_trace_stream_durable"},
+    {"src/wal/durable/durable.cpp", "DurableLog::DurableLog"},
+    {"src/wal/durable/durable.cpp", "DurableLog::on_close"},
     {"tools/journal_query/journal_query.cpp", "main"},
 };
 

@@ -145,21 +145,20 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]) == "--quick") quick = true;
   }
 
+  // Both trigger policies of the one drive loop: batch_* closes every 60
+  // bids (periodic batch clearing), stream_* on a logical-clock watermark.
   const std::string batch =
       "--shards 4 --requests 240 --bids-per-epoch 60 --seed 7 --snapshot-every 2";
   const std::string stream =
-      "--stream --microepoch-bids 50 --shards 4 --requests 240 --bids-per-epoch 60 --seed 7 "
-      "--snapshot-every 1";
+      "--watermark 50 --shards 4 --requests 240 --seed 7 --snapshot-every 1";
   const std::string chaos =
       " --fault-plan 'withhold_reveal:p=0.2;dishonest_vote:p=0.25;deny_agreement:p=0.2;"
       "reject_ingest:p=0.1' --fault-seed 42";
 
-  // Site ids: 0 after-bid-append, 1 after-tick-append (batch only: stream
-  // ticks are not WAL inputs), 2 mid-epoch, 3 after-block-append,
-  // 4 mid-snapshot.
+  // Site ids: 0 after-bid-append, 2 mid-epoch, 3 after-block-append,
+  // 4 mid-snapshot (1 is reserved: closes are not WAL inputs).
   std::vector<Scenario> scenarios = {
       {"batch_bid", batch, "crash_at_site:attempts=0:index=100", 2, 1},
-      {"batch_tick", batch, "crash_at_site:attempts=1:index=3", 2, 4},
       {"batch_midepoch", batch, "crash_at_site:attempts=2:index=2:shards=1", 1, 2},
       {"batch_block", batch, "crash_at_site:attempts=3:index=1", 2, 2},
       {"batch_midsnap", batch, "crash_at_site:attempts=4:index=4", 2, 1},
