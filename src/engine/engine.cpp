@@ -21,16 +21,16 @@ MarketEngine::MarketEngine(EngineConfig config)
     journal_ = std::make_unique<journal::Journal>(router_.num_shards() + 1,
                                                   config_.journal_capacity);
   }
+  control_.journal = journal_.get();
   shards_.reserve(router_.num_shards());
   for (std::size_t s = 0; s < router_.num_shards(); ++s) {
     auto shard = std::make_unique<Shard>(config_);
     if (config_.observability) {
       shard->sink =
           std::make_unique<obs::MetricsSink>("shard" + std::to_string(s), config_.clock);
-      shard->market.set_sink(shard->sink.get());
     }
-    if (injector_ != nullptr) shard->market.set_fault_injector(injector_.get(), s);
-    if (journal_ != nullptr) shard->market.set_journal(journal_.get(), s + 1);
+    shard->hooks = {shard->sink.get(), journal_.get(), s + 1, injector_.get(), s};
+    shard->market.attach(shard->hooks);
     shards_.push_back(std::move(shard));
   }
 }
@@ -42,9 +42,7 @@ std::uint64_t MarketEngine::retry_backoff(std::size_t attempt) const {
   return base << shift;
 }
 
-void MarketEngine::defer(Shard& shard, std::size_t shard_index, IngestItem item,
-                         std::size_t attempt) {
-  (void)shard_index;
+void MarketEngine::defer(Shard& shard, IngestItem item, std::size_t attempt) {
   const std::uint64_t due =
       shard.epochs_started.load(std::memory_order_relaxed) + retry_backoff(attempt);
   {
@@ -76,13 +74,10 @@ EngineAdmission MarketEngine::submit_bid(const Bid& bid) {
   }
   if (!route.routed()) {
     const std::size_t prior = rejected_unroutable_.fetch_add(1, std::memory_order_relaxed);
-    if (journal_ != nullptr) {
-      // Unroutable bids have no shard ring; the control ring records them
-      // with the running unroutable count as the operand.
-      journal_->append(journal::Journal::kControlRing,
-                       {journal::EventKind::kIngestRejected, 0, 0, kIsOffer, prior,
-                        static_cast<std::uint64_t>(journal::RejectCause::kUnroutable)});
-    }
+    // Unroutable bids have no shard ring; the control ring records them
+    // with the running unroutable count as the operand.
+    control_.record({journal::EventKind::kIngestRejected, 0, 0, kIsOffer, prior,
+                     static_cast<std::uint64_t>(journal::RejectCause::kUnroutable)});
     return {Admission::kRejected, EngineAdmission::Reason::kUnroutable, 0};
   }
   Shard& shard = *shards_[route.shard];
@@ -90,15 +85,9 @@ EngineAdmission MarketEngine::submit_bid(const Bid& bid) {
   // as if it were full — the recovery path (retry or final rejection) is
   // identical to real backpressure.
   const std::uint64_t seq = shard.ingest_seq.fetch_add(1, std::memory_order_relaxed);
-  const bool fault_rejected =
-      injector_ != nullptr &&
-      injector_->fires(fault::FaultKind::kRejectIngest, {0, route.shard, seq, 0});
   const std::uint64_t epoch = shard.epochs_started.load(std::memory_order_relaxed);
-  if (journal_ != nullptr && fault_rejected) {
-    journal_->append(route.shard + 1,
-                     {journal::EventKind::kFaultFired, 0, epoch,
-                      static_cast<std::uint64_t>(fault::FaultKind::kRejectIngest), seq, 0});
-  }
+  const bool fault_rejected =
+      shard.hooks.fire(fault::FaultKind::kRejectIngest, {0, route.shard, seq, 0}, epoch);
   BoundedQueue<IngestItem>::Result result{};
   if (fault_rejected) {
     result = {Admission::kRejected, RejectReason::kCapacity};
@@ -107,29 +96,20 @@ EngineAdmission MarketEngine::submit_bid(const Bid& bid) {
   }
   if (!result.admitted()) {
     if (config_.retry.max_attempts > 0) {
-      defer(shard, route.shard, IngestItem{bid}, 1);
-      if (journal_ != nullptr) {
-        journal_->append(route.shard + 1, {journal::EventKind::kIngestDeferred, 0, epoch,
-                                           kIsOffer, seq, 1});
-      }
+      defer(shard, IngestItem{bid}, 1);
+      shard.hooks.record({journal::EventKind::kIngestDeferred, 0, epoch, kIsOffer, seq, 1});
       return {Admission::kQueued, EngineAdmission::Reason::kDeferred, route.shard};
     }
     shard.rejected_backpressure.fetch_add(1, std::memory_order_relaxed);
-    if (journal_ != nullptr) {
-      journal_->append(route.shard + 1,
-                       {journal::EventKind::kIngestRejected, 0, epoch, kIsOffer, seq,
+    shard.hooks.record({journal::EventKind::kIngestRejected, 0, epoch, kIsOffer, seq,
                         static_cast<std::uint64_t>(journal::RejectCause::kBackpressure)});
-    }
     return {Admission::kRejected, EngineAdmission::Reason::kBackpressure, route.shard};
   }
   if (route.kind == RouteKind::kSpilled) {
     shard.spilled.fetch_add(1, std::memory_order_relaxed);
   }
-  if (journal_ != nullptr) {
-    journal_->append(route.shard + 1,
-                     {journal::EventKind::kIngestAdmitted, 0, epoch, kIsOffer, seq,
+  shard.hooks.record({journal::EventKind::kIngestAdmitted, 0, epoch, kIsOffer, seq,
                       result.status == Admission::kQueued ? 1ULL : 0ULL});
-  }
   return {result.status, EngineAdmission::Reason::kNone, route.shard};
 }
 
@@ -160,7 +140,7 @@ void MarketEngine::run_shard_epoch(std::size_t shard_index, Time now) {
   // bounded queue already refused them once; bouncing them off it again
   // would make the backoff schedule depend on unrelated queue depth.
   if (config_.retry.max_attempts > 0) {
-    obs::SpanScope span(shard.sink.get(), "retry_flush");
+    obs::SpanScope span(shard.hooks.sink, "retry_flush");
     std::vector<Deferred> due;
     {
       const std::lock_guard<dsched::mutex> lock(shard.deferred_mutex);
@@ -174,15 +154,8 @@ void MarketEngine::run_shard_epoch(std::size_t shard_index, Time now) {
     for (Deferred& d : due) {
       const std::uint64_t seq = shard.retry_seq++;
       const std::uint64_t is_offer = d.item.bid.index() == 0 ? 0 : 1;
-      if (injector_ != nullptr &&
-          injector_->fires(fault::FaultKind::kRejectIngest,
-                           {epoch, shard_index, seq, d.attempt})) {
-        if (journal_ != nullptr) {
-          journal_->append(shard_index + 1,
-                           {journal::EventKind::kFaultFired, 0, epoch,
-                            static_cast<std::uint64_t>(fault::FaultKind::kRejectIngest), seq,
-                            d.attempt});
-        }
+      if (shard.hooks.fire(fault::FaultKind::kRejectIngest,
+                           {epoch, shard_index, seq, d.attempt}, epoch)) {
         if (d.attempt < config_.retry.max_attempts) {
           const std::uint64_t next_due = epoch + retry_backoff(d.attempt + 1);
           {
@@ -190,45 +163,33 @@ void MarketEngine::run_shard_epoch(std::size_t shard_index, Time now) {
             shard.deferred.push_back({std::move(d.item), d.attempt + 1, next_due});
           }
           shard.retries_scheduled.fetch_add(1, std::memory_order_relaxed);
-          if (journal_ != nullptr) {
-            journal_->append(shard_index + 1, {journal::EventKind::kIngestDeferred, 0, epoch,
-                                               is_offer, seq, d.attempt + 1});
-          }
+          shard.hooks.record(
+              {journal::EventKind::kIngestDeferred, 0, epoch, is_offer, seq, d.attempt + 1});
         } else {
           ++shard.retries_dropped;
-          if (shard.sink != nullptr) {
-            shard.sink->metrics().counter("engine.bids_retry_dropped").add(1);
-          }
-          if (journal_ != nullptr) {
-            journal_->append(shard_index + 1, {journal::EventKind::kRetryDropped, 0, epoch,
-                                               is_offer, seq, d.attempt});
-          }
+          shard.hooks.count("engine.bids_retry_dropped");
+          shard.hooks.record(
+              {journal::EventKind::kRetryDropped, 0, epoch, is_offer, seq, d.attempt});
         }
         continue;
       }
       std::visit([&](const auto& bid) { shard.market.submit(bid); }, d.item.bid);
       ++shard.retries_succeeded;
-      if (shard.sink != nullptr) {
-        shard.sink->metrics().counter("engine.bids_retry_succeeded").add(1);
-      }
-      if (journal_ != nullptr) {
-        journal_->append(shard_index + 1, {journal::EventKind::kRetryAdmitted, 0, epoch,
-                                           is_offer, seq, d.attempt});
-      }
+      shard.hooks.count("engine.bids_retry_succeeded");
+      shard.hooks.record(
+          {journal::EventKind::kRetryAdmitted, 0, epoch, is_offer, seq, d.attempt});
     }
     span.add_work(due.size());
   }
   {
-    obs::SpanScope span(shard.sink.get(), "epoch_drain");
+    obs::SpanScope span(shard.hooks.sink, "epoch_drain");
     std::size_t drained = 0;
     for (IngestItem& item : shard.queue.drain()) {
       std::visit([&](const auto& bid) { shard.market.submit(bid); }, item.bid);
       ++drained;
     }
     span.add_work(drained);
-    if (shard.sink != nullptr) {
-      shard.sink->metrics().counter("engine.bids_drained").add(drained);
-    }
+    shard.hooks.count("engine.bids_drained", drained);
   }
   if (shard.market.queued_bids() == 0) return;  // idle shard: no empty blocks
   const ledger::RoundOutcome outcome = shard.market.run_round(now);
@@ -315,18 +276,6 @@ std::vector<const obs::MetricsSink*> MarketEngine::export_order(
     if (shard->sink != nullptr) sinks.push_back(shard->sink.get());
   }
   return sinks;
-}
-
-std::string MarketEngine::metrics_json(const obs::MetricsSink* scheduler_sink) const {
-  return metrics_json(std::span<const obs::MetricsSink* const>(&scheduler_sink, 1));
-}
-
-std::string MarketEngine::metrics_prometheus(const obs::MetricsSink* scheduler_sink) const {
-  return metrics_prometheus(std::span<const obs::MetricsSink* const>(&scheduler_sink, 1));
-}
-
-std::string MarketEngine::trace_json(const obs::MetricsSink* scheduler_sink) const {
-  return trace_json(std::span<const obs::MetricsSink* const>(&scheduler_sink, 1));
 }
 
 std::string MarketEngine::metrics_json(

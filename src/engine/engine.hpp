@@ -151,25 +151,17 @@ class MarketEngine {
 
   /// Merged observability exports.  Merge order is fixed — a synthetic
   /// "engine" sink (ingest counters + router annotation), then
-  /// `scheduler_sink` when given, then every shard sink in shard order —
-  /// so the bytes do not depend on the scheduler's thread count
-  /// (logical-clock mode; a wall clock makes trace timestamps vary).
+  /// `extra_sinks` in the order given (null entries skipped; the scheduler
+  /// and streaming layers pass theirs here), then every shard sink in
+  /// shard order — so the bytes do not depend on the scheduler's thread
+  /// count (logical-clock mode; a wall clock makes trace timestamps vary).
   /// Call between epochs, never during a tick.
-  [[nodiscard]] std::string metrics_json(const obs::MetricsSink* scheduler_sink = nullptr) const;
-  [[nodiscard]] std::string metrics_prometheus(
-      const obs::MetricsSink* scheduler_sink = nullptr) const;
-  [[nodiscard]] std::string trace_json(const obs::MetricsSink* scheduler_sink = nullptr) const;
-
-  /// Same exports with MULTIPLE extra sinks merged between the synthetic
-  /// "engine" sink and the shard sinks, in the order given (null entries
-  /// skipped).  The streaming layer uses this to interleave its "stream"
-  /// sink with the scheduler's without changing merge discipline.
   [[nodiscard]] std::string metrics_json(
-      std::span<const obs::MetricsSink* const> extra_sinks) const;
+      std::span<const obs::MetricsSink* const> extra_sinks = {}) const;
   [[nodiscard]] std::string metrics_prometheus(
-      std::span<const obs::MetricsSink* const> extra_sinks) const;
+      std::span<const obs::MetricsSink* const> extra_sinks = {}) const;
   [[nodiscard]] std::string trace_json(
-      std::span<const obs::MetricsSink* const> extra_sinks) const;
+      std::span<const obs::MetricsSink* const> extra_sinks = {}) const;
 
   /// The flight recorder (null unless config.journal_capacity > 0).
   /// Ring 0 is the control ring; ring s + 1 records shard s.  Encode or
@@ -220,6 +212,9 @@ class MarketEngine {
     /// Written only by the shard's round thread (same discipline as
     /// `market`); null unless EngineConfig::observability.
     std::unique_ptr<obs::MetricsSink> sink;
+    /// The shard's sink, journal ring s + 1 and fault slice s — attached
+    /// to `market` and used by the ingest and retry paths alike.
+    ledger::Hooks hooks;
     // Producer-side counters (atomic: submit runs on producer threads).
     dsched::atomic<std::size_t> rejected_backpressure{0};
     dsched::atomic<std::size_t> spilled{0};
@@ -246,7 +241,7 @@ class MarketEngine {
   EngineAdmission submit_bid(const Bid& bid);
 
   /// Parks a refused ingest in the shard's deferral buffer.
-  void defer(Shard& shard, std::size_t shard_index, IngestItem item, std::size_t attempt);
+  void defer(Shard& shard, IngestItem item, std::size_t attempt);
   /// Backoff in epochs before retry `attempt` re-enters the market.
   [[nodiscard]] std::uint64_t retry_backoff(std::size_t attempt) const;
 
@@ -264,6 +259,8 @@ class MarketEngine {
   std::unique_ptr<const fault::FaultInjector> injector_;
   /// Owned flight recorder (null when config.journal_capacity == 0).
   std::unique_ptr<journal::Journal> journal_;
+  /// Journal-only hooks on the control ring (unroutable rejections).
+  ledger::Hooks control_;
   // unique_ptr: Shard is neither movable nor copyable (queue mutex,
   // orchestrator), and the vector is sized once in the constructor.
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -13,6 +13,7 @@
 // parallelism must not deadlock against the outer shard fan-out.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <memory>
 #include <optional>
@@ -55,13 +56,11 @@ class EpochScheduler {
   /// without observability, in which case these equal the engine's own.
   [[nodiscard]] const obs::MetricsSink* sink() const { return sink_.get(); }
   [[nodiscard]] obs::MetricsSink* sink() { return sink_.get(); }
-  [[nodiscard]] std::string metrics_json() const {
-    return engine_.metrics_json(sink_.get());
-  }
+  [[nodiscard]] std::string metrics_json() const { return engine_.metrics_json(extras()); }
   [[nodiscard]] std::string metrics_prometheus() const {
-    return engine_.metrics_prometheus(sink_.get());
+    return engine_.metrics_prometheus(extras());
   }
-  [[nodiscard]] std::string trace_json() const { return engine_.trace_json(sink_.get()); }
+  [[nodiscard]] std::string trace_json() const { return engine_.trace_json(extras()); }
 
   /// Snapshot/restore of the scheduler's own state: the epoch counter and
   /// its sink's metrics registry.
@@ -74,6 +73,8 @@ class EpochScheduler {
   std::size_t epochs_ = 0;
   /// Touched only by the thread calling tick(); workers never see it.
   std::unique_ptr<obs::MetricsSink> sink_;
+  /// The engine exports' extra sinks: just this scheduler's (null = none).
+  [[nodiscard]] std::array<const obs::MetricsSink*, 1> extras() const { return {sink_.get()}; }
 };
 
 }  // namespace decloud::engine

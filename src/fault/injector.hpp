@@ -13,8 +13,9 @@
 //     no synchronization.
 //
 // A default-constructed injector carries an empty plan and never fires
-// ("null injector"); hook points pay one pointer test plus one `active()`
-// check, mirroring the null-sink discipline of src/obs.
+// ("null injector").  Market hook points reach it through ledger::Hooks,
+// which pays one pointer test when no injector is attached, mirroring the
+// null-sink discipline of src/obs.
 #pragma once
 
 #include <cstdint>

@@ -5,9 +5,7 @@
 
 #include "common/ensure.hpp"
 #include "common/map_util.hpp"
-#include "journal/journal.hpp"
 #include "ledger/codec.hpp"
-#include "obs/sink.hpp"
 
 namespace decloud::ledger {
 
@@ -16,12 +14,6 @@ MarketOrchestrator::MarketOrchestrator(MarketConfig config)
       protocol_(config_.consensus, config_.reputation),
       wallet_(rng_) {
   if (config_.reuse_candidate_index) protocol_.set_index_cache(&index_cache_);
-}
-
-void MarketOrchestrator::set_journal(journal::Journal* journal, std::size_t ring) {
-  journal_ = journal;
-  journal_ring_ = ring;
-  protocol_.set_journal(journal, ring);
 }
 
 void MarketOrchestrator::submit(const auction::Request& request) {
@@ -54,35 +46,22 @@ RoundOutcome MarketOrchestrator::run_round(Time now) {
   const std::uint64_t fault_round = protocol_.chain().height();
   std::uint64_t bid_index = 0;
   const auto submit_sealed = [&](SealedBid sealed) {
-    const fault::FaultSite site{fault_round, shard_, bid_index++, 0};
-    if (fault_ != nullptr && fault_->fires(fault::FaultKind::kCorruptSealedBid, site)) {
+    const fault::FaultSite site{fault_round, hooks_.shard, bid_index++, 0};
+    if (hooks_.fire(fault::FaultKind::kCorruptSealedBid, site, fault_round)) {
       if (sealed.ciphertext.empty()) {
         sealed.ciphertext.push_back(0xFF);
       } else {
         sealed.ciphertext.front() ^= 0xFF;
       }
-      if (sink_ != nullptr) sink_->metrics().counter("fault.bids_corrupted").add(1);
-      if (journal_ != nullptr) {
-        journal_->append(journal_ring_,
-                         {journal::EventKind::kFaultFired, 0, fault_round,
-                          static_cast<std::uint64_t>(fault::FaultKind::kCorruptSealedBid),
-                          site.index, 0});
-      }
+      hooks_.count("fault.bids_corrupted");
     }
-    const bool duplicate =
-        fault_ != nullptr && fault_->fires(fault::FaultKind::kDuplicateSealedBid, site);
-    if (duplicate && journal_ != nullptr) {
-      journal_->append(journal_ring_,
-                       {journal::EventKind::kFaultFired, 0, fault_round,
-                        static_cast<std::uint64_t>(fault::FaultKind::kDuplicateSealedBid),
-                        site.index, 0});
-    }
+    const bool duplicate = hooks_.fire(fault::FaultKind::kDuplicateSealedBid, site, fault_round);
     if (protocol_.mempool().submit(sealed) == Mempool::Admission::kDuplicate) {
       ++stats_.bids_duplicate_rejected;
     }
     if (duplicate && protocol_.mempool().submit(sealed) == Mempool::Admission::kDuplicate) {
       ++stats_.bids_duplicate_rejected;
-      if (sink_ != nullptr) sink_->metrics().counter("fault.duplicates_rejected").add(1);
+      hooks_.count("fault.duplicates_rejected");
     }
   };
   for (const auto& pr : in_flight_requests) {
@@ -96,24 +75,19 @@ RoundOutcome MarketOrchestrator::run_round(Time now) {
   const std::vector<Miner> verifiers(config_.num_verifiers, Miner(config_.consensus));
   RoundOutcome outcome = protocol_.run_round({&wallet_}, verifiers, now);
   ++stats_.rounds;
-  if (sink_ != nullptr) sink_->metrics().counter("market.rounds").add(1);
+  hooks_.count("market.rounds");
   if (!outcome.block_accepted) {
     // A rejected block consumes nobody's bids: re-queue everything as-is.
     // The carry is free of retry-budget charge — the round never happened
     // for these bids — but it still counts as residue.
-    stats_.bids_carried += in_flight_requests.size() + in_flight_offers.size();
+    const std::size_t carried = in_flight_requests.size() + in_flight_offers.size();
+    stats_.bids_carried += carried;
     for (auto& pr : in_flight_requests) pending_requests_.push_back(pr);
     for (auto& po : in_flight_offers) pending_offers_.push_back(po);
-    if (sink_ != nullptr) {
-      sink_->metrics().counter("market.resubmissions")
-          .add(in_flight_requests.size() + in_flight_offers.size());
-    }
-    if (journal_ != nullptr &&
-        in_flight_requests.size() + in_flight_offers.size() > 0) {
-      journal_->append(journal_ring_,
-                       {journal::EventKind::kResidueCarried, 0, fault_round,
-                        in_flight_requests.size() + in_flight_offers.size(),
-                        static_cast<std::uint64_t>(journal::CarryCause::kBlockRejected), 0});
+    hooks_.count("market.resubmissions", carried);
+    if (carried > 0) {
+      hooks_.record({journal::EventKind::kResidueCarried, 0, fault_round, carried,
+                     static_cast<std::uint64_t>(journal::CarryCause::kBlockRejected), 0});
     }
     return outcome;
   }
@@ -121,19 +95,16 @@ RoundOutcome MarketOrchestrator::run_round(Time now) {
   stats_.total_welfare += outcome.result.welfare;
   stats_.total_settled += outcome.result.total_payments;
 
-  if (journal_ != nullptr) {
-    // One kTradeStruck per accepted match, in allocation order: the
-    // payment is the Eq. 19 charge, unit_price the Eq. 20 mini-auction
-    // clearing price the telemetry histograms for dispersion.
-    for (const auction::Match& m : outcome.result.matches) {
-      journal_->append(journal_ring_, {journal::EventKind::kTradeStruck, 0, fault_round,
-                                       m.request, m.offer, 0, m.payment, m.unit_price});
-    }
-    if (outcome.result.reduced_trades > 0) {
-      journal_->append(journal_ring_,
-                       {journal::EventKind::kTradeReduced, 0, fault_round,
-                        outcome.result.reduced_trades, outcome.result.tentative_trades, 0});
-    }
+  // One kTradeStruck per accepted match, in allocation order: the payment
+  // is the Eq. 19 charge, unit_price the Eq. 20 mini-auction clearing
+  // price the telemetry histograms for dispersion.
+  for (const auction::Match& m : outcome.result.matches) {
+    hooks_.record({journal::EventKind::kTradeStruck, 0, fault_round, m.request, m.offer, 0,
+                   m.payment, m.unit_price});
+  }
+  if (outcome.result.reduced_trades > 0) {
+    hooks_.record({journal::EventKind::kTradeReduced, 0, fault_round,
+                   outcome.result.reduced_trades, outcome.result.tentative_trades, 0});
   }
 
   // Remember the accepted matches so deny_agreement can revert them; only
@@ -204,35 +175,31 @@ RoundOutcome MarketOrchestrator::run_round(Time now) {
       ++offers_abandoned_this_round;
     }
   }
-  if (sink_ != nullptr) {
-    obs::MetricsRegistry& m = sink_->metrics();
-    m.counter("market.resubmissions").add(resubmitted);
-    m.counter("market.requests_allocated").add(allocated_this_round);
-    m.histogram("market.round_welfare", 0.0, 64.0, 16).add(outcome.result.welfare);
+  hooks_.count("market.resubmissions", resubmitted);
+  hooks_.count("market.requests_allocated", allocated_this_round);
+  if (hooks_.sink != nullptr) {
+    hooks_.sink->metrics()
+        .histogram("market.round_welfare", 0.0, 64.0, 16)
+        .add(outcome.result.welfare);
   }
-  if (journal_ != nullptr) {
-    if (resubmitted > 0) {
-      journal_->append(journal_ring_,
-                       {journal::EventKind::kResidueCarried, 0, fault_round, resubmitted,
-                        static_cast<std::uint64_t>(journal::CarryCause::kUnmatched), 0});
-    }
-    if (requests_abandoned_this_round + offers_abandoned_this_round > 0) {
-      journal_->append(journal_ring_, {journal::EventKind::kResidueAbandoned, 0, fault_round,
-                                       requests_abandoned_this_round,
-                                       offers_abandoned_this_round, 0});
-    }
+  if (resubmitted > 0) {
+    hooks_.record({journal::EventKind::kResidueCarried, 0, fault_round, resubmitted,
+                   static_cast<std::uint64_t>(journal::CarryCause::kUnmatched), 0});
+  }
+  if (requests_abandoned_this_round + offers_abandoned_this_round > 0) {
+    hooks_.record({journal::EventKind::kResidueAbandoned, 0, fault_round,
+                   requests_abandoned_this_round, offers_abandoned_this_round, 0});
   }
 
   // Client-side misbehaviour: a kDenyAgreement fault makes the client of
   // match `m` refuse its proposed agreement (Section III-B's deny path,
   // with the reputational penalty and stat reversal deny_agreement does).
-  if (fault_ != nullptr && fault_->active()) {
-    for (std::size_t m = 0; m < outcome.agreements.size(); ++m) {
-      if (fault_->fires(fault::FaultKind::kDenyAgreement, {fault_round, shard_, m, 0})) {
-        if (deny_agreement(outcome.agreements[m]) && sink_ != nullptr) {
-          sink_->metrics().counter("fault.agreements_denied").add(1);
-        }
-      }
+  // The denial journals its kTradeDenied + kDeny penalty, not a
+  // kFaultFired, so the decision is taken without journaling.
+  for (std::size_t m = 0; m < outcome.agreements.size(); ++m) {
+    if (hooks_.decide(fault::FaultKind::kDenyAgreement, {fault_round, hooks_.shard, m, 0}) &&
+        deny_agreement(outcome.agreements[m])) {
+      hooks_.count("fault.agreements_denied");
     }
   }
   return outcome;
@@ -244,16 +211,11 @@ bool MarketOrchestrator::deny_agreement(ContractId id) {
   const MatchRecord& record = it->second;
   if (!protocol_.contract().deny(id, record.client)) return false;
 
-  if (journal_ != nullptr) {
-    const std::uint64_t height = protocol_.chain().height();
-    // The denied agreement came from the latest appended block.
-    journal_->append(journal_ring_, {journal::EventKind::kTradeDenied, 0, height - 1,
-                                     id.value(), record.request_id, 0});
-    journal_->append(journal_ring_,
-                     {journal::EventKind::kReputationPenalty, 0, height - 1,
-                      record.client.value(),
-                      static_cast<std::uint64_t>(journal::PenaltyKind::kDeny), 0});
-  }
+  // The denied agreement came from the latest appended block.
+  const std::uint64_t block = protocol_.chain().height() - 1;
+  hooks_.record({journal::EventKind::kTradeDenied, 0, block, id.value(), record.request_id, 0});
+  hooks_.record({journal::EventKind::kReputationPenalty, 0, block, record.client.value(),
+                 static_cast<std::uint64_t>(journal::PenaltyKind::kDeny), 0});
 
   // Revert the request's allocation accounting: the match never executed.
   DECLOUD_EXPECTS(stats_.requests_allocated > 0);
@@ -278,11 +240,8 @@ bool MarketOrchestrator::deny_agreement(ContractId id) {
   if (!still_pending) {
     pending_offers_.push_back({record.offer, record.offer_attempts});
     ++stats_.bids_carried;  // the refund re-enters it into the residue
-    if (journal_ != nullptr) {
-      journal_->append(journal_ring_,
-                       {journal::EventKind::kResidueCarried, 0, protocol_.chain().height() - 1,
-                        1, static_cast<std::uint64_t>(journal::CarryCause::kDenialRefund), 0});
-    }
+    hooks_.record({journal::EventKind::kResidueCarried, 0, block, 1,
+                   static_cast<std::uint64_t>(journal::CarryCause::kDenialRefund), 0});
   }
 
   last_round_matches_.erase(it);

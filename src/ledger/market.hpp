@@ -20,10 +20,6 @@
 #include "auction/candidate_index.hpp"
 #include "ledger/protocol.hpp"
 
-namespace decloud::journal {
-class Journal;
-}
-
 namespace decloud::ledger {
 
 /// Orchestration parameters.
@@ -116,30 +112,16 @@ class MarketOrchestrator {
   /// state / unknown id) or the agreement is not from the latest round.
   bool deny_agreement(ContractId id);
 
-  /// Attaches a deterministic fault injector (not owned, may be null);
-  /// forwarded to the protocol.  `shard` namespaces the fault sites so an
-  /// engine's shards see independent slices of one plan.  Orchestrator-
-  /// level faults: sealed-bid corruption, duplicate submission, and
-  /// client-side agreement denial.
-  void set_fault_injector(const fault::FaultInjector* injector, std::uint64_t shard = 0) {
-    fault_ = injector;
-    shard_ = shard;
-    protocol_.set_fault_injector(injector, shard);
+  /// Attaches the market's hooks (ledger/hooks.hpp), forwarded to the
+  /// protocol so every layer of a round reports into the same sink, ring
+  /// and fault slice.  An engine passes ring shard + 1 (ring 0 is its
+  /// control ring); events are stamped with the chain height, the
+  /// market's own logical epoch.  Orchestrator-level faults: sealed-bid
+  /// corruption, duplicate submission, and client-side agreement denial.
+  void attach(const Hooks& hooks) {
+    hooks_ = hooks;
+    protocol_.attach(hooks);
   }
-
-  /// Attaches an observability sink (not owned, may be null); forwarded to
-  /// the protocol so every layer of a round reports into the same sink.
-  void set_sink(obs::MetricsSink* sink) {
-    sink_ = sink;
-    protocol_.set_sink(sink);
-  }
-  [[nodiscard]] obs::MetricsSink* sink() const { return sink_; }
-
-  /// Attaches the flight recorder (not owned, may be null); forwarded to
-  /// the protocol.  `ring` is this market's journal ring — an engine
-  /// passes shard + 1 (ring 0 is the engine's control ring).  Events are
-  /// stamped with the chain height, the market's own logical epoch.
-  void set_journal(journal::Journal* journal, std::size_t ring);
 
   [[nodiscard]] const MarketStats& stats() const { return stats_; }
   [[nodiscard]] const LedgerProtocol& protocol() const { return protocol_; }
@@ -191,11 +173,7 @@ class MarketOrchestrator {
   std::deque<PendingOffer> pending_offers_;
   std::unordered_map<ContractId, MatchRecord> last_round_matches_;
   MarketStats stats_;
-  obs::MetricsSink* sink_ = nullptr;
-  const fault::FaultInjector* fault_ = nullptr;
-  std::uint64_t shard_ = 0;
-  journal::Journal* journal_ = nullptr;
-  std::size_t journal_ring_ = 0;
+  Hooks hooks_;
 };
 
 }  // namespace decloud::ledger

@@ -6,9 +6,7 @@
 
 #include "common/audit.hpp"
 #include "common/ensure.hpp"
-#include "journal/journal.hpp"
 #include "ledger/codec.hpp"
-#include "obs/sink.hpp"
 
 namespace decloud::ledger {
 
@@ -113,7 +111,7 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
   const std::uint64_t round = chain_.height();
 
   auto bids = mempool_.drain();
-  if (sink_ != nullptr) sink_->metrics().counter("ledger.bids_sealed").add(bids.size());
+  hooks_.count("ledger.bids_sealed", bids.size());
 
   // Graceful degradation for tampered submissions: a bad signature would
   // invalidate the whole preamble (validate_preamble checks every bid), so
@@ -129,10 +127,8 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
       }
     }
     bids = std::move(valid);
-    if (sink_ != nullptr && outcome.fault.bids_invalid_dropped > 0) {
-      sink_->metrics()
-          .counter("fault.bids_invalid_dropped")
-          .add(outcome.fault.bids_invalid_dropped);
+    if (outcome.fault.bids_invalid_dropped > 0) {
+      hooks_.count("fault.bids_invalid_dropped", outcome.fault.bids_invalid_dropped);
     }
   }
 
@@ -153,27 +149,21 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
     // Phase 1: assemble + PoW over the sealed bids.  The "pow" span is
     // opened by mine_preamble itself (it knows the attempt count).  The
     // bids are passed by copy: a rejected attempt re-mines from them.
-    auto preamble = producer_.mine_preamble(bids, chain_.tip_hash(), chain_.height(), now, sink_);
+    auto preamble =
+        producer_.mine_preamble(bids, chain_.tip_hash(), chain_.height(), now, hooks_.sink);
     DECLOUD_ENSURES_MSG(preamble.has_value(), "PoW search exhausted (raise max_pow_attempts)");
 
     // Participants validate the preamble and reveal keys for their bids.
     // A withhold fault silences one participant: its keys stay secret,
     // its bids stay sealed, and only those bids drop out of the round.
     {
-      obs::SpanScope span(sink_, "key_reveal");
+      obs::SpanScope span(hooks_.sink, "key_reveal");
       std::size_t fresh = 0;
       if (validate_preamble(*preamble, params_.difficulty_bits)) {
         for (std::size_t i = 0; i < participants.size(); ++i) {
-          if (fault_ != nullptr &&
-              fault_->fires(fault::FaultKind::kWithholdReveal,
-                            {round, shard_, i, attempt})) {
+          if (hooks_.fire(fault::FaultKind::kWithholdReveal, {round, hooks_.shard, i, attempt},
+                          round)) {
             ++outcome.fault.reveals_withheld;
-            if (journal_ != nullptr) {
-              journal_->append(journal_ring_,
-                               {journal::EventKind::kFaultFired, 0, round,
-                                static_cast<std::uint64_t>(fault::FaultKind::kWithholdReveal),
-                                i, attempt});
-            }
             continue;
           }
           for (auto& kr : participants[i]->on_preamble(*preamble)) {
@@ -185,51 +175,39 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
         }
       }
       span.add_work(fresh);
-      if (sink_ != nullptr) sink_->metrics().counter("ledger.keys_revealed").add(fresh);
+      hooks_.count("ledger.keys_revealed", fresh);
     }
 
     // Phase 2: allocation computation and block body.
     BlockBody body;
     {
-      obs::SpanScope span(sink_, "allocation");
-      body = producer_.compute_body(*preamble, reveals, sink_);
+      obs::SpanScope span(hooks_.sink, "allocation");
+      body = producer_.compute_body(*preamble, reveals, hooks_.sink);
     }
-    if (fault_ != nullptr &&
-        fault_->fires(fault::FaultKind::kCorruptAllocation, {round, shard_, 0, attempt})) {
+    if (hooks_.fire(fault::FaultKind::kCorruptAllocation, {round, hooks_.shard, 0, attempt},
+                    round)) {
       if (body.allocation.empty()) {
         body.allocation.push_back(0xAB);
       } else {
         body.allocation.front() ^= 0xFF;
       }
       outcome.fault.allocation_corrupted = true;
-      if (sink_ != nullptr) sink_->metrics().counter("fault.allocations_corrupted").add(1);
-      if (journal_ != nullptr) {
-        journal_->append(journal_ring_,
-                         {journal::EventKind::kFaultFired, 0, round,
-                          static_cast<std::uint64_t>(fault::FaultKind::kCorruptAllocation), 0,
-                          attempt});
-      }
+      hooks_.count("fault.allocations_corrupted");
     }
 
     // Collective verification: every verifier re-runs the auction; the
     // block stands iff the accepting votes reach the quorum.
     std::size_t accepts = 0;
     {
-      obs::SpanScope span(sink_, "verify");
+      obs::SpanScope span(hooks_.sink, "verify");
       span.add_work(verifiers.size());
       for (std::size_t v = 0; v < verifiers.size(); ++v) {
         bool ok = verifiers[v].verify_body(*preamble, body);
-        if (fault_ != nullptr &&
-            fault_->fires(fault::FaultKind::kDishonestVote, {round, shard_, v, attempt})) {
+        if (hooks_.fire(fault::FaultKind::kDishonestVote, {round, hooks_.shard, v, attempt},
+                        round)) {
           ok = !ok;
           ++outcome.fault.dishonest_votes;
-          if (sink_ != nullptr) sink_->metrics().counter("fault.dishonest_votes").add(1);
-          if (journal_ != nullptr) {
-            journal_->append(journal_ring_,
-                             {journal::EventKind::kFaultFired, 0, round,
-                              static_cast<std::uint64_t>(fault::FaultKind::kDishonestVote), v,
-                              attempt});
-          }
+          hooks_.count("fault.dishonest_votes");
         }
         outcome.verifier_votes.push_back(ok);
         if (ok) ++accepts;
@@ -248,13 +226,9 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
       if (charged.insert(address.value()).second) {
         contract_.penalize_withhold(address);
         outcome.fault.penalized.push_back(address);
-        if (sink_ != nullptr) sink_->metrics().counter("fault.withhold_penalties").add(1);
-        if (journal_ != nullptr) {
-          journal_->append(journal_ring_,
-                           {journal::EventKind::kReputationPenalty, 0, round, address.value(),
-                            static_cast<std::uint64_t>(journal::PenaltyKind::kWithhold),
-                            attempt});
-        }
+        hooks_.count("fault.withhold_penalties");
+        hooks_.record({journal::EventKind::kReputationPenalty, 0, round, address.value(),
+                       static_cast<std::uint64_t>(journal::PenaltyKind::kWithhold), attempt});
       }
     }
     outcome.fault.bids_unopened = opened.unopened.size();
@@ -275,7 +249,7 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
 
     if (quorum_reached && decodable) {
       {
-        obs::SpanScope span(sink_, "append");
+        obs::SpanScope span(hooks_.sink, "append");
         outcome.block = Block{.preamble = std::move(*preamble), .body = std::move(body)};
         outcome.block_accepted = chain_.append(outcome.block, params_.difficulty_bits);
         if (outcome.block_accepted) {
@@ -301,22 +275,15 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
               "penalized participant absent from accepted matches (offer side)");
         }
       }
-      if (sink_ != nullptr) {
-        sink_->metrics()
-            .counter(outcome.block_accepted ? "ledger.blocks_accepted" : "ledger.blocks_rejected")
-            .add(1);
-        sink_->metrics().counter("ledger.agreements").add(outcome.agreements.size());
-      }
-      if (journal_ != nullptr) {
-        if (outcome.block_accepted) {
-          journal_->append(journal_ring_,
-                           {journal::EventKind::kBlockMined, 0, round, chain_.height() - 1,
-                            outcome.result.matches.size(), outcome.agreements.size(),
-                            outcome.result.welfare});
-        } else {
-          journal_->append(journal_ring_, {journal::EventKind::kBlockRejected, 0, round,
-                                           attempt, accepts, required});
-        }
+      hooks_.count(outcome.block_accepted ? "ledger.blocks_accepted" : "ledger.blocks_rejected");
+      hooks_.count("ledger.agreements", outcome.agreements.size());
+      if (outcome.block_accepted) {
+        hooks_.record({journal::EventKind::kBlockMined, 0, round, chain_.height() - 1,
+                       outcome.result.matches.size(), outcome.agreements.size(),
+                       outcome.result.welfare});
+      } else {
+        hooks_.record(
+            {journal::EventKind::kBlockRejected, 0, round, attempt, accepts, required});
       }
       return outcome;
     }
@@ -325,22 +292,16 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
     // that is the penalty event, charged once per failed attempt.
     ++producer_penalties_;
     outcome.fault.producer_penalized = true;
-    if (sink_ != nullptr) sink_->metrics().counter("ledger.blocks_rejected").add(1);
-    if (journal_ != nullptr) {
-      journal_->append(journal_ring_, {journal::EventKind::kBlockRejected, 0, round, attempt,
-                                       accepts, required});
-      journal_->append(journal_ring_,
-                       {journal::EventKind::kReputationPenalty, 0, round, 0,
-                        static_cast<std::uint64_t>(journal::PenaltyKind::kProducer), attempt});
-    }
+    hooks_.count("ledger.blocks_rejected");
+    hooks_.record({journal::EventKind::kBlockRejected, 0, round, attempt, accepts, required});
+    hooks_.record({journal::EventKind::kReputationPenalty, 0, round, 0,
+                   static_cast<std::uint64_t>(journal::PenaltyKind::kProducer), attempt});
 
     if (attempt + 1 < attempts_allowed) {
       ++outcome.fault.remine_attempts;
-      if (sink_ != nullptr) sink_->metrics().counter("fault.blocks_remined").add(1);
-      if (journal_ != nullptr) {
-        journal_->append(journal_ring_, {journal::EventKind::kBlockRemined, 0, round,
-                                         attempt + 1, opened.unopened.size(), 0});
-      }
+      hooks_.count("fault.blocks_remined");
+      hooks_.record({journal::EventKind::kBlockRemined, 0, round, attempt + 1,
+                     opened.unopened.size(), 0});
       // Bounded recovery: re-mine with the faulty inputs excluded.  The
       // unopened bids are the inputs the producer could not honor; their
       // keys may never come, so they sit the retry out (and resubmit via

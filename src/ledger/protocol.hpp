@@ -28,14 +28,10 @@
 #include <unordered_set>
 #include <vector>
 
-#include "fault/injector.hpp"
 #include "ledger/contract.hpp"
+#include "ledger/hooks.hpp"
 #include "ledger/miner.hpp"
 #include "ledger/participant.hpp"
-
-namespace decloud::journal {
-class Journal;
-}
 
 namespace decloud::ledger {
 
@@ -152,13 +148,14 @@ class LedgerProtocol {
   /// wasted PoW plus the mark against the miner).
   [[nodiscard]] std::size_t producer_penalties() const { return producer_penalties_; }
 
-  /// Attaches a deterministic fault injector (not owned, may be null).
-  /// `shard` namespaces the fault sites so every shard of an engine sees
-  /// an independent slice of the same plan.
-  void set_fault_injector(const fault::FaultInjector* injector, std::uint64_t shard = 0) {
-    fault_ = injector;
-    shard_ = shard;
-  }
+  /// Attaches the round's hooks (ledger/hooks.hpp).  With a sink, rounds
+  /// record phase spans (pow, key_reveal, allocation, verify, append) and
+  /// protocol counters; with a journal, block mined/rejected/re-mined,
+  /// fault firings and reputation penalties, stamped with the chain
+  /// height; with an injector, the plan's withhold/corrupt-allocation/
+  /// dishonest-vote sites fire, namespaced by `hooks.shard` so every shard
+  /// of an engine sees an independent slice of the same plan.
+  void attach(const Hooks& hooks) { hooks_ = hooks; }
 
   /// Attaches a cross-round CandidateIndexCache (not owned, may be null)
   /// to the PRODUCER miner only.  Verifiers always rebuild from scratch,
@@ -166,21 +163,6 @@ class LedgerProtocol {
   /// like a fresh one (Miner::set_index_cache).
   void set_index_cache(auction::CandidateIndexCache* cache) {
     producer_.set_index_cache(cache);
-  }
-
-  /// Attaches an observability sink (not owned, may be null).  Each round
-  /// then records phase spans (pow, key_reveal, allocation, verify,
-  /// append) and protocol counters; the outcome is unaffected.
-  void set_sink(obs::MetricsSink* sink) { sink_ = sink; }
-  [[nodiscard]] obs::MetricsSink* sink() const { return sink_; }
-
-  /// Attaches the flight recorder (not owned, may be null).  Rounds then
-  /// journal block mined/rejected/re-mined, fault firings, and reputation
-  /// penalties into `ring`, stamped with the chain height; the outcome is
-  /// unaffected.
-  void set_journal(journal::Journal* journal, std::size_t ring) {
-    journal_ = journal;
-    journal_ring_ = ring;
   }
 
   /// Snapshot/restore of the protocol's durable state: chain checkpoint
@@ -197,12 +179,8 @@ class LedgerProtocol {
   Mempool mempool_;
   Blockchain chain_;
   AgreementContract contract_;
-  obs::MetricsSink* sink_ = nullptr;
-  const fault::FaultInjector* fault_ = nullptr;
-  std::uint64_t shard_ = 0;
+  Hooks hooks_;
   std::size_t producer_penalties_ = 0;
-  journal::Journal* journal_ = nullptr;
-  std::size_t journal_ring_ = 0;
 };
 
 }  // namespace decloud::ledger

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <map>
 #include <string>
 
 #include "batch_reference.hpp"
@@ -159,6 +161,127 @@ TEST(EngineFault, ChaosRunIsByteIdenticalAcrossThreadCounts) {
       EXPECT_EQ(summary, summary_baseline) << "summary divergence at threads=" << threads;
       EXPECT_EQ(metrics, metrics_baseline) << "metrics divergence at threads=" << threads;
     }
+  }
+}
+
+/// Every `fault.*` counter of a metrics_json() export, by name.
+std::map<std::string, std::uint64_t> fault_counters(const std::string& metrics) {
+  std::map<std::string, std::uint64_t> out;
+  const std::size_t end = metrics.find("},\"gauges\"");
+  for (std::size_t at = metrics.find("\"fault."); at < end; at = metrics.find("\"fault.", at)) {
+    const std::size_t close = metrics.find('"', at + 1);
+    out[metrics.substr(at + 1, close - at - 1)] =
+        std::strtoull(metrics.c_str() + close + 2, nullptr, 10);
+    at = close;
+  }
+  return out;
+}
+
+// The fault emission map: for each hooked kind under a single-kind plan,
+// how many kFaultFired events the journal holds and which fault.* counters
+// the metrics export carries.  Counters are not one per kind, and a denial
+// journals its trade/penalty events instead of a kFaultFired.
+TEST(EngineFault, EmissionMapPerFaultKind) {
+  using fault::FaultKind;
+  struct Case {
+    const char* plan;
+    FaultKind kind;
+  };
+  const Case cases[] = {
+      {"withhold_reveal:p=0.5", FaultKind::kWithholdReveal},
+      {"corrupt_sealed_bid:p=0.2", FaultKind::kCorruptSealedBid},
+      {"duplicate_sealed_bid:p=0.3", FaultKind::kDuplicateSealedBid},
+      {"corrupt_allocation:p=0.5", FaultKind::kCorruptAllocation},
+      {"dishonest_vote:p=0.5", FaultKind::kDishonestVote},
+      {"deny_agreement:p=0.5", FaultKind::kDenyAgreement},
+      {"reject_ingest:p=0.2", FaultKind::kRejectIngest},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.plan);
+    EngineConfig config = small_engine(2);
+    config.observability = true;
+    config.journal_capacity = 1 << 14;
+    config.market.consensus.max_remine_attempts = 1;
+    config.fault_plan = fault::FaultPlan::parse(c.plan);
+    config.fault_seed = 5;
+    MarketEngine engine(config);
+    EpochScheduler scheduler(engine, 1);
+    TraceDriverConfig driver;
+    driver.workload.num_requests = 40;
+    driver.workload.num_offers = 20;
+    driver.located_fraction = 0.8;
+    driver.seed = 7;
+    const EngineReport report = test::drive_batch(engine, scheduler, driver, 20).report;
+    const std::map<std::string, std::uint64_t> counters = fault_counters(scheduler.metrics_json());
+
+    const journal::Journal& journal = *engine.journal();
+    std::uint64_t fired = 0, other_fired = 0, denied = 0, deny_penalties = 0;
+    std::uint64_t withhold_penalties = 0, remined = 0;
+    for (std::size_t ring = 0; ring < journal.num_rings(); ++ring) {
+      ASSERT_EQ(journal.dropped(ring), 0u);
+      for (const journal::Event& e : journal.events(ring)) {
+        const auto penalty = static_cast<journal::PenaltyKind>(e.b);
+        switch (e.kind) {
+          case journal::EventKind::kFaultFired:
+            ++(e.a == static_cast<std::uint64_t>(c.kind) ? fired : other_fired);
+            break;
+          case journal::EventKind::kTradeDenied: ++denied; break;
+          case journal::EventKind::kBlockRemined: ++remined; break;
+          case journal::EventKind::kReputationPenalty:
+            if (penalty == journal::PenaltyKind::kDeny) ++deny_penalties;
+            if (penalty == journal::PenaltyKind::kWithhold) ++withhold_penalties;
+            break;
+          default: break;
+        }
+      }
+    }
+    EXPECT_EQ(other_fired, 0u);
+
+    // Expected fault.* counters; every other fault.* name must be absent.
+    std::map<std::string, std::uint64_t> expected;
+    switch (c.kind) {
+      case FaultKind::kWithholdReveal:
+        // No per-firing counter: only the penalties the withholding cost.
+        EXPECT_GT(fired, 0u);
+        EXPECT_GT(withhold_penalties, 0u);
+        expected["fault.withhold_penalties"] = withhold_penalties;
+        break;
+      case FaultKind::kCorruptSealedBid:
+        // Each corrupted bid fails its signature check and is dropped.
+        EXPECT_GT(fired, 0u);
+        expected["fault.bids_corrupted"] = fired;
+        expected["fault.bids_invalid_dropped"] = fired;
+        break;
+      case FaultKind::kDuplicateSealedBid:
+        EXPECT_GT(fired, 0u);
+        EXPECT_EQ(report.total.bids_duplicate_rejected, fired);
+        expected["fault.duplicates_rejected"] = report.total.bids_duplicate_rejected;
+        break;
+      case FaultKind::kCorruptAllocation:
+      case FaultKind::kDishonestVote:
+        // A refused block is re-mined within the attempt budget.
+        EXPECT_GT(fired, 0u);
+        EXPECT_GT(remined, 0u);
+        expected[c.kind == FaultKind::kCorruptAllocation ? "fault.allocations_corrupted"
+                                                          : "fault.dishonest_votes"] = fired;
+        expected["fault.blocks_remined"] = remined;
+        break;
+      case FaultKind::kDenyAgreement:
+        // A denial journals kTradeDenied + a kDeny penalty, no kFaultFired.
+        EXPECT_EQ(fired, 0u);
+        EXPECT_GT(report.total.agreements_denied, 0u);
+        EXPECT_EQ(denied, report.total.agreements_denied);
+        EXPECT_EQ(deny_penalties, report.total.agreements_denied);
+        expected["fault.agreements_denied"] = report.total.agreements_denied;
+        break;
+      case FaultKind::kRejectIngest:
+        // No counter: without a retry budget each firing is one refusal.
+        EXPECT_GT(fired, 0u);
+        EXPECT_EQ(report.bids_rejected_backpressure, fired);
+        break;
+      default: FAIL() << "unexpected kind";
+    }
+    EXPECT_EQ(counters, expected);
   }
 }
 

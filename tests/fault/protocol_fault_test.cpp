@@ -56,7 +56,7 @@ TEST(RequiredAccepts, CeilsTheQuorumWithoutFloatDrift) {
 TEST(ProtocolFault, WithheldRevealExcludesOnlyThatSenderAndDebitsReputation) {
   LedgerProtocol protocol(params());
   const fault::FaultInjector injector(fault::FaultPlan::parse("withhold_reveal:index=1"), 9);
-  protocol.set_fault_injector(&injector);
+  protocol.attach({.faults = &injector});
 
   Rng rng(2);
   Participant online(rng);
@@ -93,7 +93,7 @@ TEST(ProtocolFault, QuorumToleratesADishonestMinority) {
   p.quorum = 2.0 / 3.0;
   LedgerProtocol protocol(p);
   const fault::FaultInjector injector(fault::FaultPlan::parse("dishonest_vote:index=1"), 5);
-  protocol.set_fault_injector(&injector);
+  protocol.attach({.faults = &injector});
 
   Rng rng(3);
   Participant wallet(rng);
@@ -115,7 +115,7 @@ TEST(ProtocolFault, UnanimityRejectsOnOneDishonestVote) {
   // inverted vote sinks the block and the producer eats the penalty.
   LedgerProtocol protocol(params());
   const fault::FaultInjector injector(fault::FaultPlan::parse("dishonest_vote:index=0"), 5);
-  protocol.set_fault_injector(&injector);
+  protocol.attach({.faults = &injector});
 
   Rng rng(4);
   Participant wallet(rng);
@@ -140,7 +140,7 @@ TEST(ProtocolFault, CorruptedAllocationIsReminedWithinBudget) {
   // re-runs the auction, catches the mismatch, and forces a clean re-mine.
   const fault::FaultInjector injector(
       fault::FaultPlan::parse("corrupt_allocation:attempts=0"), 13);
-  protocol.set_fault_injector(&injector);
+  protocol.attach({.faults = &injector});
 
   Rng rng(5);
   Participant wallet(rng);
@@ -170,7 +170,7 @@ TEST(ProtocolFault, RemineExcludesTheWithheldBids) {
   // withholder is charged exactly once for the whole round.
   const fault::FaultInjector injector(
       fault::FaultPlan::parse("withhold_reveal:index=1;dishonest_vote:attempts=0"), 21);
-  protocol.set_fault_injector(&injector);
+  protocol.attach({.faults = &injector});
 
   Rng rng(6);
   Participant online(rng);
@@ -218,7 +218,7 @@ TEST(ProtocolFault, ChaosRoundReplaysByteIdentically) {
     p.quorum = 2.0 / 3.0;
     p.max_remine_attempts = 2;
     LedgerProtocol protocol(p);
-    protocol.set_fault_injector(injector);
+    protocol.attach({.faults = injector});
 
     Rng rng(8);
     Participant clients(rng);

@@ -47,8 +47,9 @@ TEST(ExportEdgeCases, EmptyExtraSinkNeverChangesEngineExports) {
   driver.seed = 7;
   (void)test::drive_batch(eng, scheduler, driver, 10);
 
-  const std::string baseline_json = eng.metrics_json(scheduler.sink());
-  const std::string baseline_prom = eng.metrics_prometheus(scheduler.sink());
+  const MetricsSink* scheduler_only[] = {scheduler.sink()};
+  const std::string baseline_json = eng.metrics_json(scheduler_only);
+  const std::string baseline_prom = eng.metrics_prometheus(scheduler_only);
 
   // An extra sink whose registry is empty contributes nothing: same bytes
   // as the two-sink export.  (This is the journal-off driver path: the
