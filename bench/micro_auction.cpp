@@ -1,7 +1,9 @@
 // Microbenchmarks of the auction pipeline (google-benchmark): QoM scoring,
-// cluster formation, and the full mechanism at several market sizes.
+// the matching stage, cluster formation, and the full mechanism at several
+// market sizes.
 #include <benchmark/benchmark.h>
 
+#include "auction/candidate_index.hpp"
 #include "auction/cluster.hpp"
 #include "auction/mechanism.hpp"
 #include "auction/qom.hpp"
@@ -34,38 +36,9 @@ void BM_QualityOfMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_QualityOfMatch);
 
-void BM_BestOffers(benchmark::State& state) {
-  const auto snapshot = make_market(static_cast<std::size_t>(state.range(0)), 2);
-  const auction::BlockScale scale(snapshot.requests, snapshot.offers);
-  const auction::ScoreMatrix scores(snapshot, scale);
-  const auction::AuctionConfig cfg;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        auction::best_offers(i % snapshot.requests.size(), snapshot, scores, cfg));
-    ++i;
-  }
-}
-BENCHMARK(BM_BestOffers)->Arg(64)->Arg(256);
-
-// The pre-ScoreMatrix path: per-pair sparse entry-list walks.  Kept as the
-// baseline the dense path is measured against.
-void BM_BestOffersSparse(benchmark::State& state) {
-  const auto snapshot = make_market(static_cast<std::size_t>(state.range(0)), 2);
-  const auction::BlockScale scale(snapshot.requests, snapshot.offers);
-  const auction::AuctionConfig cfg;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        auction::best_offers(snapshot.requests[i % snapshot.requests.size()], snapshot, scale, cfg));
-    ++i;
-  }
-}
-BENCHMARK(BM_BestOffersSparse)->Arg(64)->Arg(256);
-
 // The whole matching stage as DeCloudAuction::run executes it: ScoreMatrix
-// precompute plus the best-offer fan-out for every request, at a given
-// thread count (range(1)).
+// and CandidateIndex build plus the best-offer fan-out for every request, at
+// a given thread count (range(1)).
 void BM_MatchingStage(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto threads = static_cast<std::size_t>(state.range(1));
@@ -77,7 +50,11 @@ void BM_MatchingStage(benchmark::State& state) {
   std::vector<std::vector<std::size_t>> best(n);
   for (auto _ : state) {
     const auction::ScoreMatrix scores(snapshot, scale);
-    run_chunked(p, 0, n, [&](std::size_t r) { best[r] = auction::best_offers(r, snapshot, scores, cfg); });
+    const auction::CandidateIndex index(snapshot, scale, scores);
+    run_chunked(p, 0, n, [&](std::size_t r) {
+      thread_local auction::CandidateIndex::Scratch scratch;
+      best[r] = index.best_offers(r, snapshot, scores, cfg, scratch);
+    });
     benchmark::DoNotOptimize(best);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
@@ -90,9 +67,12 @@ void BM_ClusterFormation(benchmark::State& state) {
   const auction::BlockScale scale(snapshot.requests, snapshot.offers);
   const auction::AuctionConfig cfg;
   // Precompute best sets; the benchmark isolates Algorithm 2 itself.
+  const auction::ScoreMatrix scores(snapshot, scale);
+  const auction::CandidateIndex index(snapshot, scale, scores);
+  auction::CandidateIndex::Scratch scratch;
   std::vector<std::vector<std::size_t>> best(n);
   for (std::size_t r = 0; r < n; ++r) {
-    best[r] = auction::best_offers(snapshot.requests[r], snapshot, scale, cfg);
+    best[r] = index.best_offers(r, snapshot, scores, cfg, scratch);
   }
   for (auto _ : state) {
     auction::ClusterSet cs;

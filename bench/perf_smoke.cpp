@@ -4,12 +4,9 @@
 // document so successive PRs can record a benchmark *trajectory* (see
 // bench/trajectory/) and compare runs mechanically.  It times:
 //
-//   * matching_sparse  — the pre-ScoreMatrix hot path: per-pair sparse
-//     quality_of_match walks inside best_offers (serial);
-//   * matching_dense   — ScoreMatrix precompute + tiled score_row kernel +
-//     bounded top-k fan-out at 1..N threads;
-//   * matching_pruned  — ScoreMatrix + CandidateIndex build + the pruned
-//     shortlist queries at 1..N threads (byte-identical results to dense);
+//   * matching_pruned  — ScoreMatrix + CandidateIndex build + the
+//     best-offer queries at 1..N threads, the matching stage as
+//     DeCloudAuction::run executes it;
 //   * full_mechanism   — DeCloudAuction::run end to end at 1..N threads;
 //   * engine_drive     — the sharded engine end to end (the trace drive
 //     loop: bid-by-bid ingest, a micro-epoch close every 192 bids) at each
@@ -68,7 +65,6 @@
 
 #include "auction/candidate_index.hpp"
 #include "auction/mechanism.hpp"
-#include "auction/qom.hpp"
 #include "auction/score_matrix.hpp"
 #include "common/thread_pool.hpp"
 #include "dsched/sync.hpp"
@@ -139,7 +135,7 @@ struct Entry {
 void emit(const std::vector<Entry>& entries, int rounds,
           const std::vector<std::size_t>& thread_counts, bool journal, bool wal) {
   std::printf("{\n");
-  std::printf("  \"schema\": \"decloud-perf-smoke-v6\",\n");
+  std::printf("  \"schema\": \"decloud-perf-smoke-v7\",\n");
   std::printf("  \"hardware_concurrency\": %zu,\n", ThreadPool::default_workers());
   // Instrumented (DECLOUD_DSCHED=ON) numbers are not comparable to
   // production numbers; the field lets perf dashboards partition them.
@@ -227,7 +223,7 @@ int main(int argc, char** argv) {
 
   std::vector<Entry> entries;
 
-  // --- matching stage (default: the BM_BestOffers size, 256 requests;
+  // --- matching stage (default: the BM_MatchingStage size, 256 requests;
   // --requests/--offers rescale it — the 100k capture in bench/trajectory/
   // uses --requests 100000 --offers 50000 --matching-only).
   {
@@ -235,36 +231,11 @@ int main(int argc, char** argv) {
     const auction::AuctionConfig cfg;
     const auction::BlockScale scale(s.requests, s.offers);
 
-    // The sparse walk is O(R·O) entry-list chasing — hours at 100k scale —
-    // so it only runs at sizes where a serial sweep finishes in seconds.
-    if (s.requests.size() * s.offers.size() <= std::size_t{2048} * 1024) {
-      const double sparse_ms = time_min_ms(rounds, [&] {
-        for (std::size_t r = 0; r < s.requests.size(); ++r) {
-          volatile auto sink = auction::best_offers(s.requests[r], s, scale, cfg).size();
-          (void)sink;
-        }
-      });
-      entries.push_back({"matching_sparse", s.requests.size(), s.offers.size(), 1, sparse_ms});
-    }
-
     for (const std::size_t t : thread_counts) {
       ThreadPool pool(t);
       ThreadPool* p = t > 1 ? &pool : nullptr;
-      // Dense reference: tiled score_row kernel + bounded top-k.
-      const double dense_ms = time_min_ms(rounds, [&] {
-        const auction::ScoreMatrix scores(s, scale);
-        run_chunked(p, 0, s.requests.size(), [&](std::size_t r) {
-          thread_local std::vector<double> row;
-          row.resize(scores.offers());
-          scores.score_row(r, row);
-          volatile auto sink = auction::best_offers_from_row(r, s, row, cfg).size();
-          (void)sink;
-        });
-      });
-      entries.push_back({"matching_dense", s.requests.size(), s.offers.size(), t, dense_ms});
-
-      // Pruned path: index build + shortlist queries, timed end to end so
-      // the comparison charges the index its construction cost.
+      // Index build + queries, timed end to end so the entry charges the
+      // index its construction cost.
       const double pruned_ms = time_min_ms(rounds, [&] {
         const auction::ScoreMatrix scores(s, scale);
         const auction::CandidateIndex index(s, scale, scores);

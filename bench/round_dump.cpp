@@ -3,20 +3,18 @@
 //
 // The output is a byte-exact fingerprint of the allocation: two invocations
 // agree byte-for-byte iff their RoundResults are bit-identical.  CI uses it
-// to enforce the scoring-path contract — the pruned candidate-index path
-// must reproduce the dense path's allocation exactly, at every thread
-// count:
+// to enforce the threading contract — the allocation must not depend on
+// the ranking fan-out's thread count:
 //
-//   round_dump --requests 2000 --offers 1000 --scoring dense  > a.json
-//   round_dump --requests 2000 --offers 1000 --scoring pruned > b.json
+//   round_dump --requests 2000 --offers 1000 --threads 1 > a.json
+//   round_dump --requests 2000 --offers 1000 --threads 4 > b.json
 //   cmp a.json b.json
 //
 //   --requests N      workload requests (default 512)
 //   --offers N        workload offers (default requests / 2)
 //   --seed N          workload seed (default 7)
 //   --round-seed N    verifiable-randomization seed (default 1)
-//   --threads N       scoring fan-out threads; 0 = hardware (default 1)
-//   --scoring MODE    auto | dense | pruned (default auto)
+//   --threads N       ranking fan-out threads; 0 = hardware (default 1)
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,7 +35,6 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 7;
   std::uint64_t round_seed = 1;
   std::size_t threads = 1;
-  auction::ScoringPath scoring = auction::ScoringPath::kAuto;
 
   for (int i = 1; i < argc; ++i) {
     const auto next = [&]() -> const char* {
@@ -57,22 +54,10 @@ int main(int argc, char** argv) {
       round_seed = std::strtoull(next(), nullptr, 10);
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       threads = std::strtoul(next(), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--scoring") == 0) {
-      const char* mode = next();
-      if (std::strcmp(mode, "auto") == 0) {
-        scoring = auction::ScoringPath::kAuto;
-      } else if (std::strcmp(mode, "dense") == 0) {
-        scoring = auction::ScoringPath::kDense;
-      } else if (std::strcmp(mode, "pruned") == 0) {
-        scoring = auction::ScoringPath::kPruned;
-      } else {
-        std::fprintf(stderr, "round_dump: --scoring must be auto|dense|pruned\n");
-        return 2;
-      }
     } else {
       std::fprintf(stderr,
                    "usage: %s [--requests N] [--offers N] [--seed N] [--round-seed N]\n"
-                   "          [--threads N] [--scoring auto|dense|pruned]\n",
+                   "          [--threads N]\n",
                    argv[0]);
       return 2;
     }
@@ -86,7 +71,6 @@ int main(int argc, char** argv) {
 
   auction::AuctionConfig cfg;
   cfg.threads = threads;
-  cfg.scoring = scoring;
   const auction::RoundResult result = auction::DeCloudAuction(cfg).run(snapshot, round_seed);
 
   const std::string json = auction::round_result_json(result);

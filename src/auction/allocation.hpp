@@ -79,8 +79,8 @@ struct RoundResult {
 /// Canonical JSON rendering of a RoundResult: stable field order, every
 /// double printed with %.17g so distinct bit patterns render distinctly.
 /// Two results serialize to the same bytes iff they are field-for-field
-/// bit-identical — the byte-diff oracle CI uses to compare the dense and
-/// pruned scoring paths (and any other pair of replays).
+/// bit-identical — the byte-diff oracle CI uses to compare runs at
+/// different thread counts (and any other pair of replays).
 [[nodiscard]] std::string round_result_json(const RoundResult& result);
 
 /// Tracks remaining capacity of every offer across clusters and

@@ -1,17 +1,18 @@
 // Bounded top-k selection for the best-offer stage.
 //
-// best_offers historically collected every feasible (offer, q) pair and
-// fully sorted it — O(F log F) per request with an F-sized allocation —
-// only to keep at most config.max_best_offers entries.  BestOfferSelector
-// keeps exactly that prefix in a fixed-capacity insertion-sorted buffer:
-// O(F · k) with k ≤ max_best_offers (default 4), no allocation after the
-// first use, and the *identical* strict total order
+// The full-sort oracle (best_offers_reference) collects every feasible
+// (offer, q) pair and sorts it — O(F log F) per request with an F-sized
+// allocation — only to keep at most config.max_best_offers entries.
+// BestOfferSelector keeps exactly that prefix in a fixed-capacity
+// insertion-sorted buffer: O(F · k) with k ≤ max_best_offers (default 4),
+// no allocation after the first use, and the *identical* strict total
+// order
 //
 //     q descending  →  submitted ascending  →  offer id ascending
 //
 // so the selected set and its internal ranking are bit-for-bit the ones
 // the full sort produced (offer ids are unique, so the order is total and
-// the outcome is independent of insertion order).  The pruned path
+// the outcome is independent of insertion order).  CandidateIndex
 // (candidate_index.hpp) additionally reads kth_q()/full() to drive its
 // exact early-termination test.
 #pragma once
@@ -40,7 +41,7 @@ class BestOfferSelector {
   [[nodiscard]] bool empty() const { return held_.empty(); }
 
   /// q of the current k-th (worst held) candidate; only meaningful when
-  /// full() — the pruned scan's termination bound.
+  /// full() — the index scan's termination bound.
   [[nodiscard]] double kth_q() const { return held_.back().q; }
 
   /// q of the current best candidate (the admission threshold base).

@@ -177,8 +177,8 @@ CandidateIndex::CandidateIndex(const MarketSnapshot& snapshot, const BlockScale&
   }
   // Drop empty cells; order members by descending static bound (ties by
   // ascending index — a deterministic total order), then lay the members'
-  // normalized rows out k-major so the query can score blocks with the
-  // same contiguous kernel as ScoreMatrix::score_row.
+  // normalized rows out k-major so the query can score blocks with one
+  // contiguous kernel.
   std::erase_if(cells_, [](const Cell& c) { return c.offers.empty(); });
   for (Cell& cell : cells_) {
     std::sort(cell.offers.begin(), cell.offers.end(), [&](std::size_t a, std::size_t b) {
@@ -200,6 +200,7 @@ std::vector<std::size_t> CandidateIndex::best_offers(std::size_t request,
                                                      const AuctionConfig& config,
                                                      Scratch& scratch) const {
   DECLOUD_EXPECTS(request < snapshot.requests.size());
+  scratch.scored = 0;
   if (config.max_best_offers == 0) return {};
   BestOfferSelector selector(snapshot.offers, config.max_best_offers);
   scan_into(selector, request, snapshot, scores, config, scratch, {});
@@ -263,6 +264,7 @@ void CandidateIndex::scan_into(BestOfferSelector& selector, std::size_t request,
       // dominates computed q fold-step by fold-step (no slack needed).
       if (selector.full() && ub_[cell.offers[base]] < selector.kth_q()) break;
       const std::size_t n = std::min(kCellBlock, m - base);
+      scratch.scored += n;
       double* __restrict acc = scratch.acc.data();
       std::fill(acc, acc + n, 0.0);
       for (const ResourceId k : types) {
@@ -303,6 +305,7 @@ void CandidateIndex::scan_into(BestOfferSelector& selector, std::size_t request,
       if (o == kExpiredSlot) continue;
       if (!feasible(snapshot.offers[o], r, config)) continue;
       const double q = scores.score_sparse(request, o);
+      ++scratch.scored;
       if (q <= 0.0) continue;
       selector.consider(o, q);
     }
@@ -426,6 +429,7 @@ std::vector<std::size_t> CandidateIndexCache::best_offers(std::size_t request,
                                                           CandidateIndex::Scratch& scratch) const {
   DECLOUD_EXPECTS_MSG(index_.has_value(), "prepare() must precede queries");
   DECLOUD_EXPECTS(request < snapshot.requests.size());
+  scratch.scored = 0;
   if (config.max_best_offers == 0) return {};
   const Request& r = snapshot.requests[request];
   BestOfferSelector selector(snapshot.offers, config.max_best_offers);
@@ -443,6 +447,7 @@ std::vector<std::size_t> CandidateIndexCache::best_offers(std::size_t request,
     const std::size_t o = loose_[i];
     if (!feasible(snapshot.offers[o], r, config)) continue;
     const double q = scores.score_sparse(request, o);
+    ++scratch.scored;
     if (q <= 0.0) continue;
     selector.consider(o, q);
   }

@@ -1,9 +1,10 @@
 // Candidate-pruning index over the bidding-language feature space — the
 // million-bid matching core (DESIGN.md §3g).
 //
-// The dense best-offer stage scores every (request, offer) pair: O(R·O)
-// per round.  CandidateIndex cuts the per-request work to a shortlist by
-// exploiting three structural facts of the bidding language:
+// Ranking every (request, offer) pair is O(R·O) per round.  CandidateIndex
+// is the one production best-offer path (DeCloudAuction::run,
+// trace::assign_valuations); it cuts the per-request work to a shortlist
+// by exploiting four structural facts of the bidding language:
 //
 //   1. TIME WINDOW — an offer is feasible only when its availability
 //      window contains the request's service window (constraints 10/11),
@@ -22,14 +23,13 @@
 //      for EVERY request.  Cells keep their offers sorted by descending
 //      ub; the query visits active cells in descending request-aware
 //      bound order and, inside a cell, scores fixed-size member blocks
-//      with the same k-major vectorized kernel as ScoreMatrix::score_row
-//      (each cell stores its own member-column transpose).  Once the
-//      bounded top-k selection is full, a cell whose bound — or a block
-//      whose leading static ub — is strictly below the current k-th q
-//      ends the scan / the cell: nothing it holds can enter the best
-//      set.  The static bound holds for the *computed* doubles too: ub
-//      and q are ascending-k left folds of term-wise dominating
-//      sequences, and IEEE-754 rounding is monotone.
+//      with a k-major vectorized kernel over the cell's own member-column
+//      transpose.  Once the bounded top-k selection is full, a cell whose
+//      bound — or a block whose leading static ub — is strictly below the
+//      current k-th q ends the scan / the cell: nothing it holds can
+//      enter the best set.  The static bound holds for the *computed*
+//      doubles too: ub and q are ascending-k left folds of term-wise
+//      dominating sequences, and IEEE-754 rounding is monotone.
 //
 //   4. TIE-GROUP DEDUP — offers identical in (window, min_reputation,
 //      normalized resource row) are exact ties: equal q against EVERY
@@ -59,12 +59,13 @@
 // relative slack that dwarfs any floating-point rounding), which retires
 // whole cells long before their static-ub cursors drain.
 //
-// EXACTNESS: the query returns byte-identical best-offer sets to the
-// dense path for every request — all pruning rules only ever discard
-// offers that are infeasible, score exactly +0.0, or provably cannot
-// displace the current top-k (see pruned_scoring_test and the §3g proof
-// sketch).  The scan order and every comparison depend only on snapshot
-// data, so results are also independent of thread count.
+// EXACTNESS: the query returns byte-identical best-offer sets to
+// best_offers_reference (mechanism.hpp), the full-sort oracle, for every
+// request — all pruning rules only ever discard offers that are
+// infeasible, score exactly +0.0, or provably cannot displace the current
+// top-k (see pruned_scoring_test and the §3g proof sketch).  The scan
+// order and every comparison depend only on snapshot data, so results are
+// also independent of thread count.
 #pragma once
 
 #include <cstddef>
@@ -81,10 +82,6 @@
 namespace decloud::auction {
 
 class BestOfferSelector;
-
-/// Snapshots with at least this many offers take the pruned path under
-/// ScoringPath::kAuto; below it the index cannot beat the dense sweep.
-inline constexpr std::size_t kMinPrunedOffers = 64;
 
 /// Remap value marking a build-time slot whose offer has left the market
 /// (TTL expiry, allocation, withdrawal) — see CandidateIndex::scan_into.
@@ -112,10 +109,14 @@ class CandidateIndex {
     };
     std::vector<Active> active;  // activated cells, (bound desc, cell asc)
     std::vector<double> acc;     // block accumulator panel
+    /// Candidates the last best_offers() query scored: kernel lanes of
+    /// every scanned block plus each score_sparse call (overflow and
+    /// loose-list offers).  A deterministic work count for the score span.
+    std::size_t scored = 0;
   };
 
-  /// The pruned best-offer query: bit-identical to the dense
-  /// best_offers(request, snapshot, scores, config) for every input.
+  /// The best-offer query: bit-identical to best_offers_reference for
+  /// every input.
   [[nodiscard]] std::vector<std::size_t> best_offers(std::size_t request,
                                                      const MarketSnapshot& snapshot,
                                                      const ScoreMatrix& scores,
@@ -125,7 +126,8 @@ class CandidateIndex {
   /// The scan core shared by best_offers and the cross-round cache: feeds
   /// every live candidate into `selector` WITHOUT applying the admission
   /// threshold (the caller finishes, so it can merge other candidate
-  /// sources — the cache's loose list — first).
+  /// sources — the cache's loose list — first).  Adds the candidates it
+  /// scores to scratch.scored.
   ///
   /// `remap` translates build-time slots into indices of the CURRENT
   /// snapshot: empty = identity (the query snapshot IS the build
@@ -166,9 +168,8 @@ class CandidateIndex {
     std::uint64_t mask = 0;           // union of member type masks
     std::vector<double> dim_max;      // per resource id: max ρ'_o in cell
     /// k-major member-column transpose (width × |offers|, member order
-    /// matching `offers`): the cell-local analogue of ScoreMatrix's
-    /// off_norm_t_, so blocks of members score through the same
-    /// vectorizable kernel as score_row.
+    /// matching `offers`), so blocks of members score through one
+    /// contiguous, vectorizable kernel.
     std::vector<double> col;
   };
 
@@ -235,7 +236,7 @@ class CandidateIndexCache {
   PrepareStats prepare(const MarketSnapshot& snapshot, const BlockScale& scale,
                        const ScoreMatrix& scores, const AuctionConfig& config);
 
-  /// The pruned query against the prepared state: bit-identical to a
+  /// The query against the prepared state: bit-identical to a
   /// fresh CandidateIndex over the current snapshot (loose offers are
   /// considered first, then the remapped index scan; the selector's
   /// outcome is independent of consideration order).

@@ -5,24 +5,6 @@
 
 namespace decloud::auction {
 
-/// Which scoring/ranking implementation DeCloudAuction::run uses for the
-/// per-request best-offer stage.  Every path returns bit-identical best
-/// sets (tests/auction/pruned_scoring_test), so the choice is pure
-/// performance — but it is part of AuctionConfig (hence of consensus)
-/// anyway, so a round's exact instruction trace is reproducible.
-enum class ScoringPath {
-  /// Pick per snapshot size: pruned when the offer book is large enough
-  /// for the index to pay for itself, dense otherwise.  The cutover
-  /// depends only on the snapshot (kMinPrunedOffers), never on the host.
-  kAuto,
-  /// Dense reference oracle: tiled ScoreMatrix row kernel over every
-  /// (request, offer) pair + bounded top-k selection.
-  kDense,
-  /// CandidateIndex-pruned path: upper-bound-ordered shortlist scan with
-  /// exact early termination (DESIGN.md §3g).
-  kPruned,
-};
-
 /// How unmatched residue interacts with the matching structures across
 /// rounds.  The residue itself (bids carried into the next round) is
 /// governed by the orchestration layer's retry budget
@@ -67,19 +49,14 @@ struct AuctionConfig {
   /// and no price-setter is excluded.
   bool truthful = true;
 
-  /// Worker threads for the matching pipeline (ScoreMatrix scoring and
-  /// per-request best-offer ranking fan out; everything downstream of
+  /// Worker threads for the matching pipeline (the per-request
+  /// CandidateIndex best-offer queries fan out; everything downstream of
   /// cluster folding stays serial and ordered).  0 = one worker per
   /// hardware thread, 1 = fully serial path.  The RoundResult is
   /// byte-identical for every value — the ledger's collective verification
   /// replays allocations, so miners with different core counts must agree
   /// (see DESIGN.md, "Threading model & determinism").
   std::size_t threads = 0;
-
-  /// Scoring implementation for the best-offer stage (see ScoringPath).
-  /// All three settings produce byte-identical RoundResults; kAuto selects
-  /// kPruned for snapshots with at least kMinPrunedOffers offers.
-  ScoringPath scoring = ScoringPath::kAuto;
 
   /// Ablation switch for the paper's key welfare optimization: when true
   /// (default), price-compatible clusters share a clearing price inside
@@ -89,10 +66,10 @@ struct AuctionConfig {
   /// (bench/ablation_miniauction).
   bool group_mini_auctions = true;
 
-  /// Cross-round index-reuse thresholds (see ResiduePolicy).  Only read on
-  /// the pruned scoring path when a CandidateIndexCache is attached; it
-  /// never changes results (cache hits are bit-identical to fresh builds),
-  /// only when the index is reconstructed.
+  /// Cross-round index-reuse thresholds (see ResiduePolicy).  Only read
+  /// when a CandidateIndexCache is attached; it never changes results
+  /// (cache hits are bit-identical to fresh builds), only when the index
+  /// is reconstructed.
   ResiduePolicy residue;
 };
 

@@ -6,7 +6,6 @@
 #include <optional>
 
 #include "auction/audit.hpp"
-#include "auction/best_select.hpp"
 #include "auction/candidate_index.hpp"
 #include "auction/cluster.hpp"
 #include "auction/economics.hpp"
@@ -21,50 +20,6 @@
 #include "obs/sink.hpp"
 
 namespace decloud::auction {
-
-namespace {
-
-/// Shared core of the best_offers overloads; `score(o)` yields q_(r,o).
-/// The sparse, dense and row score paths are bit-identical (see
-/// score_matrix.hpp), so every overload ranks and thresholds identically.
-/// Selection runs through the bounded top-k buffer: only the first
-/// max_best_offers entries of the full (q, submitted, id) ranking can ever
-/// be emitted, and BestOfferSelector holds exactly that prefix.
-template <typename ScoreFn>
-std::vector<std::size_t> best_offers_impl(const Request& r, const MarketSnapshot& snapshot,
-                                          const AuctionConfig& config, const ScoreFn& score) {
-  BestOfferSelector selector(snapshot.offers, config.max_best_offers);
-  for (std::size_t o = 0; o < snapshot.offers.size(); ++o) {
-    const Offer& offer = snapshot.offers[o];
-    if (!feasible(offer, r, config)) continue;
-    const double q = score(o);
-    if (q <= 0.0) continue;  // no common resource type: never ranked
-    selector.consider(o, q);
-  }
-  return selector.finish(config.best_offer_ratio);
-}
-
-}  // namespace
-
-std::vector<std::size_t> best_offers(const Request& r, const MarketSnapshot& snapshot,
-                                     const BlockScale& scale, const AuctionConfig& config) {
-  return best_offers_impl(r, snapshot, config,
-                          [&](std::size_t o) { return quality_of_match(r, snapshot.offers[o], scale); });
-}
-
-std::vector<std::size_t> best_offers(std::size_t request, const MarketSnapshot& snapshot,
-                                     const ScoreMatrix& scores, const AuctionConfig& config) {
-  return best_offers_impl(snapshot.requests[request], snapshot, config,
-                          [&](std::size_t o) { return scores.score(request, o); });
-}
-
-std::vector<std::size_t> best_offers_from_row(std::size_t request, const MarketSnapshot& snapshot,
-                                              std::span<const double> row,
-                                              const AuctionConfig& config) {
-  DECLOUD_EXPECTS(row.size() == snapshot.offers.size());
-  return best_offers_impl(snapshot.requests[request], snapshot, config,
-                          [&](std::size_t o) { return row[o]; });
-}
 
 std::vector<std::size_t> best_offers_reference(const Request& r, const MarketSnapshot& snapshot,
                                                const BlockScale& scale,
@@ -161,20 +116,19 @@ RoundResult DeCloudAuction::run(const MarketSnapshot& snapshot, std::uint64_t se
   }
 
   // --- Step 1–2: rank best offers per request and form clusters (Alg. 2).
-  // Scoring runs over the dense ScoreMatrix and fans out across requests —
-  // each request's ranking is independent, and every worker writes only its
-  // own slot of `best_sets`, so the fan-out is race-free and its output
-  // does not depend on the worker count.  Cluster folding stays serial and
-  // ordered: Algorithm 2 is fold-order-sensitive, and the ledger's
-  // collective verification replays this allocation byte-for-byte.
+  // Ranking goes through the CandidateIndex and fans out across requests —
+  // each request's query is independent, and every worker writes only its
+  // own slots of `best_sets` and `scored`, so the fan-out is race-free and
+  // its output does not depend on the worker count.  Cluster folding stays
+  // serial and ordered: Algorithm 2 is fold-order-sensitive, and the
+  // ledger's collective verification replays this allocation byte-for-byte.
   std::vector<std::size_t> request_order(snapshot.requests.size());
   std::vector<std::vector<std::size_t>> best_sets(snapshot.requests.size());
   {
     // Only the calling thread touches the sink: the fan-out workers write
-    // their own best_sets slots and nothing else, so one span wrapping the
-    // whole parallel section is race-free by construction.
+    // their own slots and nothing else, so one span wrapping the whole
+    // parallel section is race-free by construction.
     obs::SpanScope span(sink, "score");
-    span.add_work(snapshot.requests.size() * snapshot.offers.size());
 
     const BlockScale scale(snapshot.requests, snapshot.offers);
     const ScoreMatrix scores(snapshot, scale);
@@ -191,12 +145,19 @@ RoundResult DeCloudAuction::run(const MarketSnapshot& snapshot, std::uint64_t se
     std::optional<ThreadPool> pool;
     if (workers > 1 && snapshot.requests.size() >= kMinParallelRequests) pool.emplace(workers);
 
-    // Path selection (part of consensus via AuctionConfig::scoring): both
-    // paths emit byte-identical best_sets, so kAuto may pick by size alone.
-    const bool use_pruned =
-        config_.scoring == ScoringPath::kPruned ||
-        (config_.scoring == ScoringPath::kAuto && snapshot.offers.size() >= kMinPrunedOffers);
-    if (use_pruned && cache != nullptr) {
+    // Candidates scored per request, summed serially below so the span's
+    // work stays thread-invariant.
+    std::vector<std::size_t> scored(snapshot.requests.size(), 0);
+    const auto rank_all = [&](const auto& index) {
+      run_chunked(pool ? &*pool : nullptr, 0, snapshot.requests.size(), [&](std::size_t ri) {
+        // One scratch per worker thread: the hot loop never allocates after
+        // its first few requests, and workers share no mutable state.
+        thread_local CandidateIndex::Scratch scratch;
+        best_sets[ri] = index.best_offers(ri, snapshot, scores, config_, scratch);
+        scored[ri] = scratch.scored;
+      });
+    };
+    if (cache != nullptr) {
       // Cross-round reuse: prepare() carries the previous round's index
       // when the offer book evolved slowly, rebuilding otherwise.  Either
       // way the queries are bit-identical to a fresh build, so verifiers
@@ -210,27 +171,11 @@ RoundResult DeCloudAuction::run(const MarketSnapshot& snapshot, std::uint64_t se
         m.counter("auction.index_expired").add(st.expired);
         m.counter("auction.index_inserted").add(st.inserted);
       }
-      const CandidateIndexCache& idx = *cache;
-      run_chunked(pool ? &*pool : nullptr, 0, snapshot.requests.size(), [&](std::size_t ri) {
-        thread_local CandidateIndex::Scratch scratch;
-        best_sets[ri] = idx.best_offers(ri, snapshot, scores, config_, scratch);
-      });
-    } else if (use_pruned) {
-      const CandidateIndex index(snapshot, scale, scores);
-      run_chunked(pool ? &*pool : nullptr, 0, snapshot.requests.size(), [&](std::size_t ri) {
-        // One scratch per worker thread: the hot loop never allocates after
-        // its first few requests, and workers share no mutable state.
-        thread_local CandidateIndex::Scratch scratch;
-        best_sets[ri] = index.best_offers(ri, snapshot, scores, config_, scratch);
-      });
+      rank_all(*cache);
     } else {
-      run_chunked(pool ? &*pool : nullptr, 0, snapshot.requests.size(), [&](std::size_t ri) {
-        thread_local std::vector<double> row;
-        row.resize(scores.offers());
-        scores.score_row(ri, row);
-        best_sets[ri] = best_offers_from_row(ri, snapshot, row, config_);
-      });
+      rank_all(CandidateIndex(snapshot, scale, scores));
     }
+    span.add_work(std::accumulate(scored.begin(), scored.end(), std::uint64_t{0}));
   }
 
   ClusterSet cluster_set;

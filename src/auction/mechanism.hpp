@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "auction/allocation.hpp"
@@ -32,41 +31,19 @@ class MetricsSink;
 namespace decloud::auction {
 
 class CandidateIndexCache;
-class ScoreMatrix;
 
 /// Markets below this many requests always rank serially: spinning the
 /// pool up costs more than the fan-out saves, and the result is identical
 /// either way.
 inline constexpr std::size_t kMinParallelRequests = 32;
 
-/// Ranks the feasible offers for a request and returns the best-offer set
-/// best_r: sorted offer indices whose QoM is within config.best_offer_ratio
-/// of the top match, capped at config.max_best_offers.  Empty when nothing
-/// is feasible or no offer shares a resource type.
-[[nodiscard]] std::vector<std::size_t> best_offers(const Request& r,
-                                                   const MarketSnapshot& snapshot,
-                                                   const BlockScale& scale,
-                                                   const AuctionConfig& config);
-
-/// Same ranking over a precomputed dense ScoreMatrix.  Bit-identical to
-/// the sparse overload.
-[[nodiscard]] std::vector<std::size_t> best_offers(std::size_t request,
-                                                   const MarketSnapshot& snapshot,
-                                                   const ScoreMatrix& scores,
-                                                   const AuctionConfig& config);
-
-/// Same ranking over a precomputed score row (ScoreMatrix::score_row) —
-/// the dense hot path of DeCloudAuction::run.  `row[o]` must equal
-/// q_(request, o); bit-identical to the other overloads.
-[[nodiscard]] std::vector<std::size_t> best_offers_from_row(std::size_t request,
-                                                            const MarketSnapshot& snapshot,
-                                                            std::span<const double> row,
-                                                            const AuctionConfig& config);
-
-/// The pre-top-k reference oracle: collects EVERY feasible positive-QoM
-/// offer, fully sorts by (q desc, submitted asc, id asc) and takes the
-/// thresholded prefix.  Kept only so tests can check the bounded top-k
-/// selection (and the pruned index) against first principles.
+/// The best-offer set best_r of a request, from first principles: collects
+/// EVERY feasible positive-QoM offer, fully sorts by (q desc, submitted
+/// asc, id asc) and keeps the prefix within config.best_offer_ratio of the
+/// top match, capped at config.max_best_offers, as sorted offer indices.
+/// Empty when nothing is feasible or no offer shares a resource type.
+/// The test oracle for CandidateIndex, the one production path: every
+/// index query must return exactly this set.
 [[nodiscard]] std::vector<std::size_t> best_offers_reference(const Request& r,
                                                              const MarketSnapshot& snapshot,
                                                              const BlockScale& scale,
@@ -85,11 +62,13 @@ class DeCloudAuction {
   /// miniauction, trade_reduction) and round counters; a null sink makes
   /// every hook a single pointer test (DESIGN.md §3e).  The sink NEVER
   /// influences the result — instrumented and bare runs are byte-identical.
-  /// `cache`, when non-null, lets the pruned scoring path carry its
-  /// CandidateIndex across rounds instead of rebuilding (DESIGN.md §3h);
-  /// like the sink it never changes the result — cached and fresh runs
-  /// are byte-identical (tests/auction/incremental_index_test) — so a
-  /// producer running with a cache agrees with verifiers building fresh.
+  /// Best offers are ranked through a fresh CandidateIndex, or through
+  /// `cache` when non-null, which carries its index across rounds instead
+  /// of rebuilding (DESIGN.md §3h).  Like the sink, the cache never
+  /// changes the result — cached and fresh runs are byte-identical
+  /// (tests/auction/incremental_index_test) — so a producer running with a
+  /// cache agrees with verifiers building fresh.  The score span's work is
+  /// the number of candidates the index scored.
   [[nodiscard]] RoundResult run(const MarketSnapshot& snapshot, std::uint64_t seed,
                                 obs::MetricsSink* sink = nullptr,
                                 CandidateIndexCache* cache = nullptr) const;

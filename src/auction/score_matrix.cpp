@@ -1,9 +1,5 @@
 #include "auction/score_matrix.hpp"
 
-#include <algorithm>
-
-#include "common/ensure.hpp"
-
 namespace decloud::auction {
 
 namespace {
@@ -16,11 +12,6 @@ void fill_row(std::vector<double>& matrix, std::size_t row, std::size_t width,
   }
 }
 
-/// Offers scored per tile of the k-major kernel.  4096 doubles = 32 KiB —
-/// one column panel plus the accumulator panel stay L1/L2-resident across
-/// the |K_r| column sweeps.
-constexpr std::size_t kOfferPanel = 4096;
-
 }  // namespace
 
 ScoreMatrix::ScoreMatrix(const MarketSnapshot& snapshot, const BlockScale& scale)
@@ -32,7 +23,6 @@ ScoreMatrix::ScoreMatrix(const MarketSnapshot& snapshot, const BlockScale& scale
   req_norm_.assign(nr * width_, 0.0);
   req_sig_.assign(nr * width_, 0.0);
   off_norm_.assign(no * width_, 0.0);
-  off_norm_t_.assign(width_ * no, 0.0);
   req_types_offset_.reserve(nr + 1);
   req_types_offset_.push_back(0);
   for (std::size_t r = 0; r < nr; ++r) {
@@ -49,21 +39,7 @@ ScoreMatrix::ScoreMatrix(const MarketSnapshot& snapshot, const BlockScale& scale
   }
   for (std::size_t o = 0; o < no; ++o) {
     fill_row(off_norm_, o, width_, snapshot.offers[o].resources, scale);
-    const double* row = off_norm_.data() + o * width_;
-    for (std::size_t k = 0; k < width_; ++k) off_norm_t_[k * no + o] = row[k];
   }
-}
-
-double ScoreMatrix::score(std::size_t request, std::size_t offer) const {
-  const double* rp = req_norm_.data() + request * width_;
-  const double* sig = req_sig_.data() + request * width_;
-  const double* op = off_norm_.data() + offer * width_;
-  double q = 0.0;
-  for (std::size_t k = 0; k < width_; ++k) {
-    const double d = op[k] - rp[k];
-    q += sig[k] * op[k] / (d * d + 1.0);
-  }
-  return q;
 }
 
 double ScoreMatrix::score_sparse(std::size_t request, std::size_t offer) const {
@@ -72,38 +48,12 @@ double ScoreMatrix::score_sparse(std::size_t request, std::size_t offer) const {
   const double* op = off_norm_.data() + offer * width_;
   double q = 0.0;
   // Ascending declared ids only: every skipped column has σmask = 0, so it
-  // would have added exactly +0.0 to the (non-negative) running sum — the
-  // fold below is bit-identical to score()'s full sweep.
+  // would have added exactly +0.0 to the (non-negative) running sum.
   for (const ResourceId k : request_types(request)) {
     const double d = op[k] - rp[k];
     q += sig[k] * op[k] / (d * d + 1.0);
   }
   return q;
-}
-
-void ScoreMatrix::score_row(std::size_t request, std::span<double> out) const {
-  DECLOUD_EXPECTS(out.size() == num_offers_);
-  const double* rp = req_norm_.data() + request * width_;
-  const double* sig = req_sig_.data() + request * width_;
-  const std::span<const ResourceId> types = request_types(request);
-  const std::size_t no = num_offers_;
-  for (std::size_t base = 0; base < no; base += kOfferPanel) {
-    const std::size_t n = std::min(kOfferPanel, no - base);
-    double* __restrict acc = out.data() + base;
-    std::fill(acc, acc + n, 0.0);
-    for (const ResourceId k : types) {
-      const double sk = sig[k];
-      const double rpk = rp[k];
-      const double* __restrict col = off_norm_t_.data() + k * no + base;
-      // Contiguous, branch-free, no cross-lane reduction: each acc[i] is an
-      // independent ascending-k left fold, so vectorizing over i preserves
-      // bit-identity with score()/quality_of_match.
-      for (std::size_t i = 0; i < n; ++i) {
-        const double d = col[i] - rpk;
-        acc[i] += sk * col[i] / (d * d + 1.0);
-      }
-    }
-  }
 }
 
 }  // namespace decloud::auction

@@ -1,37 +1,19 @@
 // Dense precompute for the quality-of-match heuristic (Eq. 18).
 //
 // quality_of_match walks two sparse sorted entry lists per (request, offer)
-// pair — O(R·O) pointer-chasing that dominates the matching phase at large
-// market sizes.  ScoreMatrix flattens every bidder's sparse resources into
-// a dense, BlockScale-normalized row-major matrix over the block's resource
-// ids, so scoring a pair becomes one contiguous fused loop:
+// pair.  ScoreMatrix flattens every bidder's sparse resources into a dense,
+// BlockScale-normalized row-major matrix over the block's resource ids, so
+// scoring a pair is one contiguous walk over the request's declared types:
 //
-//   q = Σ_k  σmask_r[k] · ρ'_o[k] / ((ρ'_o[k] − ρ'_r[k])² + 1)
+//   q = Σ_{k ∈ K_r}  σ_r[k] · ρ'_o[k] / ((ρ'_o[k] − ρ'_r[k])² + 1)
 //
-// where σmask_r[k] is the request's significance for declared types and 0
-// elsewhere.  A term is non-zero only when BOTH sides declare type k, and
-// every excluded term evaluates to exactly +0.0 (either σmask or ρ'_o is
-// zero), so the dense sum — taken in the same ascending-id order as the
-// sparse intersection walk — is bit-identical to quality_of_match.  The
-// ledger's collective verification replays allocations, so bit-identity is
-// mandatory, not an optimization nicety (Section III).
-//
-// Throughput layout (this file's hot path, DESIGN.md §3g): alongside the
-// row-major offer matrix the constructor also stores its k-major transpose
-// (one contiguous column of length O per resource id).  score_row() then
-// scores one request against EVERY offer by sweeping panels of offers with
-// the resource id as the outer loop:
-//
-//   for each k with σmask_r[k] ≠ 0 (ascending):          // sparse over k
-//     for each offer o in the panel:                     // dense over o
-//       acc[o] += σmask_r[k] · col_k[o] / ((col_k[o] − ρ'_r[k])² + 1)
-//
-// Each acc[o] still accumulates its terms in ascending-k order — the same
-// left fold as score() and the sparse walk, because the skipped σ = 0 rows
-// contribute exactly +0.0 to a non-negative running sum — so the result is
-// bit-identical while the inner loop is contiguous, branch-free, and free
-// of cross-lane reductions (each lane owns one accumulator), i.e.
-// autovectorizable without reassociating any floating-point sum.
+// taken in ascending-id order.  A term is non-zero only when BOTH sides
+// declare type k; every term the sparse intersection walk skips evaluates
+// to exactly +0.0 (ρ'_o[k] is zero), so the fold is bit-identical to
+// quality_of_match.  The ledger's collective verification replays
+// allocations, so bit-identity is mandatory, not an optimization nicety
+// (Section III).  CandidateIndex (candidate_index.hpp) reads the rows below
+// to build its bounds, masks and per-cell column panels.
 #pragma once
 
 #include <cstddef>
@@ -50,19 +32,9 @@ class ScoreMatrix {
   /// the row width).
   ScoreMatrix(const MarketSnapshot& snapshot, const BlockScale& scale);
 
-  /// q_(r,o) — bit-identical to quality_of_match(requests[r], offers[o], scale).
-  [[nodiscard]] double score(std::size_t request, std::size_t offer) const;
-
-  /// Scores `request` against every offer into `out` (size = offers())
-  /// via the tiled k-major kernel above.  out[o] is bit-identical to
-  /// score(request, o) for every o.
-  void score_row(std::size_t request, std::span<double> out) const;
-
-  /// q_(r,o) computed by walking only the request's declared types
-  /// (ascending) against the offer's dense row — the pruned path's
-  /// per-candidate scorer.  Bit-identical to score(request, offer): the
-  /// skipped σ = 0 columns contribute exactly +0.0 to a non-negative
-  /// left-fold, and the visited ones appear in the same ascending order.
+  /// q_(r,o) computed by walking the request's declared types (ascending)
+  /// against the offer's dense row — bit-identical to
+  /// quality_of_match(requests[r], offers[o], scale).
   [[nodiscard]] double score_sparse(std::size_t request, std::size_t offer) const;
 
   /// Row width: one column per resource id observed in the block.
@@ -97,7 +69,6 @@ class ScoreMatrix {
   std::vector<double> req_norm_;    // R×W: ρ'_r, 0 for undeclared types
   std::vector<double> req_sig_;     // R×W: σ_r masked by declaration
   std::vector<double> off_norm_;    // O×W: ρ'_o, 0 for undeclared types
-  std::vector<double> off_norm_t_;  // W×O: the k-major transpose of off_norm_
   std::vector<ResourceId> req_types_;          // concatenated declared ids
   std::vector<std::size_t> req_types_offset_;  // R+1 offsets into req_types_
 };

@@ -30,9 +30,6 @@
 //   --fault-seed N      seed of the fault coin flips (default 1)
 //   --retry-attempts N  ingest retry budget for refused submissions
 //                       (default 0 = rejections are final)
-//   --scoring MODE      matching scoring path: auto | dense | pruned
-//                       (default auto; both paths are byte-identical,
-//                       DESIGN.md §3g)
 //   --watermark K       close a micro-epoch when the stream's logical
 //                       clock advances K ticks since the last close
 //                       (0 = off)
@@ -142,7 +139,6 @@ int main(int argc, char** argv) {
   const char* fault_plan = nullptr;
   std::uint64_t fault_seed = 1;
   std::size_t retry_attempts = 0;
-  auction::ScoringPath scoring = auction::ScoringPath::kAuto;
   std::size_t watermark = 0;
   const char* journal_out = nullptr;
   std::size_t journal_limit = 65536;
@@ -201,25 +197,12 @@ int main(int argc, char** argv) {
       recover = true;
     } else if (std::strcmp(argv[i], "--crash-plan") == 0) {
       crash_plan = next();
-    } else if (std::strcmp(argv[i], "--scoring") == 0) {
-      const char* mode = next();
-      if (std::strcmp(mode, "auto") == 0) {
-        scoring = auction::ScoringPath::kAuto;
-      } else if (std::strcmp(mode, "dense") == 0) {
-        scoring = auction::ScoringPath::kDense;
-      } else if (std::strcmp(mode, "pruned") == 0) {
-        scoring = auction::ScoringPath::kPruned;
-      } else {
-        std::fprintf(stderr, "engine_driver: --scoring must be auto, dense or pruned\n");
-        return 2;
-      }
     } else {
       std::fprintf(stderr,
                    "usage: %s [--shards N] [--threads N] [--requests N] [--offers N]\n"
                    "          [--bids-per-epoch N] [--seed N] [--metrics-out PATH]\n"
                    "          [--prom-out PATH] [--trace-out PATH] [--wallclock]\n"
                    "          [--fault-plan SPEC] [--fault-seed N] [--retry-attempts N]\n"
-                   "          [--scoring auto|dense|pruned]\n"
                    "          [--watermark K]\n"
                    "          [--journal-out PATH] [--journal-limit N]\n"
                    "          [--wal-dir DIR] [--snapshot-every N] [--recover]\n"
@@ -263,7 +246,6 @@ int main(int argc, char** argv) {
   config.market.consensus.difficulty_bits = 8;  // simulation-scale PoW
   config.market.num_verifiers = 1;
   config.market.consensus.auction.threads = 1;  // parallelism across shards
-  config.market.consensus.auction.scoring = scoring;
   // Byzantine tolerance is on for the driver: a dishonest-vote fault
   // costs one re-mine, not the whole round's bids.
   config.market.consensus.max_remine_attempts = 1;
@@ -325,7 +307,6 @@ int main(int argc, char** argv) {
         ";offers=" + std::to_string(driver.workload.num_offers) +
         ";bids_per_epoch=" + std::to_string(bids_per_epoch) + ";seed=" + std::to_string(seed) +
         ";retry=" + std::to_string(retry_attempts) +
-        ";scoring=" + std::to_string(static_cast<int>(scoring)) +
         ";fault_seed=" + std::to_string(fault_seed) +
         ";fault_plan=" + config.fault_plan.canonical() +
         ";journal=" + std::to_string(config.journal_capacity) +

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "auction/allocation.hpp"
+#include "auction/candidate_index.hpp"
 #include "auction/feasibility.hpp"
 #include "auction/qom.hpp"
 #include "auction/score_matrix.hpp"
@@ -30,25 +31,25 @@ void assign_valuations(auction::MarketSnapshot& snapshot, const auction::Auction
     return 0.0;
   };
 
-  // One dense row per request instead of R·O sparse entry-list walks: the
-  // row values are bit-identical to quality_of_match (score_matrix.hpp), so
-  // the priced workload — and every golden trace built from it — is
-  // unchanged while 100k-request workloads become generable in seconds.
+  // o* comes from the same CandidateIndex query the mechanism runs, so a
+  // 100k-request workload prices in seconds; the best sets are
+  // bit-identical to the full-sort oracle (best_offers_reference), so every
+  // priced workload and golden trace is unchanged.
   const auction::ScoreMatrix scores(snapshot, scale);
-  std::vector<double> row(snapshot.offers.size());
+  const auction::CandidateIndex index(snapshot, scale, scores);
+  auction::CandidateIndex::Scratch scratch;
   for (std::size_t ri = 0; ri < snapshot.requests.size(); ++ri) {
     auto& r = snapshot.requests[ri];
     if (r.bid != 0.0) continue;  // caller already priced it
 
-    scores.score_row(ri, row);
-    const auto best = auction::best_offers_from_row(ri, snapshot, row, config);
+    const auto best = index.best_offers(ri, snapshot, scores, config, scratch);
     double base_cost = 0.0;
     if (!best.empty()) {
       // best_offers sorts by offer index; re-rank by QoM to find o*.
       double best_q = -1.0;
       std::size_t best_o = best.front();
       for (const std::size_t o : best) {
-        const double q = row[o];
+        const double q = scores.score_sparse(ri, o);
         if (q > best_q) {
           best_q = q;
           best_o = o;

@@ -157,7 +157,6 @@ TEST(IncrementalIndexTest, DeltaThresholdForcesRebuild) {
 TEST(IncrementalIndexTest, MechanismRoundBytesMatchWithAndWithoutCache) {
   AuctionConfig cfg;
   cfg.threads = 1;
-  cfg.scoring = ScoringPath::kPruned;
   const DeCloudAuction mechanism(cfg);
 
   CandidateIndexCache cache;
@@ -185,7 +184,6 @@ TEST(IncrementalIndexTest, OrchestratedMarketIdenticalWithAndWithoutReuse) {
     config.num_verifiers = 1;
     config.consensus.difficulty_bits = 4;
     config.reuse_candidate_index = reuse;
-    config.consensus.auction.scoring = ScoringPath::kPruned;
     ledger::MarketOrchestrator market(config);
 
     trace::WorkloadConfig wc;

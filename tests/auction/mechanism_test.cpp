@@ -10,6 +10,7 @@
 namespace decloud::auction {
 namespace {
 
+using test::index_best_offers;
 using test::OfferBuilder;
 using test::RequestBuilder;
 
@@ -23,8 +24,9 @@ TEST(BestOffers, RanksFeasibleOffersByQom) {
   const BlockScale scale(s.requests, s.offers);
   AuctionConfig cfg;
   cfg.best_offer_ratio = 0.0;  // admit all feasible
-  const auto best = best_offers(r, s, scale, cfg);
+  const auto best = index_best_offers(s, 0, cfg);
   EXPECT_EQ(best, (std::vector<std::size_t>{0, 1}));  // 2 dropped as infeasible
+  EXPECT_EQ(best, best_offers_reference(r, s, scale, cfg));
 }
 
 TEST(BestOffers, RatioPrunesDistantOffers) {
@@ -36,8 +38,9 @@ TEST(BestOffers, RatioPrunesDistantOffers) {
   const BlockScale scale(s.requests, s.offers);
   AuctionConfig strict;
   strict.best_offer_ratio = 0.99;
-  const auto best = best_offers(r, s, scale, strict);
+  const auto best = index_best_offers(s, 0, strict);
   EXPECT_EQ(best.size(), 1u);  // only the near-perfect match survives
+  EXPECT_EQ(best, best_offers_reference(r, s, scale, strict));
 }
 
 TEST(BestOffers, CapRespected) {
@@ -49,7 +52,9 @@ TEST(BestOffers, CapRespected) {
   AuctionConfig cfg;
   cfg.best_offer_ratio = 0.0;
   cfg.max_best_offers = 3;
-  EXPECT_EQ(best_offers(r, s, scale, cfg).size(), 3u);
+  const auto best = index_best_offers(s, 0, cfg);
+  EXPECT_EQ(best.size(), 3u);
+  EXPECT_EQ(best, best_offers_reference(r, s, scale, cfg));
 }
 
 TEST(BestOffers, EmptyWhenNothingFeasible) {
@@ -58,7 +63,8 @@ TEST(BestOffers, EmptyWhenNothingFeasible) {
   s.requests.push_back(r);
   s.offers.push_back(OfferBuilder(0).build());
   const BlockScale scale(s.requests, s.offers);
-  EXPECT_TRUE(best_offers(r, s, scale, AuctionConfig{}).empty());
+  EXPECT_TRUE(index_best_offers(s, 0, AuctionConfig{}).empty());
+  EXPECT_TRUE(best_offers_reference(r, s, scale, AuctionConfig{}).empty());
 }
 
 TEST(Mechanism, EmptyMarketYieldsEmptyResult) {

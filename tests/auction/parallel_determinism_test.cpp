@@ -49,13 +49,11 @@ MarketSnapshot random_market(std::size_t requests, std::size_t offers, std::uint
 }
 
 void expect_thread_invariant(const MarketSnapshot& snapshot, const std::string& label,
-                             bool truthful = true,
-                             ScoringPath scoring = ScoringPath::kAuto) {
+                             bool truthful = true) {
   for (const std::uint64_t seed : {1u, 99u, 123456u}) {
     AuctionConfig serial;
     serial.threads = 1;
     serial.truthful = truthful;
-    serial.scoring = scoring;
     const RoundResult base = DeCloudAuction(serial).run(snapshot, seed);
     for (const std::size_t threads : {std::size_t{2}, std::size_t{8},
                                       ThreadPool::default_workers()}) {
@@ -98,30 +96,15 @@ TEST(ParallelDeterminismTest, NonTruthfulBenchmarkPath) {
 }
 
 TEST(ParallelDeterminismTest, PrunedPathThreadInvariant) {
-  // The index-pruned scoring path must be as thread-invariant as the dense
-  // one: its scan order and early-termination tests depend only on
-  // snapshot data, never on worker scheduling (DESIGN.md §3g).
-  expect_thread_invariant(random_market(200, 100, 3), "pruned", /*truthful=*/true,
-                          ScoringPath::kPruned);
-  expect_thread_invariant(random_market(96, 8, 4), "pruned-imbalanced", /*truthful=*/true,
-                          ScoringPath::kPruned);
+  // The CandidateIndex scan order and early-termination tests depend only
+  // on snapshot data, never on worker scheduling (DESIGN.md §3g) — on a
+  // wide book and on a book of 8 offers alike.
+  expect_thread_invariant(random_market(200, 100, 3), "pruned");
+  expect_thread_invariant(random_market(96, 8, 4), "pruned-imbalanced");
 }
 
-TEST(ParallelDeterminismTest, ForcedPathsAgree) {
-  // kDense and kPruned are interchangeable consensus-wise: byte-identical
-  // RoundResults on the same snapshot and seed.
-  const auto snapshot = random_market(120, 90, 9);
-  for (const std::uint64_t seed : {5u, 77u}) {
-    AuctionConfig dense;
-    dense.threads = 1;
-    dense.scoring = ScoringPath::kDense;
-    AuctionConfig pruned;
-    pruned.threads = 1;
-    pruned.scoring = ScoringPath::kPruned;
-    expect_identical(DeCloudAuction(dense).run(snapshot, seed),
-                     DeCloudAuction(pruned).run(snapshot, seed),
-                     "paths seed=" + std::to_string(seed));
-  }
+TEST(ParallelDeterminismTest, OfferHeavyMarket) {
+  expect_thread_invariant(random_market(120, 90, 9), "offer-heavy");
 }
 
 TEST(ParallelDeterminismTest, DefaultThreadsMatchesSerial) {

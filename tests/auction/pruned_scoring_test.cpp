@@ -1,9 +1,10 @@
-// The scoring-path contract (DESIGN.md §3g): the sparse quality_of_match
-// walk, the dense ScoreMatrix kernels (score / score_sparse / score_row)
-// and the CandidateIndex-pruned shortlist query are BIT-identical — same
-// doubles, same best-offer sets, same RoundResult bytes.  Miners replay
-// allocations on arbitrary hardware with either path, so any divergence is
-// a consensus break, not a tolerance question.  Every comparison below is
+// The scoring contract (DESIGN.md §3g): CandidateIndex is the one
+// production best-offer path, and best_offers_reference — the full-sort
+// implementation — is its oracle.  The per-pair scorers (quality_of_match,
+// ScoreMatrix::score_sparse) and the index's fresh and cached queries are
+// BIT-identical to that oracle: same doubles, same best-offer sets.  Miners
+// replay allocations on arbitrary hardware, so any divergence is a
+// consensus break, not a tolerance question.  Every comparison below is
 // exact; there are no epsilons anywhere in this file.
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "auction/score_matrix.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "obs/sink.hpp"
 #include "test_helpers.hpp"
 #include "trace/workload.hpp"
 
@@ -83,37 +85,30 @@ MarketSnapshot random_snapshot(std::uint64_t seed, std::size_t num_requests,
   return s;
 }
 
-/// Every scorer and every selection path, compared pairwise and exactly.
+/// Every scorer and both index queries against the oracle, exactly.
 void expect_paths_identical(const MarketSnapshot& s, const std::string& label) {
   const AuctionConfig cfg;
   const BlockScale scale(s.requests, s.offers);
   const ScoreMatrix scores(s, scale);
   const CandidateIndex index(s, scale, scores);
+  CandidateIndexCache cache;
+  cache.prepare(s, scale, scores, cfg);
   CandidateIndex::Scratch scratch;
-  std::vector<double> row(s.offers.size());
 
   for (std::size_t r = 0; r < s.requests.size(); ++r) {
-    scores.score_row(r, row);
     for (std::size_t o = 0; o < s.offers.size(); ++o) {
-      const double sparse = quality_of_match(s.requests[r], s.offers[o], scale);
-      const double dense = scores.score(r, o);
-      ASSERT_EQ(sparse, dense) << label << " r=" << r << " o=" << o;
-      ASSERT_EQ(dense, scores.score_sparse(r, o)) << label << " r=" << r << " o=" << o;
-      ASSERT_EQ(dense, row[o]) << label << " score_row r=" << r << " o=" << o;
+      const double q = quality_of_match(s.requests[r], s.offers[o], scale);
+      ASSERT_EQ(q, scores.score_sparse(r, o)) << label << " r=" << r << " o=" << o;
       // The static bound must dominate the computed q (the pruning
       // soundness condition, including its floating-point rounding).
-      ASSERT_LE(dense, index.upper_bound(o)) << label << " ub r=" << r << " o=" << o;
+      ASSERT_LE(q, index.upper_bound(o)) << label << " ub r=" << r << " o=" << o;
     }
 
     const auto reference = best_offers_reference(s.requests[r], s, scale, cfg);
-    const auto sparse_sel = best_offers(s.requests[r], s, scale, cfg);
-    const auto dense_sel = best_offers(r, s, scores, cfg);
-    const auto row_sel = best_offers_from_row(r, s, row, cfg);
-    const auto pruned_sel = index.best_offers(r, s, scores, cfg, scratch);
-    ASSERT_EQ(reference, sparse_sel) << label << " sparse r=" << r;
-    ASSERT_EQ(reference, dense_sel) << label << " dense r=" << r;
-    ASSERT_EQ(reference, row_sel) << label << " row r=" << r;
-    ASSERT_EQ(reference, pruned_sel) << label << " pruned r=" << r;
+    ASSERT_EQ(reference, index.best_offers(r, s, scores, cfg, scratch))
+        << label << " index r=" << r;
+    ASSERT_EQ(reference, cache.best_offers(r, s, scores, cfg, scratch))
+        << label << " cache r=" << r;
   }
 }
 
@@ -131,6 +126,19 @@ TEST(PrunedScoringTest, RandomizedDisjointTypes) {
   }
 }
 
+TEST(PrunedScoringTest, SmallBooks) {
+  // Books of a few offers run through the index in production too, so
+  // they are checked against the oracle like large ones.
+  for (const std::size_t offers : {1u, 2u, 7u, 31u, 63u}) {
+    for (const bool disjoint : {false, true}) {
+      const std::uint64_t seed = 100 + offers + (disjoint ? 1 : 0);
+      expect_paths_identical(random_snapshot(seed, 24, offers, disjoint),
+                             "small offers=" + std::to_string(offers) +
+                                 " disjoint=" + std::to_string(disjoint));
+    }
+  }
+}
+
 TEST(PrunedScoringTest, WorkloadSnapshots) {
   for (const std::uint64_t seed : {1u, 9u}) {
     trace::WorkloadConfig wc;
@@ -142,36 +150,77 @@ TEST(PrunedScoringTest, WorkloadSnapshots) {
   }
 }
 
-TEST(PrunedScoringTest, RoundResultBytesMatchDense) {
-  // The whole-mechanism contract, as CI enforces it: dense and pruned runs
-  // serialize to the SAME canonical JSON bytes, at 1, 2 and hardware
-  // threads.  round_result_json prints %.17g, so byte equality here is bit
-  // equality of every double in the allocation.
+TEST(PrunedScoringTest, CiTraceMatchesReference) {
+  // The trace CI's round_dump thread-invariance step runs on.
+  trace::WorkloadConfig wc;
+  wc.num_requests = 2000;
+  wc.num_offers = 1000;
+  Rng rng(7);
+  expect_paths_identical(trace::make_workload(wc, AuctionConfig{}, rng), "ci trace");
+}
+
+TEST(PrunedScoringTest, RoundResultBytesThreadInvariant) {
+  // The whole-mechanism contract, as CI enforces it: runs serialize to the
+  // SAME canonical JSON bytes at 1, 2 and hardware threads.
+  // round_result_json prints %.17g, so byte equality here is bit equality
+  // of every double in the allocation.
   trace::WorkloadConfig wc;
   wc.num_requests = 200;
   wc.num_offers = 100;
   Rng rng(3);
   const auto snapshot = trace::make_workload(wc, AuctionConfig{}, rng);
 
-  AuctionConfig dense_cfg;
-  dense_cfg.threads = 1;
-  dense_cfg.scoring = ScoringPath::kDense;
-  const std::string want = round_result_json(DeCloudAuction(dense_cfg).run(snapshot, 42));
+  AuctionConfig serial;
+  serial.threads = 1;
+  const std::string want = round_result_json(DeCloudAuction(serial).run(snapshot, 42));
   ASSERT_FALSE(want.empty());
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    ThreadPool::default_workers()}) {
-    AuctionConfig pruned_cfg;
-    pruned_cfg.threads = threads;
-    pruned_cfg.scoring = ScoringPath::kPruned;
-    EXPECT_EQ(want, round_result_json(DeCloudAuction(pruned_cfg).run(snapshot, 42)))
+  for (const std::size_t threads : {std::size_t{2}, ThreadPool::default_workers()}) {
+    AuctionConfig cfg;
+    cfg.threads = threads;
+    EXPECT_EQ(want, round_result_json(DeCloudAuction(cfg).run(snapshot, 42)))
         << "threads=" << threads;
+  }
+}
 
-    AuctionConfig auto_cfg;
-    auto_cfg.threads = threads;
-    auto_cfg.scoring = ScoringPath::kAuto;  // ≥ kMinPrunedOffers → pruned
-    EXPECT_EQ(want, round_result_json(DeCloudAuction(auto_cfg).run(snapshot, 42)))
-        << "auto threads=" << threads;
+TEST(PrunedScoringTest, ScoreSpanCountsScoredCandidates) {
+  // The score span's work is the number of candidates the index scored —
+  // on a catalog-shaped book far fewer than the R·O pairs — and, like the
+  // allocation, independent of the thread count.
+  trace::WorkloadConfig wc;
+  wc.num_requests = 400;
+  wc.num_offers = 300;
+  Rng rng(5);
+  const auto snapshot = trace::make_workload(wc, AuctionConfig{}, rng);
+
+  const auto score_work = [&](std::size_t threads) {
+    AuctionConfig cfg;
+    cfg.threads = threads;
+    obs::MetricsSink sink("score");
+    (void)DeCloudAuction(cfg).run(snapshot, 1, &sink);
+    for (const obs::SpanRecord& span : sink.tracer().spans()) {
+      if (span.name == "score") return span.work;
+    }
+    ADD_FAILURE() << "no score span";
+    return std::uint64_t{0};
+  };
+
+  const BlockScale scale(snapshot.requests, snapshot.offers);
+  const ScoreMatrix scores(snapshot, scale);
+  const CandidateIndex index(snapshot, scale, scores);
+  CandidateIndex::Scratch scratch;
+  std::uint64_t want = 0;
+  for (std::size_t r = 0; r < snapshot.requests.size(); ++r) {
+    (void)index.best_offers(r, snapshot, scores, AuctionConfig{}, scratch);
+    want += scratch.scored;
+  }
+
+  const std::uint64_t serial = score_work(1);
+  EXPECT_EQ(want, serial);
+  EXPECT_GT(serial, 0u);
+  EXPECT_LT(serial, std::uint64_t{snapshot.requests.size()} * snapshot.offers.size());
+  for (const std::size_t threads : {std::size_t{2}, ThreadPool::default_workers()}) {
+    EXPECT_EQ(serial, score_work(threads)) << "threads=" << threads;
   }
 }
 
@@ -180,7 +229,7 @@ TEST(PrunedScoringTest, TieGroupDedupIsExact) {
   // resources) — exact q ties against every request, ranked only by
   // (submitted, id).  The index keeps just kGroupCap members of each group
   // in its scan cells (structural fact 4 in candidate_index.hpp); the
-  // query must still match the dense reference exactly, both under the
+  // query must still match the reference exactly, both under the
   // default cap and under a cap LARGER than kGroupCap (which forces the
   // overflow fallback).
   Rng rng(123);
@@ -232,7 +281,7 @@ TEST(PrunedScoringTest, TieGroupKeyIncludesMinReputation) {
   // NOT share a tie group.  With a key that ignores the gate, a catalog of
   // > kGroupCap such offers puts the later members in the overflow list —
   // never scanned under the default cap — and a low-reputation request
-  // silently loses its only feasible offers, diverging from the dense path.
+  // silently loses its only feasible offers, diverging from the reference.
   MarketSnapshot s;
   for (std::size_t i = 0; i < 8; ++i) {
     Request r = RequestBuilder(i).build();
@@ -288,15 +337,15 @@ TEST(BestOfferTieBreak, EqualQualityFallsBackToSubmittedThenId) {
   const AuctionConfig cfg;  // max_best_offers = 4
   const BlockScale scale(s.requests, s.offers);
 
-  const auto got = best_offers(s.requests[0], s, scale, cfg);
+  const auto got = test::index_best_offers(s, 0, cfg);
   EXPECT_EQ((std::vector<std::size_t>{1, 2, 4, 5}), got);
   EXPECT_EQ(best_offers_reference(s.requests[0], s, scale, cfg), got);
 }
 
 TEST(BestOfferTieBreak, SelectorIsInsertionOrderIndependent) {
   // The selection is a function of the SET of (offer, q) pairs, not of the
-  // order they are considered in — the pruned path feeds candidates in
-  // ub-merge order, the dense path in index order, and both must agree.
+  // order they are considered in — the index feeds candidates in cell
+  // bound order, the cache its loose list first, and both must agree.
   std::vector<Offer> offers;
   const Time submitted[] = {4, 4, 1, 3, 3, 2};
   for (std::size_t i = 0; i < 6; ++i) {

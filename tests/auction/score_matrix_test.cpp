@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "auction/candidate_index.hpp"
 #include "auction/mechanism.hpp"
 #include "auction/qom.hpp"
 #include "test_helpers.hpp"
@@ -13,16 +14,16 @@ namespace {
 using test::OfferBuilder;
 using test::RequestBuilder;
 
-/// The dense score must be BIT-identical to the sparse walk — collective
-/// verification replays allocations, so "close enough" is not enough.
+/// The ScoreMatrix score must be BIT-identical to the sparse walk —
+/// collective verification replays allocations, so "close enough" is not
+/// enough.
 void expect_all_pairs_identical(const MarketSnapshot& s) {
   const BlockScale scale(s.requests, s.offers);
   const ScoreMatrix m(s, scale);
   for (std::size_t r = 0; r < s.requests.size(); ++r) {
     for (std::size_t o = 0; o < s.offers.size(); ++o) {
       const double sparse = quality_of_match(s.requests[r], s.offers[o], scale);
-      const double dense = m.score(r, o);
-      EXPECT_EQ(sparse, dense) << "pair (r=" << r << ", o=" << o << ")";
+      EXPECT_EQ(sparse, m.score_sparse(r, o)) << "pair (r=" << r << ", o=" << o << ")";
     }
   }
 }
@@ -51,13 +52,13 @@ TEST(ScoreMatrixTest, DisjointTypesScoreZero) {
 
   const BlockScale scale(s.requests, s.offers);
   const ScoreMatrix m(s, scale);
-  EXPECT_EQ(m.score(0, 0), 0.0);
-  EXPECT_EQ(m.score(0, 0), quality_of_match(s.requests[0], s.offers[0], scale));
+  EXPECT_EQ(m.score_sparse(0, 0), 0.0);
+  EXPECT_EQ(m.score_sparse(0, 0), quality_of_match(s.requests[0], s.offers[0], scale));
 }
 
 TEST(ScoreMatrixTest, ZeroAmountDeclaredTypeMatchesSparse) {
   // A zero amount still declares the type (so it is in K_r ∩ K_o); the
-  // dense path must agree with the sparse walk on such entries.
+  // ScoreMatrix must agree with the sparse walk on such entries.
   MarketSnapshot s;
   Request r = RequestBuilder(1);
   r.resources = ResourceVector({{ResourceSchema::kCpu, 0.0}, {ResourceSchema::kMemory, 4.0}});
@@ -68,8 +69,8 @@ TEST(ScoreMatrixTest, ZeroAmountDeclaredTypeMatchesSparse) {
 
   const BlockScale scale(s.requests, s.offers);
   const ScoreMatrix m(s, scale);
-  EXPECT_GT(m.score(0, 0), 0.0);
-  EXPECT_EQ(m.score(0, 0), quality_of_match(s.requests[0], s.offers[0], scale));
+  EXPECT_GT(m.score_sparse(0, 0), 0.0);
+  EXPECT_EQ(m.score_sparse(0, 0), quality_of_match(s.requests[0], s.offers[0], scale));
 }
 
 TEST(ScoreMatrixTest, SignificanceWeightsCarryOver) {
@@ -108,6 +109,8 @@ TEST(ScoreMatrixTest, WidthCoversLargestObservedId) {
   EXPECT_EQ(m.width(), std::size_t{ResourceSchema::kDisk} + 1);
 }
 
+// Both best-offer queries over a ScoreMatrix — a fresh CandidateIndex and
+// a prepared CandidateIndexCache — return the full-sort oracle's set.
 TEST(ScoreMatrixTest, BestOffersOverloadsAgree) {
   for (const std::uint64_t seed : {11u, 12u, 13u}) {
     trace::WorkloadConfig wc;
@@ -118,9 +121,14 @@ TEST(ScoreMatrixTest, BestOffersOverloadsAgree) {
     const BlockScale scale(s.requests, s.offers);
     const ScoreMatrix m(s, scale);
     const AuctionConfig cfg;
+    const CandidateIndex index(s, scale, m);
+    CandidateIndexCache cache;
+    cache.prepare(s, scale, m, cfg);
+    CandidateIndex::Scratch scratch;
     for (std::size_t r = 0; r < s.requests.size(); ++r) {
-      EXPECT_EQ(best_offers(s.requests[r], s, scale, cfg), best_offers(r, s, m, cfg))
-          << "request " << r;
+      const auto want = best_offers_reference(s.requests[r], s, scale, cfg);
+      EXPECT_EQ(want, index.best_offers(r, s, m, cfg, scratch)) << "request " << r;
+      EXPECT_EQ(want, cache.best_offers(r, s, m, cfg, scratch)) << "request " << r;
     }
   }
 }

@@ -1,11 +1,14 @@
 // Shared builders for auction tests: terse construction of well-formed
-// requests and offers.
+// requests and offers, plus a one-call best-offer query.
 #pragma once
 
 #include <vector>
 
 #include "auction/bid.hpp"
+#include "auction/candidate_index.hpp"
+#include "auction/config.hpp"
 #include "auction/resource.hpp"
+#include "auction/score_matrix.hpp"
 
 namespace decloud::auction::test {
 
@@ -77,5 +80,15 @@ class OfferBuilder {
  private:
   Offer o_;
 };
+
+/// best_r of request `r` through the production path: a CandidateIndex
+/// built fresh over `s`.
+inline std::vector<std::size_t> index_best_offers(const MarketSnapshot& s, std::size_t r,
+                                                  const AuctionConfig& cfg) {
+  const BlockScale scale(s.requests, s.offers);
+  const ScoreMatrix scores(s, scale);
+  CandidateIndex::Scratch scratch;
+  return CandidateIndex(s, scale, scores).best_offers(r, s, scores, cfg, scratch);
+}
 
 }  // namespace decloud::auction::test

@@ -111,8 +111,6 @@ struct EntryPoint {
 
 constexpr EntryPoint kEntryPoints[] = {
     {"src/auction/mechanism.cpp", "DeCloudAuction::run"},
-    {"src/auction/mechanism.cpp", "best_offers_from_row"},
-    {"src/auction/score_matrix.cpp", "ScoreMatrix::score_row"},
     {"src/auction/candidate_index.cpp", "CandidateIndex::CandidateIndex"},
     {"src/auction/candidate_index.cpp", "CandidateIndex::best_offers"},
     {"src/auction/candidate_index.cpp", "CandidateIndexCache::prepare"},
