@@ -2,6 +2,8 @@
 // and the TrueBit-style challenge game — the "online appearance to users"
 // of Section VI emerging from block rounds.
 #include <cstdio>
+#include <optional>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "ledger/challenge.hpp"
@@ -28,7 +30,14 @@ int main() {
 
   std::printf("Market lifecycle — wave 1: %zu requests, %zu offers queued\n",
               wave1.requests.size(), wave1.offers.size());
-  (void)market.run_round(0);
+  // The chain keeps only its height and tip hash, so the example holds on
+  // to the last accepted block itself for the audit at the end.
+  std::optional<ledger::Block> tip;
+  const auto run_round = [&](Time now) {
+    ledger::RoundOutcome outcome = market.run_round(now);
+    if (outcome.block_accepted) tip = std::move(outcome.block);
+  };
+  run_round(0);
   std::printf("after round 1: %zu allocated, %zu bids re-queued\n",
               market.stats().requests_allocated, market.queued_bids());
 
@@ -38,7 +47,10 @@ int main() {
   const auto wave2 = trace::make_workload(wc, mc.consensus.auction, rng);
   for (const auto& r : wave2.requests) market.submit(r);
   for (const auto& o : wave2.offers) market.submit(o);
-  market.drain(/*max_rounds=*/6, /*start_time=*/600);
+  // MarketOrchestrator::drain, keeping each accepted block.
+  for (std::size_t round = 0; round < 6 && market.queued_bids() > 0; ++round) {
+    run_round(static_cast<Time>(600 * (round + 1)));
+  }
 
   const auto& st = market.stats();
   std::printf("\nafter %zu rounds:\n", st.rounds);
@@ -54,11 +66,10 @@ int main() {
 
   // Bonus: audit the last block with the TrueBit-style challenge game
   // instead of full collective verification.
-  if (market.protocol().chain().height() > 0) {
-    const auto& block = market.protocol().chain().blocks().back();
+  if (tip) {
     const std::vector<ledger::Miner> pool(5, ledger::Miner(mc.consensus));
     const auto outcome =
-        ledger::run_challenge_game(block.preamble, block.body, pool, ledger::ChallengeConfig{});
+        ledger::run_challenge_game(tip->preamble, tip->body, pool, ledger::ChallengeConfig{});
     std::printf("\nchallenge game on the tip block: %zu challengers sampled, %s\n",
                 outcome.challengers.size(),
                 outcome.fraud_proven ? "FRAUD PROVEN (producer slashed)"

@@ -16,10 +16,10 @@
 //   --threads N         scheduler threads; 0 = hardware (default 1)
 //   --requests N        workload requests; offers default to N/2
 //   --offers N          workload offers
-//   --bids-per-epoch N  bid-count trigger: close a micro-epoch every N
-//                       submissions (DESIGN.md §3h); 0 = off, so without
-//                       --watermark the whole trace clears in the one
-//                       flush close
+//   --bids-per-epoch N  bid-count trigger, the only micro-epoch trigger:
+//                       close a micro-epoch every N submissions (DESIGN.md
+//                       §3h); 0 = off, so the whole trace clears in the
+//                       one flush close
 //   --seed N            workload + location seed (default 7)
 //   --metrics-out PATH  merged metrics JSON ("-" = stdout)
 //   --prom-out PATH     merged metrics, Prometheus text format
@@ -30,9 +30,6 @@
 //   --fault-seed N      seed of the fault coin flips (default 1)
 //   --retry-attempts N  ingest retry budget for refused submissions
 //                       (default 0 = rejections are final)
-//   --watermark K       close a micro-epoch when the stream's logical
-//                       clock advances K ticks since the last close
-//                       (0 = off)
 //   --journal-out PATH  record the market flight recorder (DESIGN.md §3j)
 //                       and write its binary encoding ("-" = stdout); the
 //                       bytes are identical for any --threads value
@@ -139,7 +136,6 @@ int main(int argc, char** argv) {
   const char* fault_plan = nullptr;
   std::uint64_t fault_seed = 1;
   std::size_t retry_attempts = 0;
-  std::size_t watermark = 0;
   const char* journal_out = nullptr;
   std::size_t journal_limit = 65536;
   const char* wal_dir = nullptr;
@@ -182,8 +178,6 @@ int main(int argc, char** argv) {
       fault_seed = std::strtoull(next(), nullptr, 10);
     } else if (std::strcmp(argv[i], "--retry-attempts") == 0) {
       retry_attempts = std::strtoul(next(), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--watermark") == 0) {
-      watermark = std::strtoul(next(), nullptr, 10);
     } else if (std::strcmp(argv[i], "--journal-out") == 0) {
       journal_out = next();
     } else if (std::strcmp(argv[i], "--journal-limit") == 0) {
@@ -203,7 +197,6 @@ int main(int argc, char** argv) {
                    "          [--bids-per-epoch N] [--seed N] [--metrics-out PATH]\n"
                    "          [--prom-out PATH] [--trace-out PATH] [--wallclock]\n"
                    "          [--fault-plan SPEC] [--fault-seed N] [--retry-attempts N]\n"
-                   "          [--watermark K]\n"
                    "          [--journal-out PATH] [--journal-limit N]\n"
                    "          [--wal-dir DIR] [--snapshot-every N] [--recover]\n"
                    "          [--crash-plan SPEC]\n",
@@ -309,15 +302,13 @@ int main(int argc, char** argv) {
         ";retry=" + std::to_string(retry_attempts) +
         ";fault_seed=" + std::to_string(fault_seed) +
         ";fault_plan=" + config.fault_plan.canonical() +
-        ";journal=" + std::to_string(config.journal_capacity) +
-        ";watermark=" + std::to_string(watermark);
+        ";journal=" + std::to_string(config.journal_capacity);
     durable.fingerprint = wal::config_fingerprint(canonical);
   }
 
   stream::StreamConfig stream_config;
   stream_config.engine = config;
   stream_config.triggers.bids = bids_per_epoch;
-  stream_config.triggers.watermark = watermark;
   stream_config.threads = threads;
   stream::StreamingMarket market(std::move(stream_config));
   stream::StreamDriveOutcome outcome;

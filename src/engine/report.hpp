@@ -60,8 +60,8 @@ struct EngineReport {
   std::size_t epochs = 0;  ///< scheduler ticks executed
   /// Micro-epochs closed.  In a bare scheduler loop every tick is a
   /// (degenerate) micro-epoch, so this equals `epochs`; a StreamingMarket
-  /// counts its deterministic closes (bid-count / watermark / flush /
-  /// drain triggers, see stream/streaming_market.hpp) through the same
+  /// counts its deterministic closes (bid-count trigger, flush and
+  /// drain, see stream/streaming_market.hpp) through the same
   /// scheduler ticks.  Keeping the two equal is what lets an aligned
   /// streaming run byte-match a batch run's summary_json.
   std::size_t micro_epochs = 0;

@@ -69,11 +69,12 @@ enum class EventKind : std::uint8_t {
 
 inline constexpr std::size_t kNumEventKinds = 16;
 
-/// Why a micro-epoch closed — shared by the streaming triggers and the
+/// Why a micro-epoch closed — shared by the streaming trigger and the
 /// batch reference loop's tick attribution, so aligned runs journal
 /// identically
-/// (stream/streaming_market.hpp documents the mapping).
-enum class CloseReason : std::uint8_t { kBidCount = 0, kWatermark = 1, kFlush = 2, kDrain = 3 };
+/// (stream/streaming_market.hpp documents the mapping).  Wire value 1 is
+/// reserved for the retired logical-clock watermark close.
+enum class CloseReason : std::uint8_t { kBidCount = 0, kFlush = 2, kDrain = 3 };
 
 /// Operand `c` of kIngestRejected.
 enum class RejectCause : std::uint8_t { kBackpressure = 0, kUnroutable = 1 };

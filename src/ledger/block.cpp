@@ -33,22 +33,17 @@ bool validate_preamble(const BlockPreamble& preamble, unsigned difficulty_bits) 
   return true;
 }
 
-crypto::Digest Blockchain::tip_hash() const {
-  if (blocks_.empty()) return base_hash_;
-  return blocks_.back().preamble.hash();
-}
-
 void Blockchain::restore_checkpoint(std::uint64_t height, const crypto::Digest& tip_hash) {
-  blocks_.clear();
-  base_height_ = height;
-  base_hash_ = tip_hash;
+  height_ = height;
+  tip_ = tip_hash;
 }
 
-bool Blockchain::append(Block block, unsigned difficulty_bits) {
-  if (block.preamble.header.height != height()) return false;
-  if (block.preamble.header.prev_hash != tip_hash()) return false;
+bool Blockchain::append(const Block& block, unsigned difficulty_bits) {
+  if (block.preamble.header.height != height_) return false;
+  if (block.preamble.header.prev_hash != tip_) return false;
   if (!validate_preamble(block.preamble, difficulty_bits)) return false;
-  blocks_.push_back(std::move(block));
+  ++height_;
+  tip_ = block.preamble.hash();
   return true;
 }
 

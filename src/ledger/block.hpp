@@ -66,36 +66,27 @@ struct Block {
 /// signature verifies.
 [[nodiscard]] bool validate_preamble(const BlockPreamble& preamble, unsigned difficulty_bits);
 
-/// An append-only chain of blocks with genesis handling.
-///
-/// Supports *checkpoint truncation* for snapshot/restore: a chain restored
-/// from a (height, tip hash) checkpoint behaves exactly like the original
-/// for everything the protocol reads going forward — height(), tip_hash(),
-/// linkage checks on append() — without carrying the old block bodies
-/// (nothing in EngineReport / journal / metrics reads them after the round
-/// that produced them).
+/// An append-only chain that keeps only its height and tip hash.  The tip
+/// commits to every earlier block through prev_hash, and nothing the
+/// protocol reads going forward — height(), tip_hash(), linkage checks on
+/// append() — needs the old block bodies, so none are retained.
 class Blockchain {
  public:
   /// Hash of the latest block (all-zero before any block exists).
-  [[nodiscard]] crypto::Digest tip_hash() const;
-  [[nodiscard]] std::uint64_t height() const { return base_height_ + blocks_.size(); }
-  /// Blocks appended since the checkpoint (all of them when base is 0).
-  [[nodiscard]] const std::vector<Block>& blocks() const { return blocks_; }
-  [[nodiscard]] std::uint64_t base_height() const { return base_height_; }
+  [[nodiscard]] const crypto::Digest& tip_hash() const { return tip_; }
+  [[nodiscard]] std::uint64_t height() const { return height_; }
 
-  /// Appends a block after checking linkage (prev_hash/height) and PoW.
-  /// Returns false (and leaves the chain untouched) on any mismatch.
-  bool append(Block block, unsigned difficulty_bits);
+  /// Appends a block after checking linkage (prev_hash/height), PoW, the
+  /// Merkle root and every sealed-bid signature.  Returns false (and
+  /// leaves the chain untouched) on any mismatch.
+  bool append(const Block& block, unsigned difficulty_bits);
 
-  /// Resets to a checkpoint: the chain reports `height` and `tip_hash`
-  /// with no block bodies retained.  Only valid on an empty chain or
-  /// during restore; discards any held blocks.
+  /// Resets to a (height, tip hash) checkpoint — the snapshot restore path.
   void restore_checkpoint(std::uint64_t height, const crypto::Digest& tip_hash);
 
  private:
-  std::vector<Block> blocks_;
-  std::uint64_t base_height_ = 0;
-  crypto::Digest base_hash_{};
+  std::uint64_t height_ = 0;
+  crypto::Digest tip_{};
 };
 
 }  // namespace decloud::ledger

@@ -84,7 +84,6 @@ bool AgreementContract::deny(ContractId id, ClientId caller) {
   if (a == nullptr || a->client != caller || a->state != AgreementState::kProposed) return false;
   a->state = AgreementState::kDenied;
   reputation_.record_deny(caller);
-  pending_resubmissions_.push_back(a->provider);
   return true;
 }
 
@@ -139,15 +138,12 @@ void AgreementContract::encode_state(ByteWriter& w) const {
     w.write_u8(a.requires_tee ? 1 : 0);
     w.write_u8(static_cast<std::uint8_t>(a.state));
   }
-  w.write_u64(pending_resubmissions_.size());
-  for (const ProviderId p : pending_resubmissions_) w.write_u64(p.value());
   w.write_u64(next_id_);
   reputation_.encode_state(w);
 }
 
 void AgreementContract::restore_state(ByteReader& r) {
   agreements_.clear();
-  pending_resubmissions_.clear();
   const std::uint64_t num_agreements = r.read_u64();
   for (std::uint64_t i = 0; i < num_agreements; ++i) {
     Agreement a;
@@ -160,10 +156,6 @@ void AgreementContract::restore_state(ByteReader& r) {
     a.requires_tee = r.read_u8() != 0;
     a.state = static_cast<AgreementState>(r.read_u8());
     agreements_.emplace(a.id, a);
-  }
-  const std::uint64_t num_pending = r.read_u64();
-  for (std::uint64_t i = 0; i < num_pending; ++i) {
-    pending_resubmissions_.emplace_back(r.read_u64());
   }
   next_id_ = r.read_u64();
   reputation_.restore_state(r);

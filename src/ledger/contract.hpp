@@ -2,9 +2,10 @@
 //
 // After a block's allocation is accepted by the miners, clients enter
 // agreements by calling the contract's `accept` method (or `deny` to
-// refuse the suggested match, which notifies the provider to resubmit and
-// costs the client reputation: "There is a reputational penalty for
-// successive rejections of matches").
+// refuse the suggested match, which costs the client reputation: "There
+// is a reputational penalty for successive rejections of matches").  The
+// provider's resubmission is the offer refund in
+// MarketOrchestrator::deny_agreement.
 #pragma once
 
 #include <cstdint>
@@ -124,9 +125,8 @@ class AgreementContract {
   /// false (no state change) when any check fails.
   bool accept(ContractId id, ClientId caller);
 
-  /// The `deny` method.  Same checks as accept; marks the agreement Denied,
-  /// applies the reputational penalty, and flags the provider's offer for
-  /// resubmission.
+  /// The `deny` method.  Same checks as accept; marks the agreement Denied
+  /// and applies the reputational penalty.
   bool deny(ContractId id, ClientId caller);
 
   /// Marks an Active agreement Completed (called at the end of execution).
@@ -139,13 +139,9 @@ class AgreementContract {
 
   [[nodiscard]] std::optional<Agreement> find(ContractId id) const;
   [[nodiscard]] const ReputationRegistry& reputation() const { return reputation_; }
-  /// Providers whose matches were denied and must resubmit offers.
-  [[nodiscard]] const std::vector<ProviderId>& pending_resubmissions() const {
-    return pending_resubmissions_;
-  }
 
   /// Snapshot/restore of the full contract state: agreements (sorted by
-  /// ContractId), pending resubmissions, the id counter, and the
+  /// ContractId), the id counter, and the
   /// reputation registry.
   void encode_state(ByteWriter& w) const;
   void restore_state(ByteReader& r);
@@ -154,7 +150,6 @@ class AgreementContract {
   Agreement* lookup(ContractId id);
 
   std::unordered_map<ContractId, Agreement> agreements_;
-  std::vector<ProviderId> pending_resubmissions_;
   ReputationRegistry reputation_;
   std::uint64_t next_id_ = 1;
 };

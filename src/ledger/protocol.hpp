@@ -166,8 +166,8 @@ class LedgerProtocol {
   }
 
   /// Snapshot/restore of the protocol's durable state: chain checkpoint
-  /// (height + tip hash — block bodies are not retained, see
-  /// Blockchain::restore_checkpoint), contract state, and the producer
+  /// (height + tip hash — all a Blockchain keeps), contract state, and
+  /// the producer
   /// penalty count.  Only valid at a quiescent point: the mempool must be
   /// empty (rounds drain it), which encode asserts.
   void encode_state(ByteWriter& w) const;

@@ -28,13 +28,11 @@ void StreamingMarket::close_micro_epoch(CloseReason reason) {
     scheduler_.tick(now, reason, submitted_ - closed_submitted_);
   }
   closed_submitted_ = submitted_;
-  closed_clock_ = clock_;
   if (sink_ != nullptr) {
     obs::MetricsRegistry& m = sink_->metrics();
     m.counter("stream.micro_epochs").add(1);
     switch (reason) {
       case CloseReason::kBidCount: m.counter("stream.close_bid_count").add(1); break;
-      case CloseReason::kWatermark: m.counter("stream.close_watermark").add(1); break;
       case CloseReason::kFlush: m.counter("stream.close_flush").add(1); break;
       case CloseReason::kDrain: m.counter("stream.close_drain").add(1); break;
     }
@@ -42,18 +40,11 @@ void StreamingMarket::close_micro_epoch(CloseReason reason) {
 }
 
 bool StreamingMarket::maybe_close() {
-  // Bid-count first: when both triggers arm on the same submission the
-  // close is attributed deterministically (and singly) to bid-count.
-  if (config_.triggers.bids != 0 && submitted_ - closed_submitted_ >= config_.triggers.bids) {
-    close_micro_epoch(CloseReason::kBidCount);
-    return true;
+  if (config_.triggers.bids == 0 || submitted_ - closed_submitted_ < config_.triggers.bids) {
+    return false;
   }
-  if (config_.triggers.watermark != 0 &&
-      clock_ - closed_clock_ >= config_.triggers.watermark) {
-    close_micro_epoch(CloseReason::kWatermark);
-    return true;
-  }
-  return false;
+  close_micro_epoch(CloseReason::kBidCount);
+  return true;
 }
 
 template <typename Bid>
@@ -61,7 +52,6 @@ StreamAdmission StreamingMarket::submit_bid(const Bid& bid) {
   // Count the submission BEFORE asking the engine: the trigger state must
   // be a function of the submission sequence alone (see class comment).
   ++submitted_;
-  ++clock_;
   StreamAdmission admission;
   admission.engine = engine_.submit(bid);
   if (sink_ != nullptr) {
@@ -87,18 +77,6 @@ StreamAdmission StreamingMarket::submit(const auction::Offer& offer) {
   return submit_bid(offer);
 }
 
-bool StreamingMarket::advance_clock(std::uint64_t ticks) {
-  DECLOUD_EXPECTS_MSG(ticks > 0, "clock advances strictly forward");
-  // Log-before-apply: a clock advance is an input like any bid.
-  if (wal_ != nullptr) (void)wal_->append_clock_advance(ticks);
-  clock_ += ticks;
-  if (config_.triggers.watermark != 0 && clock_ - closed_clock_ >= config_.triggers.watermark) {
-    close_micro_epoch(CloseReason::kWatermark);
-    return true;
-  }
-  return false;
-}
-
 bool StreamingMarket::flush() {
   // Logged even when it no-ops: replay re-runs the same no-op, keeping the
   // input sequence aligned with what the caller actually did.
@@ -119,7 +97,6 @@ std::size_t StreamingMarket::drain() {
       config_.start_time + static_cast<Time>(scheduler_.epochs()) * config_.epoch_interval;
   const std::size_t ran = scheduler_.run(config_.drain_epochs, now, config_.epoch_interval);
   closed_submitted_ = submitted_;
-  closed_clock_ = clock_;
   if (sink_ != nullptr && ran > 0) {
     obs::MetricsRegistry& m = sink_->metrics();
     m.counter("stream.micro_epochs").add(ran);
@@ -129,18 +106,14 @@ std::size_t StreamingMarket::drain() {
 }
 
 void StreamingMarket::encode_state(ByteWriter& w) const {
-  w.write_u64(clock_);
   w.write_u64(submitted_);
-  w.write_u64(closed_clock_);
   w.write_u64(closed_submitted_);
   w.write_u8(sink_ != nullptr ? 1 : 0);
   if (sink_ != nullptr) sink_->metrics().encode(w);
 }
 
 void StreamingMarket::restore_state(ByteReader& r) {
-  clock_ = r.read_u64();
   submitted_ = r.read_u64();
-  closed_clock_ = r.read_u64();
   closed_submitted_ = r.read_u64();
   const bool has_sink = r.read_u8() != 0;
   DECLOUD_EXPECTS_MSG(has_sink == (sink_ != nullptr),

@@ -2,18 +2,12 @@
 //
 // A StreamingMarket wraps a MarketEngine + EpochScheduler behind a
 // continuous ingest stream: producers call submit() whenever a bid
-// arrives, and the market decides FOR ITSELF when to clear, by closing a "micro-epoch" — one
-// scheduler tick over every shard — whenever a deterministic trigger
-// fires:
-//
-//   * bid-count: `triggers.bids` submissions have arrived since the last
-//     close — periodic batch clearing is exactly this trigger;
-//   * watermark: the stream's logical clock — one tick per submission,
-//     the same event-sequence discipline the obs tracer uses in
-//     logical-clock-only mode — has advanced `triggers.watermark` ticks
-//     since the last close.  With per-submission clocking it is the
-//     bid-count trigger under another name; callers with coarser clocks
-//     (advance_clock) use it to close on event-time progress instead.
+// arrives, and the market decides FOR ITSELF when to clear, by closing a
+// "micro-epoch" — one scheduler tick over every shard — whenever its one
+// deterministic trigger fires: `triggers.bids` submissions have arrived
+// since the last close.  Periodic batch clearing is exactly this trigger;
+// flush() and drain() are the only other closes, and both are explicit
+// calls.
 //
 // Wall time NEVER closes a micro-epoch: two runs that see the same
 // submission sequence close at exactly the same points no matter how fast
@@ -21,7 +15,7 @@
 // byte-reproducible (and declint's wallclock-outside-obs rule enforceable
 // over this subsystem).  Simulated round timestamps advance by
 // epoch_interval per close, exactly like the scheduler's run loop — so a
-// stream whose triggers fire every N bids produces a byte-identical
+// stream whose trigger fires every N bids produces a byte-identical
 // EngineReport to a submit-N-then-tick loop over MarketEngine +
 // EpochScheduler (the reference oracle of
 // tests/stream/stream_determinism_test).
@@ -50,16 +44,11 @@ namespace decloud::stream {
 using engine::EngineAdmission;
 using engine::EngineReport;
 
-/// Deterministic micro-epoch close triggers.  At least one must be
-/// non-zero; both zero means only flush()/drain() ever close (a pure
-/// manual market, useful in tests).
+/// Deterministic micro-epoch close trigger.  Zero means only
+/// flush()/drain() ever close (a pure manual market, useful in tests).
 struct MicroEpochTriggers {
   /// Close after this many submissions since the last close (0 = off).
   std::size_t bids = 0;
-  /// Close once the logical clock advanced this far since the last close
-  /// (0 = off).  Checked after the bid-count trigger, so when both would
-  /// fire on the same submission the close is attributed to bid-count.
-  std::size_t watermark = 0;
 };
 
 struct StreamConfig {
@@ -89,20 +78,15 @@ class StreamingMarket {
  public:
   explicit StreamingMarket(StreamConfig config);
 
-  /// Ingests one bid and closes a micro-epoch if a trigger fired.  Every
-  /// submission — admitted, rejected, or deferred — advances the logical
-  /// clock and counts toward the bid-count trigger: triggers must depend
-  /// only on the submission SEQUENCE, not on admission outcomes, or a
-  /// fault plan rejecting an ingest would shift every later close and the
-  /// alignment with the reference batch loop (which also counts rejected
-  /// submissions against its batch boundary) would break.
+  /// Ingests one bid and closes a micro-epoch if the trigger fired.  Every
+  /// submission — admitted, rejected, or deferred — counts toward the
+  /// bid-count trigger: the trigger must depend only on the submission
+  /// SEQUENCE, not on admission outcomes, or a fault plan rejecting an
+  /// ingest would shift every later close and the alignment with the
+  /// reference batch loop (which also counts rejected submissions against
+  /// its batch boundary) would break.
   StreamAdmission submit(const auction::Request& request);
   StreamAdmission submit(const auction::Offer& offer);
-
-  /// Advances the logical clock without a submission (event-time progress
-  /// from an external source); closes a micro-epoch if the watermark
-  /// trigger fires.  Returns true on close.
-  bool advance_clock(std::uint64_t ticks = 1);
 
   /// Closes a final micro-epoch over any submissions still pending since
   /// the last close; a no-op (returns false) when none are — an empty
@@ -116,7 +100,6 @@ class StreamingMarket {
   /// Micro-epochs closed so far (== scheduler ticks; every close is one
   /// tick, and nothing else ticks the scheduler).
   [[nodiscard]] std::size_t micro_epochs() const { return scheduler_.epochs(); }
-  [[nodiscard]] std::uint64_t logical_clock() const { return clock_; }
   [[nodiscard]] std::size_t submitted() const { return submitted_; }
 
   [[nodiscard]] engine::MarketEngine& market_engine() { return engine_; }
@@ -141,14 +124,14 @@ class StreamingMarket {
   [[nodiscard]] const obs::MetricsSink* sink() const { return sink_.get(); }
 
   /// Attaches the write-ahead log (not owned, may be null) for the
-  /// stream's OWN inputs — clock advances and flushes.  Bids are logged
+  /// stream's OWN input — flushes.  Bids are logged
   /// by the engine (attach there too); micro-epoch closes are NOT logged:
   /// they re-fire deterministically when replay re-feeds the logged
   /// inputs (DESIGN.md §3k).
   void set_wal_writer(wal::WalWriter* wal) { wal_ = wal; }
 
-  /// Snapshot/restore of the stream's own trigger state (logical clock
-  /// and submission counters) plus its sink's metrics registry.
+  /// Snapshot/restore of the stream's own trigger state (submission
+  /// counters) plus its sink's metrics registry.
   void encode_state(ByteWriter& w) const;
   void restore_state(ByteReader& r);
 
@@ -172,9 +155,7 @@ class StreamingMarket {
   /// Stream-level sink (null unless config.engine.observability); owned
   /// here, written only by the stream owner thread.
   std::unique_ptr<obs::MetricsSink> sink_;
-  std::uint64_t clock_ = 0;       ///< logical clock (event ticks)
-  std::size_t submitted_ = 0;     ///< submissions seen (any admission outcome)
-  std::uint64_t closed_clock_ = 0;    ///< clock_ at the last close
+  std::size_t submitted_ = 0;         ///< submissions seen (any admission outcome)
   std::size_t closed_submitted_ = 0;  ///< submitted_ at the last close
   /// Durable-mode WAL attachment (null otherwise); see set_wal_writer.
   wal::WalWriter* wal_ = nullptr;

@@ -65,9 +65,6 @@ void replay_tail(stream::StreamingMarket& market, const WalContents& contents,
         ++progress.done;
         break;
       }
-      case RecordKind::kClockAdvance:
-        (void)market.advance_clock(record.ticks);
-        break;
       case RecordKind::kFlush:
         (void)market.flush();
         progress.flushed = true;

@@ -6,7 +6,7 @@
 // framing and segments, wal/snapshot.hpp atomic snapshot files); this
 // layer knows the MARKET — it composes the snapshot payload out of the
 // engine, scheduler and stream state blobs and replays a WAL tail through
-// the market's normal submit/advance_clock/flush paths, so the loop
+// the market's normal submit/flush paths, so the loop
 // continues from exactly where a dead process stopped.  The byte-identity
 // contract: a crashed-and-recovered run's EngineReport, journal bytes and
 // metrics exports equal an uninterrupted run's at any thread count, chaos

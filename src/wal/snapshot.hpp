@@ -20,7 +20,10 @@
 
 namespace decloud::wal {
 
-inline constexpr std::uint8_t kSnapshotVersion = 1;
+/// Bumped whenever the payload layout changes: the version byte lies
+/// outside the payload CRC, so an older file is refused here rather than
+/// misparsed.
+inline constexpr std::uint8_t kSnapshotVersion = 2;
 
 /// A decoded snapshot file.
 struct SnapshotFile {

@@ -44,10 +44,6 @@ std::vector<std::uint8_t> encode_record(const Record& record) {
       w.write_u8(record.is_offer ? 1 : 0);
       w.write_bytes(record.payload);
       break;
-    case RecordKind::kClockAdvance:
-      wire::write_varint(w, record.input_seq);
-      wire::write_varint(w, record.ticks);
-      break;
     case RecordKind::kFlush:
       wire::write_varint(w, record.input_seq);
       break;
@@ -66,17 +62,14 @@ Record decode_record(std::span<const std::uint8_t> payload, std::uint64_t segmen
   record.segment = segment;
   const std::uint8_t kind = wire::read_u8(r);
   wire::check(kind < kNumRecordKinds, "wal record kind out of range");
-  wire::check(kind != kRetiredTickKind, "wal record kind is the retired tick record");
+  wire::check(kind != kRetiredTickKind && kind != kRetiredClockAdvanceKind,
+              "wal record kind is retired");
   record.kind = static_cast<RecordKind>(kind);
   switch (record.kind) {
     case RecordKind::kBid:
       record.input_seq = wire::read_varint(r);
       record.is_offer = wire::read_u8(r) != 0;
       record.payload = wire::read_blob(r);
-      break;
-    case RecordKind::kClockAdvance:
-      record.input_seq = wire::read_varint(r);
-      record.ticks = wire::read_varint(r);
       break;
     case RecordKind::kFlush:
       record.input_seq = wire::read_varint(r);
@@ -275,16 +268,6 @@ std::uint64_t WalWriter::append_bid(std::size_t segment, bool is_offer,
   const std::lock_guard<dsched::mutex> lock(input_mutex_);
   record.input_seq = next_input_seq_++;
   write_frame(*segments_[segment], encode_record(record));
-  return record.input_seq;
-}
-
-std::uint64_t WalWriter::append_clock_advance(std::uint64_t ticks) {
-  Record record;
-  record.kind = RecordKind::kClockAdvance;
-  record.ticks = ticks;
-  const std::lock_guard<dsched::mutex> lock(input_mutex_);
-  record.input_seq = next_input_seq_++;
-  write_frame(*segments_[0], encode_record(record));
   return record.input_seq;
 }
 

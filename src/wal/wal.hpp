@@ -1,7 +1,7 @@
 // Per-shard write-ahead log ("DCW1") for the durable market.
 //
-// Layout: one directory holds `control.dcw` (segment 0: unroutable bids,
-// stream clock advances and flushes) plus `shard<N>.dcw`
+// Layout: one directory holds `control.dcw` (segment 0: unroutable bids
+// and stream flushes) plus `shard<N>.dcw`
 // (segment N+1: bids routed to shard N and that shard's block-append
 // fingerprints).  Every record is CRC-framed:
 //
@@ -12,7 +12,7 @@
 // the run configuration, so replaying a WAL under a different config
 // fails loudly instead of diverging quietly.
 //
-// Input records (bid/clock/flush) carry a dense global `input_seq`
+// Input records (bid/flush) carry a dense global `input_seq`
 // assigned under the writer's input mutex; the log-before-apply ordering
 // plus the engine's single-producer discipline make input_seq order equal
 // apply order, which is all replay needs.  Block records are written by
@@ -78,7 +78,7 @@ struct WalContents {
                                    std::uint64_t fingerprint);
 
 /// Append-side of the WAL.  Thread safety matches the engine's contract:
-/// input appends (bid/clock/flush) serialize on one internal mutex
+/// input appends (bid/flush) serialize on one internal mutex
 /// (the caller is the single producer thread anyway; the mutex makes the
 /// seq assignment safe even if that ever changes), block appends take
 /// only their segment's mutex and may run concurrently from shard
@@ -126,8 +126,6 @@ class WalWriter {
   /// record's input_seq.
   std::uint64_t append_bid(std::size_t segment, bool is_offer,
                            std::span<const std::uint8_t> payload);
-  /// Appends a stream clock advance (control segment).
-  std::uint64_t append_clock_advance(std::uint64_t ticks);
   /// Appends a stream flush (control segment).
   std::uint64_t append_flush();
   /// Appends a block fingerprint to shard `shard`'s segment.  No

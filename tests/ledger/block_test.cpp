@@ -136,11 +136,13 @@ TEST(Blockchain, LinksSuccessiveBlocks) {
   Block b0;
   b0.preamble = mine({make_bid(rng, 1)}, crypto::Digest{}, 0);
   ASSERT_TRUE(chain.append(b0, kDifficulty));
+  EXPECT_EQ(chain.tip_hash(), b0.preamble.hash());
   Block b1;
   b1.preamble = mine({make_bid(rng, 2)}, chain.tip_hash(), 1);
   EXPECT_TRUE(chain.append(b1, kDifficulty));
   EXPECT_EQ(chain.height(), 2u);
-  EXPECT_EQ(chain.blocks()[1].preamble.header.prev_hash, chain.blocks()[0].preamble.hash());
+  EXPECT_EQ(b1.preamble.header.prev_hash, b0.preamble.hash());
+  EXPECT_EQ(chain.tip_hash(), b1.preamble.hash());
 }
 
 TEST(Blockchain, RejectsInsufficientDifficulty) {

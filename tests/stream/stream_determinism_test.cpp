@@ -62,21 +62,18 @@ std::string batch_summary(std::size_t shards, std::size_t threads, const char* f
 }
 
 StreamDriveOutcome stream_drive(std::size_t shards, std::size_t threads, const char* fault_plan,
-                                std::size_t bid_trigger, std::size_t watermark,
-                                std::size_t requests = kRequests) {
+                                std::size_t bid_trigger, std::size_t requests = kRequests) {
   StreamConfig config;
   config.engine = engine_config(shards, fault_plan);
   config.triggers.bids = bid_trigger;
-  config.triggers.watermark = watermark;
   config.threads = threads;
   StreamingMarket market(config);
   return drive_trace_stream(market, driver_config(requests));
 }
 
 std::string stream_summary(std::size_t shards, std::size_t threads, const char* fault_plan,
-                           std::size_t bid_trigger, std::size_t watermark) {
-  return stream_drive(shards, threads, fault_plan, bid_trigger, watermark)
-      .drive.report.summary_json();
+                           std::size_t bid_trigger) {
+  return stream_drive(shards, threads, fault_plan, bid_trigger).drive.report.summary_json();
 }
 
 TEST(StreamDeterminism, AlignedStreamMatchesBatchByteForByteAcrossThreads) {
@@ -90,14 +87,9 @@ TEST(StreamDeterminism, AlignedStreamMatchesBatchByteForByteAcrossThreads) {
       EXPECT_EQ(batch_summary(4, threads, nullptr, requests), oracle)
           << "batch threads=" << threads << " requests=" << requests;
       // Bid-count trigger on the batch boundary.
-      const StreamDriveOutcome by_bids = stream_drive(4, threads, nullptr, kBatch, 0, requests);
+      const StreamDriveOutcome by_bids = stream_drive(4, threads, nullptr, kBatch, requests);
       EXPECT_EQ(by_bids.drive.report.summary_json(), oracle)
           << "stream(bids) threads=" << threads << " requests=" << requests;
-      // Watermark trigger: the stream clocks one tick per submission, so a
-      // watermark of kBatch closes on the same boundaries.
-      EXPECT_EQ(stream_drive(4, threads, nullptr, 0, kBatch, requests).drive.report.summary_json(),
-                oracle)
-          << "stream(watermark) threads=" << threads << " requests=" << requests;
       const std::size_t bids = requests + requests / 2;
       EXPECT_EQ(by_bids.micro_epochs, (bids + kBatch - 1) / kBatch) << "requests=" << requests;
     }
@@ -116,7 +108,7 @@ TEST(StreamDeterminism, ChaosAlignedStreamMatchesBatchByteForByte) {
   const std::string oracle = batch_summary(4, 1, kPlan);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, hw}) {
     EXPECT_EQ(batch_summary(4, threads, kPlan), oracle) << "batch threads=" << threads;
-    EXPECT_EQ(stream_summary(4, threads, kPlan, kBatch, 0), oracle)
+    EXPECT_EQ(stream_summary(4, threads, kPlan, kBatch), oracle)
         << "stream threads=" << threads;
   }
   // The chaos run really was chaotic — otherwise this test degrades into
@@ -128,13 +120,11 @@ TEST(StreamDeterminism, StreamIsSelfConsistentForAnyTriggerConfig) {
   // Unaligned triggers legitimately differ from batch, but the SAME
   // trigger config must reproduce exactly at every thread count.
   const std::size_t hw = ThreadPool::default_workers();
-  for (const auto& [bids, watermark] : {std::pair<std::size_t, std::size_t>{7, 0},
-                                        {0, 11},
-                                        {5, 13}}) {
-    const std::string baseline = stream_summary(3, 1, nullptr, bids, watermark);
+  for (const std::size_t bids : {std::size_t{7}, std::size_t{11}, std::size_t{5}}) {
+    const std::string baseline = stream_summary(3, 1, nullptr, bids);
     for (const std::size_t threads : {std::size_t{2}, hw}) {
-      EXPECT_EQ(stream_summary(3, threads, nullptr, bids, watermark), baseline)
-          << "bids=" << bids << " watermark=" << watermark << " threads=" << threads;
+      EXPECT_EQ(stream_summary(3, threads, nullptr, bids), baseline)
+          << "bids=" << bids << " threads=" << threads;
     }
   }
 }
@@ -152,7 +142,6 @@ TEST(StreamDeterminism, SingleBatchStreamFlushMatchesBatchMode) {
   StreamConfig config;
   config.engine = engine_config(2, nullptr);
   config.triggers.bids = 0;
-  config.triggers.watermark = 0;
   StreamingMarket market(config);
   EXPECT_EQ(drive_trace_stream(market, driver).drive.report.summary_json(), oracle);
 }

@@ -26,11 +26,10 @@ engine::EngineConfig engine_config(std::size_t shards) {
   return config;
 }
 
-StreamConfig stream_config(std::size_t shards, std::size_t bids, std::size_t watermark) {
+StreamConfig stream_config(std::size_t shards, std::size_t bids) {
   StreamConfig config;
   config.engine = engine_config(shards);
   config.triggers.bids = bids;
-  config.triggers.watermark = watermark;
   return config;
 }
 
@@ -50,7 +49,7 @@ engine::TraceStream make_stream(const engine::TraceDriverConfig& driver,
 }
 
 TEST(StreamingMarketTest, BidCountTriggerClosesEveryN) {
-  StreamingMarket market(stream_config(1, /*bids=*/10, /*watermark=*/0));
+  StreamingMarket market(stream_config(1, /*bids=*/10));
   const engine::TraceStream trace = make_stream(driver_config(20, 10), market.config().engine);
   ASSERT_EQ(trace.order.size(), 30u);
 
@@ -76,30 +75,8 @@ TEST(StreamingMarketTest, BidCountTriggerClosesEveryN) {
   EXPECT_EQ(market.micro_epochs(), 3u);
 }
 
-TEST(StreamingMarketTest, WatermarkTriggerFiresOnLogicalClock) {
-  // Per-submission clocking: watermark K behaves as "close every K events".
-  StreamingMarket market(stream_config(1, /*bids=*/0, /*watermark=*/5));
-  const engine::TraceStream trace = make_stream(driver_config(10, 5), market.config().engine);
-  const std::size_t n_req = trace.snapshot.requests.size();
-  for (std::size_t done = 0; done < 12; ++done) {
-    const std::size_t i = trace.order[done];
-    const StreamAdmission admission = i < n_req
-                                          ? market.submit(trace.snapshot.requests[i])
-                                          : market.submit(trace.snapshot.offers[i - n_req]);
-    EXPECT_EQ(admission.closed_micro_epoch, (done + 1) % 5 == 0) << "at " << done;
-  }
-  EXPECT_EQ(market.micro_epochs(), 2u);
-
-  // External event-time progress closes through the same trigger: 2 ticks
-  // are pending since the last close, 3 more reach the watermark.
-  EXPECT_FALSE(market.advance_clock(2));
-  EXPECT_TRUE(market.advance_clock(1));
-  EXPECT_EQ(market.micro_epochs(), 3u);
-  EXPECT_EQ(market.logical_clock(), 15u);
-}
-
 TEST(StreamingMarketTest, ManualMarketOnlyFlushCloses) {
-  StreamingMarket market(stream_config(1, 0, 0));
+  StreamingMarket market(stream_config(1, /*bids=*/0));
   const engine::TraceStream trace = make_stream(driver_config(8, 4), market.config().engine);
   const std::size_t n_req = trace.snapshot.requests.size();
   for (const std::size_t i : trace.order) {
@@ -114,7 +91,7 @@ TEST(StreamingMarketTest, ManualMarketOnlyFlushCloses) {
 }
 
 TEST(StreamingMarketTest, ResidueCarriesAndDrainClears) {
-  StreamConfig config = stream_config(2, /*bids=*/8, 0);
+  StreamConfig config = stream_config(2, /*bids=*/8);
   StreamingMarket market(config);
   const StreamDriveOutcome outcome =
       drive_trace_stream(market, driver_config(40, 20));
@@ -130,7 +107,7 @@ TEST(StreamingMarketTest, ResidueCarriesAndDrainClears) {
 }
 
 TEST(StreamingMarketTest, ObservabilityExportsCarryStreamCounters) {
-  StreamConfig config = stream_config(1, /*bids=*/6, 0);
+  StreamConfig config = stream_config(1, /*bids=*/6);
   config.engine.observability = true;
   StreamingMarket market(config);
   (void)drive_trace_stream(market, driver_config(12, 6));
@@ -149,7 +126,7 @@ TEST(StreamingMarketTest, RejectedSubmissionsStillAdvanceTriggers) {
   // must track the SEQUENCE, not admissions (the batch reference loop
   // ticks on rejected batches too, and alignment depends on matching
   // that).
-  StreamConfig config = stream_config(1, /*bids=*/5, 0);
+  StreamConfig config = stream_config(1, /*bids=*/5);
   config.engine.fault_plan = fault::FaultPlan::parse("reject_ingest:p=1.0");
   StreamingMarket market(config);
   const engine::TraceStream trace = make_stream(driver_config(10, 5), market.config().engine);

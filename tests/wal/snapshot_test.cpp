@@ -90,6 +90,16 @@ TEST(Snapshot, CorruptSnapshotThrows) {
   // Trailing junk after the CRC is rejected too.
   write_file(path, bytes + "x");
   EXPECT_THROW(read_snapshot(path, kFp), wire::decode_error);
+
+  // A version-1 file (stream clock words and the contract's resubmission
+  // list still in the payload) is refused.  The version byte after the
+  // 4-byte magic lies outside the payload CRC, so only the version check
+  // stands between it and a misparse.
+  std::string version1 = bytes;
+  ASSERT_EQ(version1[4], static_cast<char>(kSnapshotVersion));
+  version1[4] = 1;
+  write_file(path, version1);
+  EXPECT_THROW(read_snapshot(path, kFp), wire::decode_error);
 }
 
 }  // namespace

@@ -23,7 +23,7 @@ namespace fs = std::filesystem;
 
 constexpr std::uint64_t kFp = 0xD15EA5EDULL;
 
-std::string fresh_dir(const char* name) {
+std::string fresh_dir(const std::string& name) {
   const fs::path dir = fs::path(::testing::TempDir()) / name;
   fs::remove_all(dir);
   return dir.string();
@@ -58,46 +58,47 @@ TEST(Wal, WriterReaderRoundTrip) {
     const auto writer = WalWriter::create({dir, 2, kFp, /*sync=*/false});
     EXPECT_EQ(writer->append_bid(1, false, payload({1, 2, 3})), 0u);
     EXPECT_EQ(writer->append_bid(0, true, payload({4})), 1u);
-    EXPECT_EQ(writer->append_clock_advance(5), 2u);
-    EXPECT_EQ(writer->append_flush(), 3u);
+    EXPECT_EQ(writer->append_flush(), 2u);
     writer->append_block(0, 1, digest);
-    EXPECT_EQ(writer->next_input_seq(), 4u);
+    EXPECT_EQ(writer->next_input_seq(), 3u);
   }
 
   const WalContents contents = load_wal(dir, 2, kFp);
-  ASSERT_EQ(contents.inputs.size(), 4u);
-  EXPECT_EQ(contents.next_input_seq, 4u);
+  ASSERT_EQ(contents.inputs.size(), 3u);
+  EXPECT_EQ(contents.next_input_seq, 3u);
   EXPECT_EQ(contents.inputs[0].kind, RecordKind::kBid);
   EXPECT_EQ(contents.inputs[0].segment, 1u);
   EXPECT_FALSE(contents.inputs[0].is_offer);
   EXPECT_EQ(contents.inputs[0].payload, payload({1, 2, 3}));
   EXPECT_EQ(contents.inputs[1].kind, RecordKind::kBid);
   EXPECT_TRUE(contents.inputs[1].is_offer);
-  EXPECT_EQ(contents.inputs[2].kind, RecordKind::kClockAdvance);
-  EXPECT_EQ(contents.inputs[2].ticks, 5u);
-  EXPECT_EQ(contents.inputs[3].kind, RecordKind::kFlush);
+  EXPECT_EQ(contents.inputs[2].kind, RecordKind::kFlush);
   ASSERT_EQ(contents.blocks.size(), 1u);
   EXPECT_EQ(contents.blocks.at({0, 1}), digest);
 }
 
 TEST(Wal, RetiredTickKindThrows) {
-  // Kind 1 (the retired scheduler-tick record) is reserved: an intact,
-  // CRC-valid frame carrying it is corruption, not a torn tail.
-  const std::string dir = fresh_dir("wal_retired_tick");
-  { const auto writer = WalWriter::create({dir, 1, kFp, false}); }
-  ByteWriter record;
-  record.write_u8(kRetiredTickKind);
-  wire::write_varint(record, 0);  // input_seq
-  const std::vector<std::uint8_t>& bytes = record.bytes();
-  ByteWriter frame;
-  frame.write_u32(static_cast<std::uint32_t>(bytes.size()));
-  for (const std::uint8_t b : bytes) frame.write_u8(b);
-  frame.write_u32(wire::crc32(bytes));
-  std::ofstream control(fs::path(dir) / segment_file_name(0), std::ios::binary | std::ios::app);
-  control.write(reinterpret_cast<const char*>(frame.bytes().data()),
-                static_cast<std::streamsize>(frame.bytes().size()));
-  control.close();
-  EXPECT_THROW(load_wal(dir, 1, kFp), wire::decode_error);
+  // Kinds 1 (the retired scheduler-tick record) and 2 (the retired stream
+  // clock-advance record) are reserved: an intact, CRC-valid frame
+  // carrying either is corruption, not a torn tail.
+  for (const std::uint8_t kind : {kRetiredTickKind, kRetiredClockAdvanceKind}) {
+    const std::string dir = fresh_dir("wal_retired_kind_" + std::to_string(kind));
+    { const auto writer = WalWriter::create({dir, 1, kFp, false}); }
+    ByteWriter record;
+    record.write_u8(kind);
+    wire::write_varint(record, 0);  // input_seq
+    const std::vector<std::uint8_t>& bytes = record.bytes();
+    ByteWriter frame;
+    frame.write_u32(static_cast<std::uint32_t>(bytes.size()));
+    for (const std::uint8_t b : bytes) frame.write_u8(b);
+    frame.write_u32(wire::crc32(bytes));
+    std::ofstream control(fs::path(dir) / segment_file_name(0),
+                          std::ios::binary | std::ios::app);
+    control.write(reinterpret_cast<const char*>(frame.bytes().data()),
+                  static_cast<std::streamsize>(frame.bytes().size()));
+    control.close();
+    EXPECT_THROW(load_wal(dir, 1, kFp), wire::decode_error) << "kind " << int{kind};
+  }
 }
 
 TEST(Wal, MissingSegmentThrows) {

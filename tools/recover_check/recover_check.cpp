@@ -145,12 +145,13 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]) == "--quick") quick = true;
   }
 
-  // Both trigger policies of the one drive loop: batch_* closes every 60
-  // bids (periodic batch clearing), stream_* on a logical-clock watermark.
+  // Two close spacings of the one bid-count trigger: batch_* closes every
+  // 60 bids and snapshots every other close, stream_* closes every 50 bids
+  // and snapshots at every close.
   const std::string batch =
       "--shards 4 --requests 240 --bids-per-epoch 60 --seed 7 --snapshot-every 2";
   const std::string stream =
-      "--watermark 50 --shards 4 --requests 240 --seed 7 --snapshot-every 1";
+      "--bids-per-epoch 50 --shards 4 --requests 240 --seed 7 --snapshot-every 1";
   const std::string chaos =
       " --fault-plan 'withhold_reveal:p=0.2;dishonest_vote:p=0.25;deny_agreement:p=0.2;"
       "reject_ingest:p=0.1' --fault-seed 42";
