@@ -1,5 +1,7 @@
 #include "ledger/block.hpp"
 
+#include <algorithm>
+
 #include "common/byte_buffer.hpp"
 
 namespace decloud::ledger {
@@ -20,14 +22,35 @@ crypto::Digest bids_merkle_root(const std::vector<SealedBid>& bids) {
   return crypto::MerkleTree(std::move(leaves)).root();
 }
 
-bool validate_preamble(const BlockPreamble& preamble, unsigned difficulty_bits) {
+bool VerifiedBids::admit(const SealedBid& bid) {
+  const auto payload = bid.signed_payload();
+  if (!crypto::verify(bid.sender, {payload.data(), payload.size()}, bid.signature)) return false;
+  // The key's digest is SealedBid::digest(), hashed from the payload
+  // already built for the check.
+  entries_.insert({crypto::Sha256::hash({payload.data(), payload.size()}), bid.signature});
+  return true;
+}
+
+bool validate_preamble(const BlockPreamble& preamble, unsigned difficulty_bits,
+                       const VerifiedBids* verified) {
   const auto header_bytes = preamble.header.bytes();
   if (!crypto::verify_pow({header_bytes.data(), header_bytes.size()}, difficulty_bits,
                           preamble.pow)) {
     return false;
   }
-  if (bids_merkle_root(preamble.sealed_bids) != preamble.header.bids_root) return false;
-  for (const auto& bid : preamble.sealed_bids) {
+  std::vector<crypto::Digest> leaves;
+  leaves.reserve(preamble.sealed_bids.size());
+  for (const auto& bid : preamble.sealed_bids) leaves.push_back(bid.digest());
+  // An odd Merkle level duplicates its last node, so [A, B, C] and
+  // [A, B, C, C] share a root, PoW and block hash (CVE-2012-2459): refuse
+  // a repeated leaf instead of decoding the bid twice.
+  std::vector<crypto::Digest> sorted = leaves;
+  std::sort(sorted.begin(), sorted.end());
+  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) return false;
+  if (crypto::MerkleTree(leaves).root() != preamble.header.bids_root) return false;
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    const SealedBid& bid = preamble.sealed_bids[i];
+    if (verified != nullptr && verified->contains(leaves[i], bid.signature)) continue;
     if (!verify_sealed_bid(bid)) return false;
   }
   return true;
@@ -38,10 +61,11 @@ void Blockchain::restore_checkpoint(std::uint64_t height, const crypto::Digest& 
   tip_ = tip_hash;
 }
 
-bool Blockchain::append(const Block& block, unsigned difficulty_bits) {
+bool Blockchain::append(const Block& block, unsigned difficulty_bits,
+                        const VerifiedBids* verified) {
   if (block.preamble.header.height != height_) return false;
   if (block.preamble.header.prev_hash != tip_) return false;
-  if (!validate_preamble(block.preamble, difficulty_bits)) return false;
+  if (!validate_preamble(block.preamble, difficulty_bits, verified)) return false;
   ++height_;
   tip_ = block.preamble.hash();
   return true;

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <unordered_set>
 #include <vector>
 
 #include "auction/allocation.hpp"
@@ -61,10 +62,43 @@ struct Block {
 /// Computes the Merkle root over sealed-bid digests (all-zero for none).
 [[nodiscard]] crypto::Digest bids_merkle_root(const std::vector<SealedBid>& bids);
 
+/// The sealed bids whose signatures one protocol round has already
+/// checked, keyed by (digest, signature).  `admit` is the only way in, so
+/// every entry is a signature that verified.  `crypto::verify` is a pure
+/// function of (payload, key, signature) and the digest binds the payload
+/// and the sender's key, so a bid whose (digest, signature) is present
+/// needs no second check; a tampered or re-signed bid misses and is
+/// checked in full.  Scope it to one round (DESIGN.md §3b).
+class VerifiedBids {
+ public:
+  /// Verifies `bid`'s signature and records it on success.
+  bool admit(const SealedBid& bid);
+
+  [[nodiscard]] bool contains(const crypto::Digest& digest,
+                              const crypto::Signature& signature) const {
+    return entries_.contains({digest, signature});
+  }
+
+ private:
+  struct Entry {
+    crypto::Digest digest;
+    crypto::Signature signature;
+    friend bool operator==(const Entry&, const Entry&) = default;
+  };
+  struct EntryHash {
+    std::size_t operator()(const Entry& e) const noexcept {
+      return crypto::DigestHash{}(e.digest) ^ e.signature.r;
+    }
+  };
+  std::unordered_set<Entry, EntryHash> entries_;
+};
+
 /// Validates a preamble: PoW meets `difficulty_bits` over the header bytes,
-/// the Merkle root matches the carried bids, and every sealed bid's
-/// signature verifies.
-[[nodiscard]] bool validate_preamble(const BlockPreamble& preamble, unsigned difficulty_bits);
+/// no two carried bids share a digest, the Merkle root matches the carried
+/// bids, and every sealed bid's signature verifies.  A bid found in
+/// `verified` (non-null) counts as verified without a second check.
+[[nodiscard]] bool validate_preamble(const BlockPreamble& preamble, unsigned difficulty_bits,
+                                     const VerifiedBids* verified = nullptr);
 
 /// An append-only chain that keeps only its height and tip hash.  The tip
 /// commits to every earlier block through prev_hash, and nothing the
@@ -76,10 +110,11 @@ class Blockchain {
   [[nodiscard]] const crypto::Digest& tip_hash() const { return tip_; }
   [[nodiscard]] std::uint64_t height() const { return height_; }
 
-  /// Appends a block after checking linkage (prev_hash/height), PoW, the
-  /// Merkle root and every sealed-bid signature.  Returns false (and
-  /// leaves the chain untouched) on any mismatch.
-  bool append(const Block& block, unsigned difficulty_bits);
+  /// Appends a block after checking linkage (prev_hash/height) and the
+  /// preamble (validate_preamble, consulting `verified`).  Returns false
+  /// (and leaves the chain untouched) on any mismatch.
+  bool append(const Block& block, unsigned difficulty_bits,
+              const VerifiedBids* verified = nullptr);
 
   /// Resets to a (height, tip hash) checkpoint — the snapshot restore path.
   void restore_checkpoint(std::uint64_t height, const crypto::Digest& tip_hash);

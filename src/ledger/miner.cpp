@@ -94,8 +94,9 @@ BlockBody Miner::compute_body(const BlockPreamble& preamble,
   return body;
 }
 
-bool Miner::verify_body(const BlockPreamble& preamble, const BlockBody& body) const {
-  if (!validate_preamble(preamble, params_.difficulty_bits)) return false;
+bool Miner::verify_body(const BlockPreamble& preamble, const BlockBody& body,
+                        const VerifiedBids* verified) const {
+  if (!validate_preamble(preamble, params_.difficulty_bits, verified)) return false;
   const OpenedBlock opened = open_block(preamble, body.revealed_keys);
   const auction::DeCloudAuction mechanism(params_.auction);
   const auction::RoundResult replay = mechanism.run(opened.snapshot, allocation_seed(preamble));

@@ -74,7 +74,10 @@ class Miner {
   /// Phase 2 (verifier): re-derives the allocation from the preamble and
   /// revealed keys and accepts the body iff it matches byte-for-byte
   /// ("miners verify the accuracy of the allocation algorithm execution").
-  [[nodiscard]] bool verify_body(const BlockPreamble& preamble, const BlockBody& body) const;
+  /// `verified` is forwarded to validate_preamble; the bids are opened and
+  /// the auction re-run either way.
+  [[nodiscard]] bool verify_body(const BlockPreamble& preamble, const BlockBody& body,
+                                 const VerifiedBids* verified = nullptr) const;
 
   /// Decrypts a preamble's bids with a key set (shared by producer and
   /// verifier paths).  Bids with missing/wrong keys or malformed plaintext

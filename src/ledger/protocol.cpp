@@ -115,12 +115,16 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
 
   // Graceful degradation for tampered submissions: a bad signature would
   // invalidate the whole preamble (validate_preamble checks every bid), so
-  // drop such bids here — only their sender loses the round.
+  // drop such bids here — only their sender loses the round.  This is the
+  // round's one signature check: key reveal, every verifier and the chain
+  // append look the admitted bids up in `verified` (DESIGN.md §3b), which
+  // lives across re-mine attempts and dies with the round.
+  VerifiedBids verified;
   {
     std::vector<SealedBid> valid;
     valid.reserve(bids.size());
     for (auto& bid : bids) {
-      if (verify_sealed_bid(bid)) {
+      if (verified.admit(bid)) {
         valid.push_back(std::move(bid));
       } else {
         ++outcome.fault.bids_invalid_dropped;
@@ -159,7 +163,7 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
     {
       obs::SpanScope span(hooks_.sink, "key_reveal");
       std::size_t fresh = 0;
-      if (validate_preamble(*preamble, params_.difficulty_bits)) {
+      if (validate_preamble(*preamble, params_.difficulty_bits, &verified)) {
         for (std::size_t i = 0; i < participants.size(); ++i) {
           if (hooks_.fire(fault::FaultKind::kWithholdReveal, {round, hooks_.shard, i, attempt},
                           round)) {
@@ -202,7 +206,7 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
       obs::SpanScope span(hooks_.sink, "verify");
       span.add_work(verifiers.size());
       for (std::size_t v = 0; v < verifiers.size(); ++v) {
-        bool ok = verifiers[v].verify_body(*preamble, body);
+        bool ok = verifiers[v].verify_body(*preamble, body, &verified);
         if (hooks_.fire(fault::FaultKind::kDishonestVote, {round, hooks_.shard, v, attempt},
                         round)) {
           ok = !ok;
@@ -215,7 +219,7 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
     }
     const bool quorum_reached = accepts >= required;
 
-    const OpenedBlock opened = Miner::open_block(*preamble, body.revealed_keys);
+    OpenedBlock opened = Miner::open_block(*preamble, body.revealed_keys);
 
     // Withholding penalty: every distinct sender of a bid that never
     // opened is debited BEFORE any allocation registers — exclusion from
@@ -233,13 +237,13 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
     }
     outcome.fault.bids_unopened = opened.unopened.size();
 
-    outcome.snapshot = opened.snapshot;
+    outcome.snapshot = std::move(opened.snapshot);
     outcome.result = auction::RoundResult{};
     bool decodable = true;
     try {
       outcome.result = decode_allocation({body.allocation.data(), body.allocation.size()},
-                                         opened.snapshot.requests.size(),
-                                         opened.snapshot.offers.size());
+                                         outcome.snapshot.requests.size(),
+                                         outcome.snapshot.offers.size());
     } catch (const precondition_error&) {
       // A corrupted body may not even decode; never register garbage,
       // even if a dishonest quorum voted it through.
@@ -251,7 +255,7 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
       {
         obs::SpanScope span(hooks_.sink, "append");
         outcome.block = Block{.preamble = std::move(*preamble), .body = std::move(body)};
-        outcome.block_accepted = chain_.append(outcome.block, params_.difficulty_bits);
+        outcome.block_accepted = chain_.append(outcome.block, params_.difficulty_bits, &verified);
         if (outcome.block_accepted) {
           outcome.agreements =
               contract_.register_allocation(chain_.height() - 1, outcome.snapshot, outcome.result);

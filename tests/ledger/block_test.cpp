@@ -4,6 +4,8 @@
 
 #include "common/rng.hpp"
 #include "ledger/codec.hpp"
+#include "ledger/miner.hpp"
+#include "ledger/participant.hpp"
 
 namespace decloud::ledger {
 namespace {
@@ -152,6 +154,122 @@ TEST(Blockchain, RejectsInsufficientDifficulty) {
   b.preamble = mine({make_bid(rng, 1)}, crypto::Digest{}, 0);
   // Demand far more zero bits than the solution provides.
   EXPECT_FALSE(chain.append(b, 64));
+}
+
+// CVE-2012-2459 shape: an odd Merkle level duplicates its last node, so the
+// preamble over [A, B, C] and the same preamble with C listed twice share
+// bids_root, PoW and block hash.  The repeated leaf must be refused by every
+// step that validates a preamble, or a relay could double-list a bid
+// without re-mining.
+TEST(ValidatePreamble, RepeatedLeafRejectedDespiteEqualRoot) {
+  Rng rng(12);
+  Participant wallet(rng);
+  const Miner miner(ConsensusParams{.difficulty_bits = kDifficulty});
+  std::vector<SealedBid> bids;
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    auction::Request r;
+    r.id = RequestId(i);
+    r.client = ClientId(i);
+    r.resources.set(auction::ResourceSchema::kCpu, 1.0);
+    r.window_end = 7200;
+    r.duration = 3600;
+    r.bid = 1.0 + static_cast<double>(i);
+    bids.push_back(wallet.submit_request(r, rng));
+  }
+  const BlockPreamble honest = mine(bids, crypto::Digest{}, 0);
+  const std::vector<KeyReveal> reveals = wallet.on_preamble(honest);
+  ASSERT_EQ(reveals.size(), 3u);
+  ASSERT_TRUE(validate_preamble(honest, kDifficulty));
+
+  BlockPreamble doubled = honest;
+  doubled.sealed_bids.push_back(doubled.sealed_bids.back());
+  ASSERT_EQ(bids_merkle_root(doubled.sealed_bids), honest.header.bids_root);
+  ASSERT_EQ(Miner::open_block(doubled, reveals).snapshot.requests.size(), 4u);
+
+  EXPECT_FALSE(validate_preamble(doubled, kDifficulty));
+  EXPECT_FALSE(miner.verify_body(doubled, miner.compute_body(doubled, reveals)));
+  EXPECT_TRUE(miner.verify_body(honest, miner.compute_body(honest, reveals)));
+  Blockchain chain;
+  EXPECT_FALSE(chain.append(Block{.preamble = doubled, .body = {}}, kDifficulty));
+  EXPECT_EQ(chain.height(), 0u);
+  EXPECT_TRUE(chain.append(Block{.preamble = honest, .body = {}}, kDifficulty));
+}
+
+// The round-scoped verified set (VerifiedBids) lets key reveal, collective
+// verification and chain append skip a second signature check on bids the
+// round already admitted.  It must never let a bad bid through: anything
+// that changes a bid's payload or its signature misses the set and is
+// checked in full, by every step that consults it.
+struct Admitted {
+  Rng rng{21};
+  std::vector<SealedBid> bids;
+  VerifiedBids verified;
+
+  Admitted() {
+    for (std::uint64_t i = 1; i <= 3; ++i) {
+      bids.push_back(make_bid(rng, i));
+      EXPECT_TRUE(verified.admit(bids.back()));
+    }
+  }
+};
+
+void expect_rejected_with_set(const BlockPreamble& p, const VerifiedBids& verified) {
+  EXPECT_FALSE(validate_preamble(p, kDifficulty, &verified));
+  const Miner verifier(ConsensusParams{.difficulty_bits = kDifficulty});
+  EXPECT_FALSE(verifier.verify_body(p, verifier.compute_body(p, {}), &verified));
+  Blockchain chain;
+  EXPECT_FALSE(chain.append(Block{.preamble = p, .body = {}}, kDifficulty, &verified));
+}
+
+TEST(VerifiedBids, AdmitRecordsOnlyValidSignatures) {
+  Admitted a;
+  for (const SealedBid& bid : a.bids) EXPECT_TRUE(a.verified.contains(bid.digest(), bid.signature));
+  SealedBid forged = make_bid(a.rng, 9);
+  forged.signature.s ^= 1;
+  EXPECT_FALSE(a.verified.admit(forged));
+  EXPECT_FALSE(a.verified.contains(forged.digest(), forged.signature));
+}
+
+TEST(VerifiedBids, AdmittedPreambleValidatesEverywhere) {
+  Admitted a;
+  const BlockPreamble p = mine(a.bids, crypto::Digest{}, 0);
+  EXPECT_TRUE(validate_preamble(p, kDifficulty, &a.verified));
+  const Miner verifier(ConsensusParams{.difficulty_bits = kDifficulty});
+  EXPECT_TRUE(verifier.verify_body(p, verifier.compute_body(p, {}), &a.verified));
+  Blockchain chain;
+  EXPECT_TRUE(chain.append(Block{.preamble = p, .body = {}}, kDifficulty, &a.verified));
+}
+
+TEST(VerifiedBids, FlippedCiphertextReRootedAndReMinedIsRejected) {
+  Admitted a;
+  std::vector<SealedBid> tampered = a.bids;
+  tampered[1].ciphertext[0] ^= 1;  // the digest moves, so the lookup misses
+  expect_rejected_with_set(mine(tampered, crypto::Digest{}, 0), a.verified);
+}
+
+TEST(VerifiedBids, BorrowedSignatureIsRejected) {
+  Admitted a;
+  std::vector<SealedBid> tampered = a.bids;
+  tampered[2].signature = tampered[0].signature;  // admitted, but for another payload
+  expect_rejected_with_set(mine(tampered, crypto::Digest{}, 0), a.verified);
+}
+
+TEST(VerifiedBids, AdmittedPayloadWithAlteredSignatureIsRejected) {
+  Admitted a;
+  std::vector<SealedBid> tampered = a.bids;
+  tampered[0].signature.s ^= 1;  // same digest, different signature: the key misses
+  expect_rejected_with_set(mine(tampered, crypto::Digest{}, 0), a.verified);
+}
+
+TEST(VerifiedBids, UnadmittedBadSignatureIsRejected) {
+  Admitted a;
+  std::vector<SealedBid> bids = a.bids;
+  bids.push_back(make_bid(a.rng, 4));
+  bids.back().signature.r ^= 1;
+  expect_rejected_with_set(mine(bids, crypto::Digest{}, 0), a.verified);
+  // The same bid with its signature intact is checked in full and passes.
+  bids.back().signature.r ^= 1;
+  EXPECT_TRUE(validate_preamble(mine(bids, crypto::Digest{}, 0), kDifficulty, &a.verified));
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "common/ensure.hpp"
 #include "common/rng.hpp"
+#include "fault/injector.hpp"
 
 namespace decloud::ledger {
 namespace {
@@ -212,6 +213,24 @@ TEST(MarketOrchestrator, ValidatesOnSubmit) {
   MarketOrchestrator market(small_config());
   auction::Request bad = make_request(1, -1.0);
   EXPECT_THROW(market.submit(bad), precondition_error);
+}
+
+// The protocol's admission pre-filter is the only writer of the round's
+// verified set: a corrupted sealed bid still fails there and is dropped
+// with its count, and never reaches the block.
+TEST(MarketOrchestrator, CorruptSealedBidsAreDroppedAndCounted) {
+  MarketOrchestrator market(small_config());
+  const fault::FaultInjector injector(fault::FaultPlan::parse("corrupt_sealed_bid:index=1-2"), 3);
+  market.attach({.faults = &injector});
+  for (std::uint64_t i = 1; i <= 4; ++i) market.submit(make_request(i, 5.0));
+  market.submit(make_offer(1, 0.1));
+
+  const RoundOutcome outcome = market.run_round(0);
+  ASSERT_TRUE(outcome.block_accepted);
+  EXPECT_EQ(outcome.fault.bids_invalid_dropped, 2u);
+  EXPECT_EQ(outcome.block.preamble.sealed_bids.size(), 3u);
+  EXPECT_EQ(outcome.snapshot.requests.size(), 2u);
+  EXPECT_EQ(outcome.snapshot.offers.size(), 1u);
 }
 
 }  // namespace
