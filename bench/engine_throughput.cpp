@@ -66,7 +66,6 @@ engine::EngineConfig engine_config(std::size_t shards, std::size_t journal_capac
   config.router.y0 = 0.0;
   config.router.y1 = 100.0;
   config.queue_capacity = SIZE_MAX / 2;  // measure throughput, not admission
-  config.queue_watermark = SIZE_MAX / 2;
   config.market.consensus.difficulty_bits = 8;  // simulation-scale PoW
   config.market.num_verifiers = 1;
   config.market.consensus.auction.threads = 1;  // parallelism across shards

@@ -314,7 +314,6 @@ int main(int argc, char** argv) {
       config.router.x1 = 100.0;
       config.router.y1 = 100.0;
       config.queue_capacity = SIZE_MAX / 2;
-      config.queue_watermark = SIZE_MAX / 2;
       config.market.consensus.difficulty_bits = 8;
       config.market.num_verifiers = 1;
       config.market.consensus.auction.threads = 1;
@@ -351,7 +350,6 @@ int main(int argc, char** argv) {
       config.router.x1 = 100.0;
       config.router.y1 = 100.0;
       config.queue_capacity = SIZE_MAX / 2;
-      config.queue_watermark = SIZE_MAX / 2;
       config.market.consensus.difficulty_bits = 8;
       config.market.num_verifiers = 1;
       config.market.consensus.auction.threads = 1;
@@ -388,7 +386,6 @@ int main(int argc, char** argv) {
       c.router.x1 = 100.0;
       c.router.y1 = 100.0;
       c.queue_capacity = SIZE_MAX / 2;
-      c.queue_watermark = SIZE_MAX / 2;
       c.market.consensus.difficulty_bits = 8;
       c.market.num_verifiers = 1;
       c.market.consensus.auction.threads = 1;
@@ -434,7 +431,6 @@ int main(int argc, char** argv) {
       config.router.x1 = 100.0;
       config.router.y1 = 100.0;
       config.queue_capacity = SIZE_MAX / 2;  // throughput, not admission
-      config.queue_watermark = SIZE_MAX / 2;
       config.market.consensus.difficulty_bits = 8;
       config.market.num_verifiers = 1;
       config.market.consensus.auction.threads = 1;

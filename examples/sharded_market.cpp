@@ -14,14 +14,14 @@ using namespace decloud;
 
 namespace {
 
-const char* admission_name(Admission a) {
-  switch (a) {
-    case Admission::kAccepted:
+const char* admission_name(engine::EngineAdmission::Reason reason) {
+  switch (reason) {
+    case engine::EngineAdmission::Reason::kNone:
       return "accepted";
-    case Admission::kQueued:
-      return "queued (congested)";
-    case Admission::kRejected:
-      return "REJECTED";
+    case engine::EngineAdmission::Reason::kDeferred:
+      return "deferred for retry";
+    case engine::EngineAdmission::Reason::kBackpressure:
+      return "REJECTED (backpressure)";
   }
   return "?";
 }
@@ -36,9 +36,7 @@ int main() {
   config.router.num_shards = 4;
   config.router.x1 = 100.0;
   config.router.y1 = 100.0;
-  config.router.spillover = engine::SpilloverPolicy::kHashId;
   config.queue_capacity = 48;
-  config.queue_watermark = 32;
   config.market.consensus.difficulty_bits = 10;
   config.market.num_verifiers = 1;
   config.market.consensus.auction.threads = 1;  // parallelism lives across shards
@@ -49,9 +47,9 @@ int main() {
   stream_config.threads = 0;         // 0 = hardware
   stream::StreamingMarket market(std::move(stream_config));
 
-  std::printf("Sharded market: %zu shards, queue capacity %zu (watermark %zu), %zu threads\n\n",
+  std::printf("Sharded market: %zu shards, queue capacity %zu, %zu threads\n\n",
               market.market_engine().num_shards(), config.queue_capacity,
-              config.queue_watermark, market.scheduler().threads());
+              market.scheduler().threads());
 
   // Stream a trace workload through: 10%% of bids arrive location-less.
   engine::TraceDriverConfig driver;
@@ -72,7 +70,7 @@ int main() {
   vip.location = auction::Location{12.0, 88.0};
   const engine::EngineAdmission admission = market.submit(vip).engine;
   std::printf("VIP request at (12, 88): %s by shard %zu\n\n",
-              admission_name(admission.status), admission.shard);
+              admission_name(admission.reason), admission.shard);
   (void)market.flush();
   (void)market.drain();
 

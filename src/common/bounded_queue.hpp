@@ -1,33 +1,20 @@
-// A bounded multi-producer / single-consumer ingest queue with explicit
-// admission control.
+// A bounded multi-producer / single-consumer ingest queue.
 //
 // The sharded engine (src/engine/) feeds each regional market through one
 // of these: producers on any thread push bids, the epoch scheduler drains
-// the whole queue at the next tick.  Admission is three-valued so
-// producers see backpressure instead of unbounded growth:
-//
-//   kAccepted — depth below the soft watermark; the bid will ride the
-//               next epoch with no congestion signal;
-//   kQueued   — admitted, but depth is at/above the watermark: the queue
-//               is congested and the producer should slow down;
-//   kRejected — depth reached capacity; the bid was NOT admitted and the
-//               producer must retry later (or route elsewhere).
+// the whole queue at the next tick.  The capacity is the one admission
+// rule: a push is admitted while the depth is below capacity and refused
+// (backpressure — the producer must retry later) once it is reached, so
+// producers see refusal instead of unbounded growth.
 //
 // The consumer side (`drain`) is not synchronized against other consumers
 // — exactly one thread may drain, per the MPSC contract.  Producers and
-// the consumer may interleave freely.
-//
-// Shutdown: close() flips the queue into a rejecting state.  Admission is
-// decided under the same lock close() takes, so every push is serialized
-// either before the close (admitted, and guaranteed to appear in a later
-// drain) or after it (kRejected/kClosed) — an admitted-then-lost bid is
-// impossible.  drain() keeps working after close and returns the residue.
-// The dsched model `queue_close` explores every interleaving of this
-// contract; bounded_queue_test pins it as a unit test.
+// the consumer may interleave freely; admission is decided under the
+// lock drain takes, so every admitted value surfaces in exactly one drain
+// (the dsched model `queue_admission` explores every interleaving).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <utility>
@@ -38,47 +25,21 @@
 
 namespace decloud {
 
-/// Producer-visible admission outcome.
-enum class Admission : std::uint8_t { kAccepted, kQueued, kRejected };
-
-/// Why a push was rejected (meaningful only with Admission::kRejected).
-enum class RejectReason : std::uint8_t {
-  kNone,      ///< not rejected
-  kCapacity,  ///< queue at capacity (backpressure)
-  kClosed,    ///< queue closed for shutdown; the bid must route elsewhere
-};
-
 template <typename T>
 class BoundedQueue {
  public:
-  struct Result {
-    Admission status = Admission::kAccepted;
-    RejectReason reason = RejectReason::kNone;
-
-    [[nodiscard]] bool admitted() const { return status != Admission::kRejected; }
-  };
-
-  /// `capacity` bounds the depth; an admitted push that leaves the depth
-  /// above `watermark` returns the kQueued congestion signal instead of
-  /// kAccepted.  A watermark >= capacity disables the signal (every admit
-  /// is kAccepted).
-  explicit BoundedQueue(std::size_t capacity, std::size_t watermark = SIZE_MAX)
-      : capacity_(capacity), watermark_(watermark) {
+  explicit BoundedQueue(std::size_t capacity) : capacity_(capacity) {
     DECLOUD_EXPECTS(capacity > 0);
   }
 
-  /// Thread-safe producer side.  FIFO order is the lock acquisition order.
-  Result push(T value) {
+  /// Thread-safe producer side: true when `value` was admitted, false
+  /// when the queue is at capacity.  FIFO order is the lock acquisition
+  /// order.
+  [[nodiscard]] bool push(T value) {
     const std::lock_guard<dsched::mutex> lock(mutex_);
-    if (closed_) {
-      return {Admission::kRejected, RejectReason::kClosed};
-    }
-    if (items_.size() >= capacity_) {
-      return {Admission::kRejected, RejectReason::kCapacity};
-    }
+    if (items_.size() >= capacity_) return false;
     items_.push_back(std::move(value));
-    return {items_.size() > watermark_ ? Admission::kQueued : Admission::kAccepted,
-            RejectReason::kNone};
+    return true;
   }
 
   /// Single-consumer side: removes and returns everything queued, in FIFO
@@ -91,33 +52,17 @@ class BoundedQueue {
     return out;
   }
 
-  /// Stops admission: every push serialized after this call returns
-  /// kRejected/kClosed.  Items admitted before the close stay queued and
-  /// remain drainable.  Idempotent.
-  void close() {
-    const std::lock_guard<dsched::mutex> lock(mutex_);
-    closed_ = true;
-  }
-
-  [[nodiscard]] bool closed() const {
-    const std::lock_guard<dsched::mutex> lock(mutex_);
-    return closed_;
-  }
-
   [[nodiscard]] std::size_t size() const {
     const std::lock_guard<dsched::mutex> lock(mutex_);
     return items_.size();
   }
   [[nodiscard]] bool empty() const { return size() == 0; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::size_t watermark() const { return watermark_; }
 
  private:
   const std::size_t capacity_;
-  const std::size_t watermark_;
   mutable dsched::mutex mutex_;
   std::deque<T> items_;
-  bool closed_ = false;
 };
 
 }  // namespace decloud

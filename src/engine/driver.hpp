@@ -6,7 +6,7 @@
 // experiments never needed ℓ — so the driver stamps locations itself:
 // each bid independently receives a uniform coordinate in the router's
 // bounding box with probability `located_fraction`, and stays
-// location-less otherwise (exercising the spillover policy).
+// location-less otherwise (exercising the id-hash spillover).
 //
 // Bids are streamed in deterministic order (requests and offers
 // interleaved by index) by the one trace drive loop,
@@ -27,7 +27,7 @@ namespace decloud::engine {
 /// the StreamConfig's business (triggers, timestamps, drain budget).
 struct TraceDriverConfig {
   trace::WorkloadConfig workload;
-  /// Probability a bid gets a location stamped (rest exercise spillover).
+  /// Probability a bid gets a location stamped (the rest spill over).
   double located_fraction = 1.0;
   /// RNG seed for workload generation and location stamping.
   std::uint64_t seed = 1;
@@ -38,7 +38,7 @@ struct DriveOutcome {
   EngineReport report;
   std::size_t bids_generated = 0;  ///< requests + offers in the workload
   std::size_t bids_admitted = 0;
-  std::size_t bids_rejected = 0;  ///< backpressure + unroutable drops
+  std::size_t bids_rejected = 0;  ///< backpressure drops
 };
 
 /// A generated, location-stamped workload plus its deterministic

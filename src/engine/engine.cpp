@@ -21,7 +21,6 @@ MarketEngine::MarketEngine(EngineConfig config)
     journal_ = std::make_unique<journal::Journal>(router_.num_shards() + 1,
                                                   config_.journal_capacity);
   }
-  control_.journal = journal_.get();
   shards_.reserve(router_.num_shards());
   for (std::size_t s = 0; s < router_.num_shards(); ++s) {
     auto shard = std::make_unique<Shard>(config_);
@@ -35,11 +34,10 @@ MarketEngine::MarketEngine(EngineConfig config)
   }
 }
 
-std::uint64_t MarketEngine::retry_backoff(std::size_t attempt) const {
+std::uint64_t MarketEngine::retry_backoff(std::size_t attempt) {
   DECLOUD_EXPECTS(attempt >= 1);
   const std::size_t shift = attempt - 1 > 16 ? 16 : attempt - 1;  // cap the exponent
-  const std::uint64_t base = config_.retry.backoff_epochs == 0 ? 1 : config_.retry.backoff_epochs;
-  return base << shift;
+  return std::uint64_t{1} << shift;
 }
 
 void MarketEngine::defer(Shard& shard, IngestItem item, std::size_t attempt) {
@@ -58,27 +56,17 @@ EngineAdmission MarketEngine::submit_bid(const Bid& bid) {
   auction::validate(bid);
   const Route route = router_.route(bid);
   if (wal_ != nullptr) {
-    // Log-before-apply: the bid reaches the WAL (unroutable bids go to
-    // the control segment) before any engine state changes, so a crash
-    // anywhere past this point replays it.
+    // Log-before-apply: the bid reaches its shard's WAL segment before
+    // any engine state changes, so a crash anywhere past this point
+    // replays it.
     std::vector<std::uint8_t> payload;
     if constexpr (kIsOffer == 1) {
       payload = ledger::encode_offer(bid);
     } else {
       payload = ledger::encode_request(bid);
     }
-    const std::uint64_t wal_seq =
-        wal_->append_bid(route.routed() ? route.shard + 1 : 0, kIsOffer == 1, payload);
-    fault::crash_if(crash_, fault::CrashSite::kAfterBidAppend, wal_seq,
-                    route.routed() ? route.shard : 0);
-  }
-  if (!route.routed()) {
-    const std::size_t prior = rejected_unroutable_.fetch_add(1, std::memory_order_relaxed);
-    // Unroutable bids have no shard ring; the control ring records them
-    // with the running unroutable count as the operand.
-    control_.record({journal::EventKind::kIngestRejected, 0, 0, kIsOffer, prior,
-                     static_cast<std::uint64_t>(journal::RejectCause::kUnroutable)});
-    return {Admission::kRejected, EngineAdmission::Reason::kUnroutable, 0};
+    const std::uint64_t wal_seq = wal_->append_bid(route.shard + 1, kIsOffer == 1, payload);
+    fault::crash_if(crash_, fault::CrashSite::kAfterBidAppend, wal_seq, route.shard);
   }
   Shard& shard = *shards_[route.shard];
   // A kRejectIngest fault makes the queue refuse this submission exactly
@@ -86,31 +74,25 @@ EngineAdmission MarketEngine::submit_bid(const Bid& bid) {
   // identical to real backpressure.
   const std::uint64_t seq = shard.ingest_seq.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t epoch = shard.epochs_started.load(std::memory_order_relaxed);
-  const bool fault_rejected =
-      shard.hooks.fire(fault::FaultKind::kRejectIngest, {0, route.shard, seq, 0}, epoch);
-  BoundedQueue<IngestItem>::Result result{};
-  if (fault_rejected) {
-    result = {Admission::kRejected, RejectReason::kCapacity};
-  } else {
-    result = shard.queue.push(IngestItem{bid});
-  }
-  if (!result.admitted()) {
+  const bool admitted =
+      !shard.hooks.fire(fault::FaultKind::kRejectIngest, {0, route.shard, seq, 0}, epoch) &&
+      shard.queue.push(IngestItem{bid});
+  if (!admitted) {
     if (config_.retry.max_attempts > 0) {
       defer(shard, IngestItem{bid}, 1);
       shard.hooks.record({journal::EventKind::kIngestDeferred, 0, epoch, kIsOffer, seq, 1});
-      return {Admission::kQueued, EngineAdmission::Reason::kDeferred, route.shard};
+      return {EngineAdmission::Reason::kDeferred, route.shard};
     }
     shard.rejected_backpressure.fetch_add(1, std::memory_order_relaxed);
     shard.hooks.record({journal::EventKind::kIngestRejected, 0, epoch, kIsOffer, seq,
                         static_cast<std::uint64_t>(journal::RejectCause::kBackpressure)});
-    return {Admission::kRejected, EngineAdmission::Reason::kBackpressure, route.shard};
+    return {EngineAdmission::Reason::kBackpressure, route.shard};
   }
   if (route.kind == RouteKind::kSpilled) {
     shard.spilled.fetch_add(1, std::memory_order_relaxed);
   }
-  shard.hooks.record({journal::EventKind::kIngestAdmitted, 0, epoch, kIsOffer, seq,
-                      result.status == Admission::kQueued ? 1ULL : 0ULL});
-  return {result.status, EngineAdmission::Reason::kNone, route.shard};
+  shard.hooks.record({journal::EventKind::kIngestAdmitted, 0, epoch, kIsOffer, seq});
+  return {EngineAdmission::Reason::kNone, route.shard};
 }
 
 EngineAdmission MarketEngine::submit(const auction::Request& request) {
@@ -207,7 +189,6 @@ void MarketEngine::run_shard_epoch(std::size_t shard_index, Time now) {
 EngineReport MarketEngine::report() const {
   EngineReport report;
   report.shards.reserve(shards_.size());
-  report.bids_rejected_unroutable = rejected_unroutable_.load(std::memory_order_relaxed);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const Shard& shard = *shards_[s];
     ShardReport sr;
@@ -235,8 +216,6 @@ EngineReport MarketEngine::report() const {
 obs::MetricsSink MarketEngine::engine_summary_sink() const {
   obs::MetricsSink sink("engine");
   obs::MetricsRegistry& m = sink.metrics();
-  m.counter("engine.bids_rejected_unroutable")
-      .add(rejected_unroutable_.load(std::memory_order_relaxed));
   std::size_t backpressure = 0, spilled = 0, epochs = 0;
   std::size_t retries = 0, retry_ok = 0, retry_dropped = 0;
   std::size_t carried = 0, offers_gone = 0;
@@ -297,7 +276,6 @@ std::string MarketEngine::trace_json(
 }
 
 void MarketEngine::encode_state(ByteWriter& w) const {
-  w.write_u64(rejected_unroutable_.load(std::memory_order_relaxed));
   w.write_u64(shards_.size());
   for (const auto& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
@@ -336,7 +314,6 @@ void MarketEngine::encode_state(ByteWriter& w) const {
 }
 
 void MarketEngine::restore_state(ByteReader& r) {
-  rejected_unroutable_.store(r.read_u64(), std::memory_order_relaxed);
   const std::uint64_t num_shards = r.read_u64();
   DECLOUD_EXPECTS_MSG(num_shards == shards_.size(),
                       "engine snapshot shard count differs from the configured engine");

@@ -45,22 +45,19 @@ namespace decloud::engine {
 /// Deterministic retry-with-backoff for refused ingests.  Off by default
 /// (max_attempts == 0): a rejection is final, as before.  When on, a
 /// refused bid is parked in the shard's deferral buffer and resubmitted at
-/// the epoch `backoff_epochs · 2^(attempt-1)` ticks later, up to
-/// max_attempts times; what still fails then is dropped and counted in
+/// the epoch `2^(attempt-1)` ticks later, up to max_attempts times; what
+/// still fails then is dropped and counted in
 /// EngineReport::bids_retry_dropped.
 struct IngestRetryPolicy {
   std::size_t max_attempts = 0;
-  std::size_t backoff_epochs = 1;
 };
 
 struct EngineConfig {
   /// Routing (also fixes the shard count via router.num_shards).
   ShardRouterConfig router;
-  /// Per-shard ingest queue bound and congestion watermark (see
-  /// common/bounded_queue.hpp; watermark >= capacity disables the kQueued
-  /// signal).
+  /// Per-shard ingest queue bound (common/bounded_queue.hpp): a submit
+  /// that finds the shard's queue full is refused for backpressure.
   std::size_t queue_capacity = 4096;
-  std::size_t queue_watermark = 3072;
   /// Per-shard market parameters (consensus, retry budget, …).  Every
   /// shard gets an identical copy; `market.consensus.auction.threads`
   /// should usually stay 1 so parallelism lives across shards, not inside
@@ -91,22 +88,20 @@ struct EngineConfig {
   std::size_t journal_capacity = 0;
 };
 
-/// Producer-visible outcome of one submit().
+/// Producer-visible outcome of one submit(): admitted, deferred, or
+/// rejected for backpressure.
 struct EngineAdmission {
-  Admission status = Admission::kRejected;
-  /// Why the bid was refused (kRejected) or parked (kDeferred).
   enum class Reason : std::uint8_t {
-    kNone,          ///< admitted
-    kBackpressure,  ///< the shard's ingest queue is full
-    kUnroutable,    ///< no location and SpilloverPolicy::kReject
-    kDeferred,      ///< refused now, parked for deterministic retry
-                    ///< (status == kQueued: the bid is still in flight)
+    kNone,          ///< admitted into the shard's ingest queue
+    kBackpressure,  ///< rejected: the shard's ingest queue is full
+    kDeferred,      ///< refused now, parked for deterministic retry (the
+                    ///< bid is still in flight, so it counts as admitted)
   };
   Reason reason = Reason::kNone;
-  /// Target shard (valid unless reason == kUnroutable).
+  /// Target shard.
   std::size_t shard = 0;
 
-  [[nodiscard]] bool admitted() const { return status != Admission::kRejected; }
+  [[nodiscard]] bool admitted() const { return reason != Reason::kBackpressure; }
 };
 
 class MarketEngine {
@@ -205,7 +200,7 @@ class MarketEngine {
 
   struct Shard {
     explicit Shard(const EngineConfig& config)
-        : queue(config.queue_capacity, config.queue_watermark), market(config.market) {}
+        : queue(config.queue_capacity), market(config.market) {}
 
     BoundedQueue<IngestItem> queue;
     ledger::MarketOrchestrator market;
@@ -243,7 +238,7 @@ class MarketEngine {
   /// Parks a refused ingest in the shard's deferral buffer.
   void defer(Shard& shard, IngestItem item, std::size_t attempt);
   /// Backoff in epochs before retry `attempt` re-enters the market.
-  [[nodiscard]] std::uint64_t retry_backoff(std::size_t attempt) const;
+  [[nodiscard]] static std::uint64_t retry_backoff(std::size_t attempt);
 
   /// Builds the synthetic "engine" sink (producer-side atomics + router
   /// annotation) the exports prepend to the per-shard sinks.
@@ -259,12 +254,9 @@ class MarketEngine {
   std::unique_ptr<const fault::FaultInjector> injector_;
   /// Owned flight recorder (null when config.journal_capacity == 0).
   std::unique_ptr<journal::Journal> journal_;
-  /// Journal-only hooks on the control ring (unroutable rejections).
-  ledger::Hooks control_;
   // unique_ptr: Shard is neither movable nor copyable (queue mutex,
   // orchestrator), and the vector is sized once in the constructor.
   std::vector<std::unique_ptr<Shard>> shards_;
-  dsched::atomic<std::size_t> rejected_unroutable_{0};
   /// Durable-market attachments (both null outside durable mode).
   wal::WalWriter* wal_ = nullptr;
   const fault::FaultInjector* crash_ = nullptr;

@@ -126,11 +126,10 @@ std::string EngineReport::summary_json() const {
   char buf[320];
   std::snprintf(buf, sizeof buf,
                 "{\"epochs\":%zu,\"micro_epochs\":%zu,\"bids_rejected_backpressure\":%zu,"
-                "\"bids_rejected_unroutable\":%zu,\"bids_spilled\":%zu,"
-                "\"bids_retry_scheduled\":%zu,\"bids_retry_succeeded\":%zu,"
-                "\"bids_retry_dropped\":%zu,\"total\":",
-                epochs, micro_epochs, bids_rejected_backpressure, bids_rejected_unroutable,
-                bids_spilled, bids_retry_scheduled, bids_retry_succeeded, bids_retry_dropped);
+                "\"bids_spilled\":%zu,\"bids_retry_scheduled\":%zu,"
+                "\"bids_retry_succeeded\":%zu,\"bids_retry_dropped\":%zu,\"total\":",
+                epochs, micro_epochs, bids_rejected_backpressure, bids_spilled,
+                bids_retry_scheduled, bids_retry_succeeded, bids_retry_dropped);
   out += buf;
   append_stats(out, total);
   out += ",\"shards\":[";

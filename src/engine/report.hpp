@@ -24,7 +24,7 @@ struct ShardReport {
   std::size_t epochs = 0;
   /// Submissions refused by this shard's ingest queue (backpressure).
   std::size_t bids_rejected_backpressure = 0;
-  /// Location-less bids the spillover policy placed here.
+  /// Location-less bids the id-hash spillover placed here.
   std::size_t bids_spilled = 0;
   /// Refused ingests parked for deterministic retry (IngestRetryPolicy);
   /// re-deferrals count again, so scheduled >= succeeded + dropped is NOT
@@ -49,10 +49,8 @@ struct EngineReport {
 
   /// MarketStats merged across shards in shard order.
   ledger::MarketStats total;
-  /// Engine-level counters (sums of the per-shard ones, plus submissions
-  /// the router refused outright).
+  /// Engine-level counters (sums of the per-shard ones).
   std::size_t bids_rejected_backpressure = 0;
-  std::size_t bids_rejected_unroutable = 0;
   std::size_t bids_spilled = 0;
   std::size_t bids_retry_scheduled = 0;
   std::size_t bids_retry_succeeded = 0;

@@ -9,22 +9,13 @@
 
 namespace decloud::engine {
 
-ShardRouter::ShardRouter(ShardRouterConfig config) : config_(std::move(config)) {
+ShardRouter::ShardRouter(ShardRouterConfig config) : config_(config) {
   DECLOUD_EXPECTS(config_.num_shards > 0);
   DECLOUD_EXPECTS(config_.x1 > config_.x0 && config_.y1 > config_.y0);
-  for (const Region& region : config_.regions) {
-    DECLOUD_EXPECTS(region.shard < config_.num_shards);
-    DECLOUD_EXPECTS(region.x1 > region.x0 && region.y1 > region.y0);
-  }
-  grid_x_ = config_.grid_x;
-  grid_y_ = config_.grid_y;
-  if (grid_x_ == 0 || grid_y_ == 0) {
-    // Near-square grid with at least one cell per shard.
-    grid_x_ = static_cast<std::size_t>(
-        std::ceil(std::sqrt(static_cast<double>(config_.num_shards))));
-    grid_x_ = std::max<std::size_t>(grid_x_, 1);
-    grid_y_ = (config_.num_shards + grid_x_ - 1) / grid_x_;
-  }
+  // Near-square grid with at least one cell per shard.
+  grid_x_ = static_cast<std::size_t>(
+      std::ceil(std::sqrt(static_cast<double>(config_.num_shards))));
+  grid_y_ = (config_.num_shards + grid_x_ - 1) / grid_x_;
 }
 
 std::size_t ShardRouter::grid_shard(const auction::Location& loc) const {
@@ -44,32 +35,17 @@ Route ShardRouter::route(const std::optional<auction::Location>& location,
   if (location.has_value()) {
     DECLOUD_EXPECTS_MSG(std::isfinite(location->x) && std::isfinite(location->y),
                         "bid location must be finite to route deterministically");
-    for (const Region& region : config_.regions) {
-      if (location->x >= region.x0 && location->x < region.x1 &&
-          location->y >= region.y0 && location->y < region.y1) {
-        return {RouteKind::kRegion, region.shard};
-      }
-    }
     return {RouteKind::kGrid, grid_shard(*location)};
   }
-  switch (config_.spillover) {
-    case SpilloverPolicy::kHashId:
-      // SplitMix64 scrambles sequential ids into an even spread.
-      return {RouteKind::kSpilled,
-              static_cast<std::size_t>(SplitMix64(id).next() % config_.num_shards)};
-    case SpilloverPolicy::kShardZero:
-      return {RouteKind::kSpilled, 0};
-    case SpilloverPolicy::kReject:
-      break;
-  }
-  return {RouteKind::kRejected, 0};
+  // SplitMix64 scrambles sequential ids into an even spread.
+  return {RouteKind::kSpilled,
+          static_cast<std::size_t>(SplitMix64(id).next() % config_.num_shards)};
 }
 
 void ShardRouter::annotate(obs::MetricsRegistry& metrics) const {
   metrics.gauge("router.num_shards").set(static_cast<double>(config_.num_shards));
   metrics.gauge("router.grid_x").set(static_cast<double>(grid_x_));
   metrics.gauge("router.grid_y").set(static_cast<double>(grid_y_));
-  metrics.gauge("router.regions").set(static_cast<double>(config_.regions.size()));
 }
 
 }  // namespace decloud::engine

@@ -4,15 +4,13 @@
 // proximity dominates QoM for edge workloads (Section II), so bids
 // naturally partition by the ℓ_r / ℓ_o coordinates the bidding language
 // already carries (Eqs. 1–2).  The router maps every bid to exactly one
-// shard — an independent regional market — using, in precedence order:
+// shard — an independent regional market — by one rule:
 //
-//   1. an explicit region table (rectangles claimed by named shards),
-//      for deployments with known metro/POP boundaries;
-//   2. a uniform grid over a configured bounding box, for everything the
-//      table does not claim (coordinates outside the box are clamped onto
-//      its edge, so the grid is total);
-//   3. a spillover policy for location-less bids: hash the bid id onto a
-//      shard (load-spreading, the default), pin to shard 0, or reject.
+//   * a located bid falls into a cell of a near-square uniform grid over
+//     the configured bounding box (coordinates outside the box are
+//     clamped onto its edge, so the grid is total);
+//   * a location-less bid spills over by its id: SplitMix64(id) modulo
+//     the shard count — load-spreading and stable per id.
 //
 // Routing is a pure function of (config, location, id) — stable across
 // calls, threads, and processes — which the engine's determinism contract
@@ -21,7 +19,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "auction/bid.hpp"
 
@@ -31,51 +28,25 @@ class MetricsRegistry;
 
 namespace decloud::engine {
 
-/// What to do with a bid that carries no location.
-enum class SpilloverPolicy : std::uint8_t {
-  kHashId,     ///< splitmix64(id) % num_shards — spreads load, stable per id
-  kShardZero,  ///< pin every location-less bid to shard 0
-  kReject,     ///< refuse admission (engine reports Admission::kRejected)
-};
-
-/// One explicit region claim: the half-open rectangle [x0,x1)×[y0,y1)
-/// routes to `shard`.  Earlier entries win overlaps.
-struct Region {
-  double x0 = 0.0, x1 = 0.0;
-  double y0 = 0.0, y1 = 0.0;
-  std::size_t shard = 0;
-};
-
 struct ShardRouterConfig {
   /// Number of independent regional markets.
   std::size_t num_shards = 1;
-  /// Bounding box of the grid: [x0,x1)×[y0,y1).
+  /// Bounding box of the grid: [x0,x1)×[y0,y1).  The grid has
+  /// ceil(sqrt(num_shards)) columns and enough rows for one cell per shard.
   double x0 = 0.0, x1 = 1.0;
   double y0 = 0.0, y1 = 1.0;
-  /// Grid dimensions; 0 = derive a near-square grid with one cell per
-  /// shard (grid_x = ceil(sqrt(num_shards))).
-  std::size_t grid_x = 0;
-  std::size_t grid_y = 0;
-  /// Explicit region table consulted before the grid.
-  std::vector<Region> regions;
-  SpilloverPolicy spillover = SpilloverPolicy::kHashId;
 };
 
 /// How a routing decision was reached — the engine surfaces this in its
 /// shard counters (`bids_spilled`).
 enum class RouteKind : std::uint8_t {
-  kRegion,    ///< matched an explicit region-table entry
-  kGrid,      ///< located via the grid
-  kSpilled,   ///< location-less, placed by the spillover policy
-  kRejected,  ///< location-less under SpilloverPolicy::kReject
+  kGrid,     ///< located via the grid
+  kSpilled,  ///< location-less, placed by the id hash
 };
 
 struct Route {
-  RouteKind kind = RouteKind::kRejected;
-  /// Valid unless kind == kRejected.
+  RouteKind kind = RouteKind::kGrid;
   std::size_t shard = 0;
-
-  [[nodiscard]] bool routed() const { return kind != RouteKind::kRejected; }
 };
 
 class ShardRouter {
@@ -97,15 +68,15 @@ class ShardRouter {
   }
 
   /// Records the resolved routing topology as gauges (router.num_shards,
-  /// router.grid_x/grid_y, router.regions) — static facts a dashboard
-  /// needs next to the per-shard counters.
+  /// router.grid_x/grid_y) — static facts a dashboard needs next to the
+  /// per-shard counters.
   void annotate(obs::MetricsRegistry& metrics) const;
 
  private:
   [[nodiscard]] std::size_t grid_shard(const auction::Location& loc) const;
 
   ShardRouterConfig config_;
-  std::size_t grid_x_;  // resolved (non-zero) grid dimensions
+  std::size_t grid_x_;  // derived grid dimensions
   std::size_t grid_y_;
 };
 

@@ -16,12 +16,12 @@
 //     wall time, so two runs over the same submission sequence journal
 //     byte-identically no matter how fast the host is.
 //   * Events are buffered per shard in bounded rings: ring 0 is the
-//     control ring (micro-epoch closes, unroutable rejections — written
-//     by the producer/tick thread), ring s+1 belongs to shard s (written
-//     by whichever pool worker runs that shard's round).  A shard's
-//     events are ordered by its own deterministic execution, and rings
-//     never interleave in the encoding, so the scheduler's thread count
-//     cannot reorder anything observable.
+//     control ring (micro-epoch closes — written by the producer/tick
+//     thread), ring s+1 belongs to shard s (written by whichever pool
+//     worker runs that shard's round).  A shard's events are ordered by
+//     its own deterministic execution, and rings never interleave in the
+//     encoding, so the scheduler's thread count cannot reorder anything
+//     observable.
 //   * encode() walks the rings in fixed index order.  Journal bytes are
 //     therefore identical at any thread count, for the batch reference
 //     loop vs the aligned-trigger drive loop, chaos included — the
@@ -49,7 +49,7 @@ namespace decloud::journal {
 /// What happened.  Values are the wire encoding — append new kinds at the
 /// end, never renumber (journals byte-diff across runs).
 enum class EventKind : std::uint8_t {
-  kIngestAdmitted = 0,   ///< submit accepted by the shard queue
+  kIngestAdmitted = 0,   ///< submit accepted by the shard queue (c: reserved, 0)
   kIngestRejected = 1,   ///< submit refused (c: RejectCause)
   kIngestDeferred = 2,   ///< submit parked for deterministic retry
   kRetryAdmitted = 3,    ///< deferred bid re-entered the shard market
@@ -76,8 +76,9 @@ inline constexpr std::size_t kNumEventKinds = 16;
 /// reserved for the retired logical-clock watermark close.
 enum class CloseReason : std::uint8_t { kBidCount = 0, kFlush = 2, kDrain = 3 };
 
-/// Operand `c` of kIngestRejected.
-enum class RejectCause : std::uint8_t { kBackpressure = 0, kUnroutable = 1 };
+/// Operand `c` of kIngestRejected.  Wire value 1 is reserved (it was the
+/// unroutable rejection; every bid now routes to a shard).
+enum class RejectCause : std::uint8_t { kBackpressure = 0 };
 
 /// Operand `b` of kReputationPenalty.
 enum class PenaltyKind : std::uint8_t { kWithhold = 0, kProducer = 1, kDeny = 2 };
@@ -108,7 +109,7 @@ struct Event {
 
 class Journal {
  public:
-  /// Ring 0: control events (epoch closes, unroutable rejections).
+  /// Ring 0: control events (epoch closes).
   static constexpr std::size_t kControlRing = 0;
 
   /// `num_rings` bounded rings of `capacity` events each.  An engine uses

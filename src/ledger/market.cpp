@@ -348,6 +348,8 @@ void MarketOrchestrator::restore_state(ByteReader& r) {
   stats_.total_welfare = r.read_double();
   stats_.total_settled = r.read_double();
   const std::uint64_t latency_bins = r.read_u64();
+  DECLOUD_EXPECTS_MSG(latency_bins <= r.remaining(),
+                      "market snapshot latency bin count exceeds the payload");
   stats_.allocation_latency.resize(static_cast<std::size_t>(latency_bins));
   for (std::size_t& n : stats_.allocation_latency) n = static_cast<std::size_t>(r.read_u64());
 

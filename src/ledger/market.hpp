@@ -47,8 +47,13 @@ struct MarketStats {
   std::size_t requests_allocated = 0;
   std::size_t requests_abandoned = 0;
   std::size_t offers_submitted = 0;
-  /// Offers whose retry budget ran out before they matched (requests have
-  /// requests_abandoned; offers age out of the resubmission loop too).
+  /// Offer age-outs.  Every in-flight offer re-enters the next round,
+  /// matched or not (a match does not consume its capacity), until its
+  /// attempts exceed max_resubmissions; it is counted here when it leaves
+  /// the queue.  So this is not a count of unmatched offers: every offer
+  /// that stays in the market long enough ages out, and an offer that a
+  /// denial refund (deny_agreement) re-enters after it aged out can age
+  /// out, and count, a second time.
   std::size_t offers_abandoned = 0;
   /// Bids (requests + offers) carried forward into a later round: every
   /// re-queue from an unmatched round, a rejected block, or a denial

@@ -60,7 +60,6 @@ StreamAdmission StreamingMarket::submit_bid(const Bid& bid) {
     if (!admission.engine.admitted()) m.counter("stream.bids_rejected").add(1);
   }
   admission.closed_micro_epoch = maybe_close();
-  admission.micro_epoch = scheduler_.epochs();
   return admission;
 }
 

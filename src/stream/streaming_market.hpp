@@ -70,8 +70,6 @@ struct StreamAdmission {
   EngineAdmission engine;
   /// True when this submission closed a micro-epoch.
   bool closed_micro_epoch = false;
-  /// Micro-epochs closed so far (after this submission).
-  std::size_t micro_epoch = 0;
 };
 
 class StreamingMarket {

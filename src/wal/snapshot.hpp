@@ -23,7 +23,7 @@ namespace decloud::wal {
 /// Bumped whenever the payload layout changes: the version byte lies
 /// outside the payload CRC, so an older file is refused here rather than
 /// misparsed.
-inline constexpr std::uint8_t kSnapshotVersion = 2;
+inline constexpr std::uint8_t kSnapshotVersion = 3;
 
 /// A decoded snapshot file.
 struct SnapshotFile {

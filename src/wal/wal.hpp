@@ -1,9 +1,8 @@
 // Per-shard write-ahead log ("DCW1") for the durable market.
 //
-// Layout: one directory holds `control.dcw` (segment 0: unroutable bids
-// and stream flushes) plus `shard<N>.dcw`
-// (segment N+1: bids routed to shard N and that shard's block-append
-// fingerprints).  Every record is CRC-framed:
+// Layout: one directory holds `control.dcw` (segment 0: stream flushes)
+// plus `shard<N>.dcw` (segment N+1: bids routed to shard N and that
+// shard's block-append fingerprints).  Every record is CRC-framed:
 //
 //   u32 payload_len (LE) | payload | u32 crc32(payload)
 //
@@ -121,9 +120,9 @@ class WalWriter {
   WalWriter(PassKey, const Options& options, bool fresh,
             std::span<const std::uint64_t> valid_bytes, std::uint64_t next_input_seq);
 
-  /// Appends one bid.  `segment` is 0 for unroutable bids, shard+1
-  /// otherwise; `payload` is the ledger codec encoding.  Returns the
-  /// record's input_seq.
+  /// Appends one bid to `segment` (the engine passes shard+1; every bid
+  /// routes to a shard); `payload` is the ledger codec encoding.  Returns
+  /// the record's input_seq.
   std::uint64_t append_bid(std::size_t segment, bool is_offer,
                            std::span<const std::uint8_t> payload);
   /// Appends a stream flush (control segment).

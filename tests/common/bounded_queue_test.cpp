@@ -2,25 +2,35 @@
 
 #include <gtest/gtest.h>
 
-#include "dsched/sync.hpp"
 #include <vector>
 
 #include "common/ensure.hpp"
+#include "dsched/sync.hpp"
 
 namespace decloud {
 namespace {
 
+// Capacity is the only admission rule: every push below it is admitted
+// (there is no separate "queued" congestion tier), the one at it refused.
 TEST(BoundedQueueTest, AcceptsBelowWatermarkQueuesAboveRejectsAtCapacity) {
-  BoundedQueue<int> q(/*capacity=*/4, /*watermark=*/2);
-  EXPECT_EQ(q.push(1).status, Admission::kAccepted);  // depth 1
-  EXPECT_EQ(q.push(2).status, Admission::kAccepted);  // depth 2 (== watermark)
-  EXPECT_EQ(q.push(3).status, Admission::kQueued);    // depth 3 > watermark
-  EXPECT_EQ(q.push(4).status, Admission::kQueued);    // depth 4 (== capacity)
-  const auto rejected = q.push(5);
-  EXPECT_EQ(rejected.status, Admission::kRejected);
-  EXPECT_EQ(rejected.reason, RejectReason::kCapacity);
-  EXPECT_FALSE(rejected.admitted());
+  BoundedQueue<int> q(/*capacity=*/4);
+  EXPECT_TRUE(q.push(1));  // depth 1
+  EXPECT_TRUE(q.push(2));  // depth 2
+  EXPECT_TRUE(q.push(3));  // depth 3
+  EXPECT_TRUE(q.push(4));  // depth 4 (== capacity)
+  EXPECT_FALSE(q.push(5));
   EXPECT_EQ(q.size(), 4u);
+  EXPECT_EQ(q.drain(), (std::vector<int>{1, 2, 3, 4}));  // the refused value never entered
+}
+
+// A queue built from a capacity alone admits up to that capacity with no
+// congestion signal, and refuses the next push.
+TEST(BoundedQueueTest, DefaultWatermarkDisablesCongestionSignal) {
+  BoundedQueue<int> q(3);
+  EXPECT_TRUE(q.push(1));
+  EXPECT_TRUE(q.push(2));
+  EXPECT_TRUE(q.push(3));
+  EXPECT_FALSE(q.push(4));
 }
 
 TEST(BoundedQueueTest, DrainReturnsFifoAndResetsDepth) {
@@ -30,72 +40,20 @@ TEST(BoundedQueueTest, DrainReturnsFifoAndResetsDepth) {
   EXPECT_EQ(items, (std::vector<int>{0, 1, 2, 3, 4}));
   EXPECT_TRUE(q.empty());
   // Depth reset: admission works again after a drain.
-  EXPECT_EQ(q.push(99).status, Admission::kAccepted);
+  EXPECT_TRUE(q.push(99));
 }
 
 TEST(BoundedQueueTest, DrainReopensAdmissionAfterRejection) {
   BoundedQueue<int> q(2);
   (void)q.push(1);
   (void)q.push(2);
-  EXPECT_EQ(q.push(3).status, Admission::kRejected);
+  EXPECT_FALSE(q.push(3));
   (void)q.drain();
-  EXPECT_EQ(q.push(3).status, Admission::kAccepted);
-}
-
-TEST(BoundedQueueTest, DefaultWatermarkDisablesCongestionSignal) {
-  BoundedQueue<int> q(3);  // watermark defaults past capacity
-  EXPECT_EQ(q.push(1).status, Admission::kAccepted);
-  EXPECT_EQ(q.push(2).status, Admission::kAccepted);
-  EXPECT_EQ(q.push(3).status, Admission::kAccepted);
-  EXPECT_EQ(q.push(4).status, Admission::kRejected);
+  EXPECT_TRUE(q.push(3));
 }
 
 TEST(BoundedQueueTest, ZeroCapacityIsAPreconditionViolation) {
   EXPECT_THROW(BoundedQueue<int>(0), precondition_error);
-}
-
-// --- Shutdown contract (close()): every push serializes either before
-// --- the close — and then its value MUST surface in a drain — or after
-// --- it, and is rejected with kClosed.  The dsched model queue_close
-// --- checks the same invariant under every interleaving; these pin the
-// --- single-threaded edges.
-
-TEST(BoundedQueueTest, PushAfterCloseIsRejectedWithKClosed) {
-  BoundedQueue<int> q(4);
-  EXPECT_EQ(q.push(1).status, Admission::kAccepted);
-  q.close();
-  const auto rejected = q.push(2);
-  EXPECT_EQ(rejected.status, Admission::kRejected);
-  EXPECT_EQ(rejected.reason, RejectReason::kClosed);
-  EXPECT_TRUE(q.closed());
-}
-
-TEST(BoundedQueueTest, CloseDoesNotDropQueuedItems) {
-  BoundedQueue<int> q(4);
-  (void)q.push(1);
-  (void)q.push(2);
-  q.close();
-  EXPECT_EQ(q.drain(), (std::vector<int>{1, 2}));
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(BoundedQueueTest, CloseIsIdempotentAndDrainStaysUsable) {
-  BoundedQueue<int> q(2);
-  q.close();
-  q.close();  // second close is a no-op
-  EXPECT_TRUE(q.closed());
-  EXPECT_EQ(q.push(7).reason, RejectReason::kClosed);
-  EXPECT_TRUE(q.drain().empty());
-  EXPECT_TRUE(q.drain().empty());  // drain after close stays legal
-}
-
-TEST(BoundedQueueTest, ClosedQueueStillReportsCapacityRejectionsAsClosed) {
-  // kClosed wins over kCapacity: the queue checks the shutdown flag
-  // first, so producers see a stable reason during teardown.
-  BoundedQueue<int> q(1);
-  (void)q.push(1);  // full
-  q.close();
-  EXPECT_EQ(q.push(2).reason, RejectReason::kClosed);
 }
 
 TEST(BoundedQueueTest, ConcurrentProducersNeverExceedCapacityOrLoseItems) {
@@ -111,7 +69,7 @@ TEST(BoundedQueueTest, ConcurrentProducersNeverExceedCapacityOrLoseItems) {
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
-        if (q.push(p * kPerProducer + i).admitted()) {
+        if (q.push(p * kPerProducer + i)) {
           ++admitted;
         } else {
           ++rejected;

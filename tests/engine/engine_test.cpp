@@ -81,19 +81,16 @@ TEST(MarketEngine, RoutesColocatedBidsToOneShardAndClearsThem) {
 TEST(MarketEngine, BackpressureRejectsAtCapacityAndCountsPerShard) {
   EngineConfig config = small_engine(2);
   config.queue_capacity = 3;
-  config.queue_watermark = 1;
   MarketEngine engine(config);
 
   // All to the same location → same shard queue.
   const auto first = engine.submit(make_request(1, 1.0, 5.0, 5.0));
   ASSERT_TRUE(first.admitted());
-  EXPECT_EQ(first.status, Admission::kAccepted);
-  const auto second = engine.submit(make_request(2, 1.0, 5.0, 5.0));
-  EXPECT_EQ(second.status, Admission::kQueued);  // above watermark: congested
-  const auto third = engine.submit(make_request(3, 1.0, 5.0, 5.0));
-  EXPECT_EQ(third.status, Admission::kQueued);
+  EXPECT_EQ(first.reason, EngineAdmission::Reason::kNone);
+  EXPECT_TRUE(engine.submit(make_request(2, 1.0, 5.0, 5.0)).admitted());
+  EXPECT_TRUE(engine.submit(make_request(3, 1.0, 5.0, 5.0)).admitted());
   const auto fourth = engine.submit(make_request(4, 1.0, 5.0, 5.0));
-  EXPECT_EQ(fourth.status, Admission::kRejected);
+  EXPECT_FALSE(fourth.admitted());
   EXPECT_EQ(fourth.reason, EngineAdmission::Reason::kBackpressure);
 
   const EngineReport report = engine.report();
@@ -109,28 +106,25 @@ TEST(MarketEngine, BackpressureRejectsAtCapacityAndCountsPerShard) {
   EXPECT_TRUE(engine.submit(make_request(5, 1.0, 5.0, 5.0)).admitted());
 }
 
-TEST(MarketEngine, SpilloverPolicyCountsSpilledAndUnroutableBids) {
-  EngineConfig config = small_engine(4);
-  config.router.spillover = SpilloverPolicy::kShardZero;
-  MarketEngine engine(config);
-
+TEST(MarketEngine, LocationlessBidsSpillByIdHashAndAreCounted) {
+  MarketEngine engine(small_engine(4));
   auction::Request homeless = make_request(1, 1.0, 0.0, 0.0);
   homeless.location.reset();
-  const auto spilled = engine.submit(homeless);
-  ASSERT_TRUE(spilled.admitted());
-  EXPECT_EQ(spilled.shard, 0u);
-  EXPECT_EQ(engine.report().bids_spilled, 1u);
-  EXPECT_EQ(engine.report().shards[0].bids_spilled, 1u);
-
-  EngineConfig strict = small_engine(4);
-  strict.router.spillover = SpilloverPolicy::kReject;
-  MarketEngine strict_engine(strict);
-  auction::Offer wanderer = make_offer(1, 0.1, 0.0, 0.0);
+  auction::Offer wanderer = make_offer(2, 0.1, 0.0, 0.0);
   wanderer.location.reset();
-  const auto refused = strict_engine.submit(wanderer);
-  EXPECT_FALSE(refused.admitted());
-  EXPECT_EQ(refused.reason, EngineAdmission::Reason::kUnroutable);
-  EXPECT_EQ(strict_engine.report().bids_rejected_unroutable, 1u);
+
+  const auto request = engine.submit(homeless);
+  const auto offer = engine.submit(wanderer);
+  ASSERT_TRUE(request.admitted());
+  ASSERT_TRUE(offer.admitted());
+  EXPECT_EQ(request.shard, engine.router().route(homeless).shard);
+  EXPECT_EQ(offer.shard, engine.router().route(wanderer).shard);
+  const EngineReport report = engine.report();
+  EXPECT_EQ(report.bids_spilled, 2u);
+  EXPECT_EQ(report.shards[request.shard].bids_spilled, request.shard == offer.shard ? 2u : 1u);
+  // A located bid is routed by the grid and never counts as spilled.
+  EXPECT_TRUE(engine.submit(make_request(3, 1.0, 5.0, 5.0)).admitted());
+  EXPECT_EQ(engine.report().bids_spilled, 2u);
 }
 
 TEST(MarketEngine, ValidatesBidsAtSubmit) {
@@ -145,7 +139,6 @@ TEST(MarketEngine, ValidatesBidsAtSubmit) {
 TEST(MarketEngineIntegration, ReportReconcilesWithSummedShardStats) {
   EngineConfig config = small_engine(4);
   config.queue_capacity = 64;  // small enough that backpressure can trigger
-  config.queue_watermark = 48;
   MarketEngine engine(config);
   EpochScheduler scheduler(engine, 1);
 
@@ -181,10 +174,9 @@ TEST(MarketEngineIntegration, ReportReconcilesWithSummedShardStats) {
   EXPECT_EQ(report.total.total_welfare, welfare);
 
   // Driver-side accounting closes the loop: everything generated was
-  // either admitted into a shard or rejected (backpressure/unroutable).
+  // either admitted into a shard or rejected for backpressure.
   EXPECT_EQ(outcome.bids_admitted + outcome.bids_rejected, outcome.bids_generated);
-  EXPECT_EQ(outcome.bids_rejected,
-            report.bids_rejected_backpressure + report.bids_rejected_unroutable);
+  EXPECT_EQ(outcome.bids_rejected, report.bids_rejected_backpressure);
   EXPECT_EQ(report.total.requests_submitted + report.total.offers_submitted,
             outcome.bids_admitted);
   // The latency histogram stays an exact decomposition of allocations.

@@ -40,7 +40,6 @@ TEST(ShardRouter, RoutingIsStableAcrossCallsAndRouterInstances) {
     const auto r = located_request(id, static_cast<double>(id % 10) * 9.7,
                                    static_cast<double>(id % 7) * 13.1);
     const Route first = a.route(r);
-    ASSERT_TRUE(first.routed());
     EXPECT_EQ(first.shard, a.route(r).shard) << "unstable across calls, id " << id;
     EXPECT_EQ(first.shard, b.route(r).shard) << "unstable across instances, id " << id;
   }
@@ -52,7 +51,6 @@ TEST(ShardRouter, RequestAndOfferAtSameLocationShareAShard) {
     for (double y : {1.0, 50.0, 88.8}) {
       const Route rr = router.route(located_request(1, x, y));
       const Route ro = router.route(located_offer(2, x, y));
-      ASSERT_TRUE(rr.routed());
       EXPECT_EQ(rr.shard, ro.shard) << "(" << x << "," << y << ")";
     }
   }
@@ -65,7 +63,6 @@ TEST(ShardRouter, GridReachesEveryShard) {
   for (double x = 0.5; x < 100.0; x += 3.0) {
     for (double y = 0.5; y < 100.0; y += 3.0) {
       const Route route = router.route(located_request(1, x, y));
-      ASSERT_TRUE(route.routed());
       ASSERT_LT(route.shard, shards);
       seen.insert(route.shard);
     }
@@ -78,41 +75,18 @@ TEST(ShardRouter, OutOfBoxCoordinatesClampOntoTheGrid) {
   for (const auto& [x, y] : std::vector<std::pair<double, double>>{
            {-50.0, -50.0}, {1e9, 1e9}, {-1.0, 200.0}, {200.0, -1.0}}) {
     const Route route = router.route(located_request(1, x, y));
-    ASSERT_TRUE(route.routed());
     EXPECT_LT(route.shard, 4u);
     EXPECT_EQ(route.kind, RouteKind::kGrid);
   }
 }
 
-TEST(ShardRouter, RegionTableWinsOverGridAndHonorsPrecedence) {
-  ShardRouterConfig config = grid_config(8);
-  // Claim the whole box for shard 7, with a nested inner claim for shard 2
-  // listed FIRST (earlier entries win overlaps).
-  config.regions.push_back({40.0, 60.0, 40.0, 60.0, 2});
-  config.regions.push_back({0.0, 100.0, 0.0, 100.0, 7});
-  const ShardRouter router(config);
-
-  const Route inner = router.route(located_request(1, 50.0, 50.0));
-  EXPECT_EQ(inner.kind, RouteKind::kRegion);
-  EXPECT_EQ(inner.shard, 2u);
-  const Route outer = router.route(located_request(2, 10.0, 10.0));
-  EXPECT_EQ(outer.kind, RouteKind::kRegion);
-  EXPECT_EQ(outer.shard, 7u);
-  // Outside every region (box coordinates are clamped only for the grid):
-  const Route beyond = router.route(located_request(3, 500.0, 500.0));
-  EXPECT_EQ(beyond.kind, RouteKind::kGrid);
-}
-
 TEST(ShardRouter, SpilloverHashSpreadsLocationlessBidsStably) {
-  ShardRouterConfig config = grid_config(8);
-  config.spillover = SpilloverPolicy::kHashId;
-  const ShardRouter router(config);
+  const ShardRouter router(grid_config(8));
   std::set<std::size_t> seen;
   for (std::uint64_t id = 0; id < 256; ++id) {
     auction::Request r;
     r.id = RequestId(id);
     const Route route = router.route(r);
-    ASSERT_TRUE(route.routed());
     EXPECT_EQ(route.kind, RouteKind::kSpilled);
     EXPECT_EQ(route.shard, router.route(r).shard);  // stable per id
     seen.insert(route.shard);
@@ -120,34 +94,12 @@ TEST(ShardRouter, SpilloverHashSpreadsLocationlessBidsStably) {
   EXPECT_GT(seen.size(), 1u);  // the hash actually spreads
 }
 
-TEST(ShardRouter, SpilloverShardZeroPinsLocationlessBids) {
-  ShardRouterConfig config = grid_config(8);
-  config.spillover = SpilloverPolicy::kShardZero;
-  const ShardRouter router(config);
-  auction::Offer o;
-  o.id = OfferId(77);
-  const Route route = router.route(o);
-  EXPECT_EQ(route.kind, RouteKind::kSpilled);
-  EXPECT_EQ(route.shard, 0u);
-}
-
-TEST(ShardRouter, SpilloverRejectRefusesLocationlessBids) {
-  ShardRouterConfig config = grid_config(8);
-  config.spillover = SpilloverPolicy::kReject;
-  const ShardRouter router(config);
-  auction::Request r;
-  r.id = RequestId(5);
-  EXPECT_FALSE(router.route(r).routed());
-  // Located bids are unaffected by the policy.
-  EXPECT_TRUE(router.route(located_request(6, 10.0, 10.0)).routed());
-}
-
 TEST(ShardRouter, ValidatesConfig) {
   ShardRouterConfig no_shards = grid_config(0);
   EXPECT_THROW(ShardRouter{no_shards}, precondition_error);
-  ShardRouterConfig bad_region = grid_config(4);
-  bad_region.regions.push_back({0.0, 1.0, 0.0, 1.0, /*shard=*/9});  // out of range
-  EXPECT_THROW(ShardRouter{bad_region}, precondition_error);
+  ShardRouterConfig empty_box = grid_config(4);
+  empty_box.x1 = empty_box.x0;
+  EXPECT_THROW(ShardRouter{empty_box}, precondition_error);
 }
 
 }  // namespace

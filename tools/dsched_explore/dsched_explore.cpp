@@ -6,8 +6,8 @@
 //   dsched_explore --list
 //   dsched_explore --model queue_admission                 # model defaults
 //   dsched_explore --model stream_2shard --mode pct --seed 42 --schedules 10000
-//   dsched_explore --model queue_close --replay 'dsched1;...'
-//   dsched_explore --model queue_close --replay @cert.txt --minimize
+//   dsched_explore --model queue_admission --replay 'dsched1;...'
+//   dsched_explore --model queue_admission --replay @cert.txt --minimize
 //
 // Exit status: 0 when every requested exploration is green, 1 on a model
 // failure (certificate printed), 2 on usage errors.
