@@ -58,7 +58,7 @@ std::vector<std::size_t> parse_counts(const char* arg) {
   return out;
 }
 
-engine::EngineConfig engine_config(std::size_t shards, std::size_t journal_capacity, bool wal) {
+engine::EngineConfig engine_config(std::size_t shards, std::size_t journal_capacity) {
   engine::EngineConfig config;
   config.router.num_shards = shards;
   config.router.x0 = 0.0;
@@ -70,7 +70,6 @@ engine::EngineConfig engine_config(std::size_t shards, std::size_t journal_capac
   config.market.num_verifiers = 1;
   config.market.consensus.auction.threads = 1;  // parallelism across shards
   config.journal_capacity = journal_capacity;
-  if (wal) config.market.reuse_candidate_index = false;  // durable-mode contract
   return config;
 }
 
@@ -147,7 +146,7 @@ int main(int argc, char** argv) {
       std::size_t bids = 0;
       for (int round = 0; round < rounds; ++round) {
         stream::StreamConfig stream_config;
-        stream_config.engine = engine_config(shards, journal_capacity, wal);
+        stream_config.engine = engine_config(shards, journal_capacity);
         stream_config.triggers.bids = bids_per_epoch;
         stream_config.threads = threads;
         stream::StreamingMarket market(std::move(stream_config));

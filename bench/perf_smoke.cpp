@@ -389,7 +389,6 @@ int main(int argc, char** argv) {
       c.market.consensus.difficulty_bits = 8;
       c.market.num_verifiers = 1;
       c.market.consensus.auction.threads = 1;
-      c.market.reuse_candidate_index = false;  // the durable-mode contract
       return c;
     };
 

@@ -86,11 +86,6 @@ class Rng {
   /// precondition violation.
   std::size_t weighted_index(std::span<const double> weights);
 
-  /// Raw generator state, for snapshot/restore.  A restored Rng continues
-  /// the exact stream the snapshotted one would have produced.
-  [[nodiscard]] const std::array<std::uint64_t, 4>& state() const { return state_; }
-  void set_state(const std::array<std::uint64_t, 4>& state) { state_ = state; }
-
   /// In-place Fisher–Yates shuffle — deterministic across platforms, unlike
   /// std::shuffle whose result depends on the standard library.
   template <typename T>

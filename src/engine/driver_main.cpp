@@ -41,15 +41,9 @@
 //                       events and count the drops
 //   --wal-dir DIR       durable mode (DESIGN.md §3k): append every input
 //                       to a per-shard write-ahead log in DIR before
-//                       applying it.  Forces the producer's cross-round
-//                       index cache off (snapshots do not carry it);
-//                       cache-off outcomes are bit-identical by contract.
-//   --snapshot-every N  write a deterministic snapshot of the whole
-//                       market after every N micro-epoch closes (needs
-//                       --wal-dir; must be >= 1 when given; default = no
-//                       snapshots, recovery then replays the whole WAL)
-//   --recover           recover from --wal-dir (latest snapshot + WAL
-//                       tail replay), then resume the run to completion.
+//                       applying it
+//   --recover           recover from --wal-dir (replay the whole WAL into
+//                       a fresh market), then resume the run to completion.
 //                       The recovered run's summary/metrics/journal are
 //                       byte-identical to an uninterrupted run's.
 //   --crash-plan SPEC   crash chaos: a fault plan whose crash_at_site
@@ -139,8 +133,6 @@ int main(int argc, char** argv) {
   const char* journal_out = nullptr;
   std::size_t journal_limit = 65536;
   const char* wal_dir = nullptr;
-  std::uint64_t snapshot_every = 0;
-  bool snapshot_every_set = false;
   bool recover = false;
   const char* crash_plan = nullptr;
 
@@ -184,9 +176,6 @@ int main(int argc, char** argv) {
       journal_limit = std::strtoul(next(), nullptr, 10);
     } else if (std::strcmp(argv[i], "--wal-dir") == 0) {
       wal_dir = next();
-    } else if (std::strcmp(argv[i], "--snapshot-every") == 0) {
-      snapshot_every = std::strtoull(next(), nullptr, 10);
-      snapshot_every_set = true;
     } else if (std::strcmp(argv[i], "--recover") == 0) {
       recover = true;
     } else if (std::strcmp(argv[i], "--crash-plan") == 0) {
@@ -198,7 +187,7 @@ int main(int argc, char** argv) {
                    "          [--prom-out PATH] [--trace-out PATH] [--wallclock]\n"
                    "          [--fault-plan SPEC] [--fault-seed N] [--retry-attempts N]\n"
                    "          [--journal-out PATH] [--journal-limit N]\n"
-                   "          [--wal-dir DIR] [--snapshot-every N] [--recover]\n"
+                   "          [--wal-dir DIR] [--recover]\n"
                    "          [--crash-plan SPEC]\n",
                    argv[0]);
       return 2;
@@ -211,14 +200,6 @@ int main(int argc, char** argv) {
   // Flag-combination validation: refuse contradictory durable-mode
   // configurations outright with a one-line diagnostic instead of running
   // a subtly meaningless market.
-  if (snapshot_every_set && snapshot_every == 0) {
-    std::fprintf(stderr, "engine_driver: --snapshot-every must be >= 1\n");
-    return 2;
-  }
-  if (snapshot_every_set && wal_dir == nullptr) {
-    std::fprintf(stderr, "engine_driver: --snapshot-every needs --wal-dir\n");
-    return 2;
-  }
   if (recover && wal_dir == nullptr) {
     std::fprintf(stderr, "engine_driver: --recover needs --wal-dir\n");
     return 2;
@@ -270,11 +251,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  // Durable mode trades the producer's cross-round index cache for
-  // snapshot/replay simplicity; cache-off outcomes are bit-identical by
-  // contract (wal/durable/durable.hpp).
-  if (wal_dir != nullptr) config.market.reuse_candidate_index = false;
-
   engine::TraceDriverConfig driver;
   driver.workload.num_requests = requests;
   driver.workload.num_offers = offers == 0 ? requests / 2 : offers;
@@ -288,13 +264,11 @@ int main(int argc, char** argv) {
   wal::DurableOptions durable;
   if (wal_dir != nullptr) {
     durable.wal_dir = wal_dir;
-    durable.snapshot_every = snapshot_every;
     durable.recover = recover;
     durable.crash = crash_plan != nullptr ? &crash_injector : nullptr;
     // Everything that shapes results goes into the fingerprint; thread
-    // count (legitimately different on recovery), output paths, snapshot
-    // cadence, and the crash plan (only the crashed run carries one) stay
-    // out.
+    // count (legitimately different on recovery), output paths and the
+    // crash plan (only the crashed run carries one) stay out.
     const std::string canonical =
         "shards=" + std::to_string(shards) + ";requests=" + std::to_string(requests) +
         ";offers=" + std::to_string(driver.workload.num_offers) +

@@ -275,88 +275,4 @@ std::string MarketEngine::trace_json(
   return obs::merged_chrome_trace(export_order(&engine_sink, extra_sinks));
 }
 
-void MarketEngine::encode_state(ByteWriter& w) const {
-  w.write_u64(shards_.size());
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
-    DECLOUD_EXPECTS_MSG(shard.queue.size() == 0,
-                        "engine snapshot requires drained ingest queues (quiescent point)");
-    w.write_u64(shard.rejected_backpressure.load(std::memory_order_relaxed));
-    w.write_u64(shard.spilled.load(std::memory_order_relaxed));
-    w.write_u64(shard.ingest_seq.load(std::memory_order_relaxed));
-    w.write_u64(shard.epochs_started.load(std::memory_order_relaxed));
-    w.write_u64(shard.retries_scheduled.load(std::memory_order_relaxed));
-    w.write_u64(shard.epochs_run);
-    w.write_u64(shard.retries_succeeded);
-    w.write_u64(shard.retries_dropped);
-    w.write_u64(shard.retry_seq);
-    {
-      const std::lock_guard<dsched::mutex> lock(shard.deferred_mutex);
-      w.write_u64(shard.deferred.size());
-      for (const Deferred& d : shard.deferred) {
-        const bool is_offer = d.item.bid.index() == 1;
-        w.write_u8(is_offer ? 1 : 0);
-        if (is_offer) {
-          w.write_bytes(ledger::encode_offer(std::get<auction::Offer>(d.item.bid)));
-        } else {
-          w.write_bytes(ledger::encode_request(std::get<auction::Request>(d.item.bid)));
-        }
-        w.write_u64(d.attempt);
-        w.write_u64(d.due_epoch);
-      }
-    }
-    shard.market.encode_state(w);
-    w.write_u8(shard.sink != nullptr ? 1 : 0);
-    if (shard.sink != nullptr) shard.sink->metrics().encode(w);
-  }
-  w.write_u8(journal_ != nullptr ? 1 : 0);
-  if (journal_ != nullptr) w.write_bytes(journal_->encode());
-}
-
-void MarketEngine::restore_state(ByteReader& r) {
-  const std::uint64_t num_shards = r.read_u64();
-  DECLOUD_EXPECTS_MSG(num_shards == shards_.size(),
-                      "engine snapshot shard count differs from the configured engine");
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    shard.rejected_backpressure.store(r.read_u64(), std::memory_order_relaxed);
-    shard.spilled.store(r.read_u64(), std::memory_order_relaxed);
-    shard.ingest_seq.store(r.read_u64(), std::memory_order_relaxed);
-    shard.epochs_started.store(r.read_u64(), std::memory_order_relaxed);
-    shard.retries_scheduled.store(r.read_u64(), std::memory_order_relaxed);
-    shard.epochs_run = r.read_u64();
-    shard.retries_succeeded = r.read_u64();
-    shard.retries_dropped = r.read_u64();
-    shard.retry_seq = r.read_u64();
-    const std::uint64_t num_deferred = r.read_u64();
-    DECLOUD_EXPECTS_MSG(num_deferred <= r.remaining(),
-                        "engine snapshot deferral count exceeds the payload");
-    {
-      const std::lock_guard<dsched::mutex> lock(shard.deferred_mutex);
-      shard.deferred.clear();
-      for (std::uint64_t i = 0; i < num_deferred; ++i) {
-        const bool is_offer = r.read_u8() != 0;
-        const std::vector<std::uint8_t> payload = r.read_bytes();
-        IngestItem item{is_offer
-                            ? std::variant<auction::Request, auction::Offer>(
-                                  ledger::decode_offer(payload))
-                            : std::variant<auction::Request, auction::Offer>(
-                                  ledger::decode_request(payload))};
-        const std::size_t attempt = r.read_u64();
-        const std::uint64_t due_epoch = r.read_u64();
-        shard.deferred.push_back({std::move(item), attempt, due_epoch});
-      }
-    }
-    shard.market.restore_state(r);
-    const bool has_sink = r.read_u8() != 0;
-    DECLOUD_EXPECTS_MSG(has_sink == (shard.sink != nullptr),
-                        "engine snapshot observability differs from the configured engine");
-    if (has_sink) shard.sink->metrics().decode(r);
-  }
-  const bool has_journal = r.read_u8() != 0;
-  DECLOUD_EXPECTS_MSG(has_journal == (journal_ != nullptr),
-                      "engine snapshot journal presence differs from the configured engine");
-  if (has_journal) journal_->adopt(journal::Journal::decode(r.read_bytes()));
-}
-
 }  // namespace decloud::engine

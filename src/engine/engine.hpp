@@ -176,15 +176,6 @@ class MarketEngine {
   /// fault::kCrashAtSite sites (see fault/crash.hpp for why).
   void set_crash_injector(const fault::FaultInjector* injector) { crash_ = injector; }
 
-  /// Snapshot/restore of the whole engine at a quiescent point: every
-  /// shard's ingest queue must be drained (encode asserts), so what is
-  /// serialized per shard is its counters, the deferral buffer, and the
-  /// shard market's state, plus the engine-global counters, the flight
-  /// recorder, and every sink's metrics registry.  Restore must run on a
-  /// freshly constructed engine with the identical EngineConfig.
-  void encode_state(ByteWriter& w) const;
-  void restore_state(ByteReader& r);
-
  private:
   struct IngestItem {
     std::variant<auction::Request, auction::Offer> bid;

@@ -46,20 +46,6 @@ std::size_t EpochScheduler::run(std::size_t max_epochs, Time start_time,
   return epochs_ - before;
 }
 
-void EpochScheduler::encode_state(ByteWriter& w) const {
-  w.write_u64(epochs_);
-  w.write_u8(sink_ != nullptr ? 1 : 0);
-  if (sink_ != nullptr) sink_->metrics().encode(w);
-}
-
-void EpochScheduler::restore_state(ByteReader& r) {
-  epochs_ = r.read_u64();
-  const bool has_sink = r.read_u8() != 0;
-  DECLOUD_EXPECTS_MSG(has_sink == (sink_ != nullptr),
-                      "scheduler snapshot observability differs from the configured engine");
-  if (has_sink) sink_->metrics().decode(r);
-}
-
 EngineReport EpochScheduler::report() const {
   EngineReport report = engine_.report();
   report.epochs = epochs_;

@@ -62,11 +62,6 @@ class EpochScheduler {
   }
   [[nodiscard]] std::string trace_json() const { return engine_.trace_json(extras()); }
 
-  /// Snapshot/restore of the scheduler's own state: the epoch counter and
-  /// its sink's metrics registry.
-  void encode_state(ByteWriter& w) const;
-  void restore_state(ByteReader& r);
-
  private:
   MarketEngine& engine_;
   std::optional<ThreadPool> pool_;  // absent on the serial path

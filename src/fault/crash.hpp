@@ -8,7 +8,7 @@
 //   attempt = crash site id (CrashSite below)
 //   index   = the site's own monotone sequence — input_seq for ingest
 //             sites, epoch number for epoch sites, block height for
-//             append sites, epoch count for snapshot sites
+//             append sites
 //   shard   = shard index (0 for engine-global sites)
 //   round   = 0 (unused)
 //
@@ -42,7 +42,8 @@ enum class CrashSite : std::uint64_t {
   // 1 is reserved: the retired after-tick-append site (ticks are not logged).
   kMidEpoch = 2,          ///< inside run_shard_epoch, before the round
   kAfterBlockAppend = 3,  ///< block WAL record durable, after chain append
-  kMidSnapshot = 4,       ///< snapshot temp file written, rename pending
+  // 4 is reserved: the retired mid-snapshot site (recovery replays the
+  // whole WAL and writes no snapshots).
 };
 
 /// Kills the process iff `injector` schedules a crash at the site.  Null

@@ -192,11 +192,6 @@ Journal Journal::decode(std::span<const std::uint8_t> bytes) {
   return journal;
 }
 
-void Journal::adopt(Journal&& other) {
-  capacity_ = other.capacity_;
-  rings_ = std::move(other.rings_);
-}
-
 std::string Journal::export_jsonl() const {
   DECLOUD_EXPECTS_MSG(!rings_.empty(), "journal has no rings to export");
   std::string out;

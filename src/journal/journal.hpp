@@ -147,11 +147,6 @@ class Journal {
   /// partial state.
   [[nodiscard]] static Journal decode(std::span<const std::uint8_t> bytes);
 
-  /// Replaces this journal's contents (capacity, rings, drop counts, seq
-  /// counters) with `other`'s.  Used by crash recovery to install a
-  /// journal restored from a snapshot into the engine's live instance.
-  /// Single-threaded use only — the engine must be quiescent.
-  void adopt(Journal&& other);
 
   /// One JSON object per line: a ring_header line per ring (dropped /
   /// first_seq / events) followed by its events, rings in fixed order,

@@ -56,11 +56,6 @@ bool validate_preamble(const BlockPreamble& preamble, unsigned difficulty_bits,
   return true;
 }
 
-void Blockchain::restore_checkpoint(std::uint64_t height, const crypto::Digest& tip_hash) {
-  height_ = height;
-  tip_ = tip_hash;
-}
-
 bool Blockchain::append(const Block& block, unsigned difficulty_bits,
                         const VerifiedBids* verified) {
   if (block.preamble.header.height != height_) return false;

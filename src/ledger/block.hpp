@@ -116,8 +116,6 @@ class Blockchain {
   bool append(const Block& block, unsigned difficulty_bits,
               const VerifiedBids* verified = nullptr);
 
-  /// Resets to a (height, tip hash) checkpoint — the snapshot restore path.
-  void restore_checkpoint(std::uint64_t height, const crypto::Digest& tip_hash);
 
  private:
   std::uint64_t height_ = 0;

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "auction/resource.hpp"
-#include "common/map_util.hpp"
 
 namespace decloud::ledger {
 
@@ -98,67 +97,6 @@ std::optional<Agreement> AgreementContract::find(ContractId id) const {
   const auto it = agreements_.find(id);
   if (it == agreements_.end()) return std::nullopt;
   return it->second;
-}
-
-void ReputationRegistry::encode_state(ByteWriter& w) const {
-  const std::vector<ClientId> keys =
-      sorted_keys(entries_, [](ClientId a, ClientId b) { return a.value() < b.value(); });
-  w.write_u64(keys.size());
-  for (const ClientId client : keys) {
-    const Entry& e = entries_.at(client);
-    w.write_u64(client.value());
-    w.write_double(e.score);
-    w.write_u64(e.denial_streak);
-  }
-}
-
-void ReputationRegistry::restore_state(ByteReader& r) {
-  entries_.clear();
-  const std::uint64_t count = r.read_u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const ClientId client(r.read_u64());
-    Entry e{.score = r.read_double(),
-            .denial_streak = static_cast<std::size_t>(r.read_u64())};
-    entries_.emplace(client, e);
-  }
-}
-
-void AgreementContract::encode_state(ByteWriter& w) const {
-  const std::vector<ContractId> ids =
-      sorted_keys(agreements_, [](ContractId a, ContractId b) { return a.value() < b.value(); });
-  w.write_u64(ids.size());
-  for (const ContractId id : ids) {
-    const Agreement& a = agreements_.at(id);
-    w.write_u64(a.id.value());
-    w.write_u64(a.block_height);
-    w.write_u64(a.match_index);
-    w.write_u64(a.client.value());
-    w.write_u64(a.provider.value());
-    w.write_double(a.payment);
-    w.write_u8(a.requires_tee ? 1 : 0);
-    w.write_u8(static_cast<std::uint8_t>(a.state));
-  }
-  w.write_u64(next_id_);
-  reputation_.encode_state(w);
-}
-
-void AgreementContract::restore_state(ByteReader& r) {
-  agreements_.clear();
-  const std::uint64_t num_agreements = r.read_u64();
-  for (std::uint64_t i = 0; i < num_agreements; ++i) {
-    Agreement a;
-    a.id = ContractId(r.read_u64());
-    a.block_height = r.read_u64();
-    a.match_index = static_cast<std::size_t>(r.read_u64());
-    a.client = ClientId(r.read_u64());
-    a.provider = ProviderId(r.read_u64());
-    a.payment = r.read_double();
-    a.requires_tee = r.read_u8() != 0;
-    a.state = static_cast<AgreementState>(r.read_u8());
-    agreements_.emplace(a.id, a);
-  }
-  next_id_ = r.read_u64();
-  reputation_.restore_state(r);
 }
 
 }  // namespace decloud::ledger

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "auction/allocation.hpp"
-#include "common/byte_buffer.hpp"
 #include "common/types.hpp"
 
 namespace decloud::ledger {
@@ -74,12 +73,6 @@ class ReputationRegistry {
   [[nodiscard]] double score(ClientId client) const;
   [[nodiscard]] std::size_t consecutive_denials(ClientId client) const;
 
-  /// Snapshot/restore of the score table (entries in sorted ClientId
-  /// order, so the bytes are deterministic despite the unordered map).
-  /// Config is NOT serialized — the restoring side reconstructs it from
-  /// the run configuration and the fingerprint check catches drift.
-  void encode_state(ByteWriter& w) const;
-  void restore_state(ByteReader& r);
 
  private:
   struct Entry {
@@ -140,11 +133,6 @@ class AgreementContract {
   [[nodiscard]] std::optional<Agreement> find(ContractId id) const;
   [[nodiscard]] const ReputationRegistry& reputation() const { return reputation_; }
 
-  /// Snapshot/restore of the full contract state: agreements (sorted by
-  /// ContractId), the id counter, and the
-  /// reputation registry.
-  void encode_state(ByteWriter& w) const;
-  void restore_state(ByteReader& r);
 
  private:
   Agreement* lookup(ContractId id);

@@ -1,11 +1,8 @@
 #include "ledger/market.hpp"
 
-#include <algorithm>
-#include <array>
+#include <utility>
 
 #include "common/ensure.hpp"
-#include "common/map_util.hpp"
-#include "ledger/codec.hpp"
 
 namespace decloud::ledger {
 
@@ -254,106 +251,6 @@ void MarketOrchestrator::drain(std::size_t max_rounds, Time start_time, Seconds 
     (void)run_round(now);
     now += round_interval;
   }
-}
-
-void MarketOrchestrator::encode_state(ByteWriter& w) const {
-  for (const std::uint64_t word : rng_.state()) w.write_u64(word);
-
-  w.write_u64(pending_requests_.size());
-  for (const PendingRequest& p : pending_requests_) {
-    w.write_bytes(encode_request(p.request));
-    w.write_u64(p.attempts);
-  }
-  w.write_u64(pending_offers_.size());
-  for (const PendingOffer& p : pending_offers_) {
-    w.write_bytes(encode_offer(p.offer));
-    w.write_u64(p.attempts);
-  }
-
-  const std::vector<ContractId> match_ids = sorted_keys(
-      last_round_matches_, [](ContractId a, ContractId b) { return a.value() < b.value(); });
-  w.write_u64(match_ids.size());
-  for (const ContractId id : match_ids) {
-    const MatchRecord& m = last_round_matches_.at(id);
-    w.write_u64(id.value());
-    w.write_u64(m.client.value());
-    w.write_u64(m.request_id);
-    w.write_u64(m.request_attempt);
-    w.write_bytes(encode_offer(m.offer));
-    w.write_u64(m.offer_attempts);
-  }
-
-  w.write_u64(stats_.rounds);
-  w.write_u64(stats_.requests_submitted);
-  w.write_u64(stats_.requests_allocated);
-  w.write_u64(stats_.requests_abandoned);
-  w.write_u64(stats_.offers_submitted);
-  w.write_u64(stats_.offers_abandoned);
-  w.write_u64(stats_.bids_carried);
-  w.write_u64(stats_.bids_duplicate_rejected);
-  w.write_u64(stats_.agreements_denied);
-  w.write_double(stats_.total_welfare);
-  w.write_double(stats_.total_settled);
-  w.write_u64(stats_.allocation_latency.size());
-  for (const std::size_t n : stats_.allocation_latency) w.write_u64(n);
-
-  protocol_.encode_state(w);
-}
-
-void MarketOrchestrator::restore_state(ByteReader& r) {
-  std::array<std::uint64_t, 4> rng_state{};
-  for (std::uint64_t& word : rng_state) word = r.read_u64();
-  rng_.set_state(rng_state);
-
-  pending_requests_.clear();
-  const std::uint64_t num_requests = r.read_u64();
-  for (std::uint64_t i = 0; i < num_requests; ++i) {
-    PendingRequest p;
-    p.request = decode_request(r.read_bytes());
-    p.attempts = static_cast<std::size_t>(r.read_u64());
-    pending_requests_.push_back(std::move(p));
-  }
-  pending_offers_.clear();
-  const std::uint64_t num_offers = r.read_u64();
-  for (std::uint64_t i = 0; i < num_offers; ++i) {
-    PendingOffer p;
-    p.offer = decode_offer(r.read_bytes());
-    p.attempts = static_cast<std::size_t>(r.read_u64());
-    pending_offers_.push_back(std::move(p));
-  }
-
-  last_round_matches_.clear();
-  const std::uint64_t num_matches = r.read_u64();
-  for (std::uint64_t i = 0; i < num_matches; ++i) {
-    const ContractId id(r.read_u64());
-    MatchRecord m;
-    m.client = ClientId(r.read_u64());
-    m.request_id = r.read_u64();
-    m.request_attempt = static_cast<std::size_t>(r.read_u64());
-    m.offer = decode_offer(r.read_bytes());
-    m.offer_attempts = static_cast<std::size_t>(r.read_u64());
-    last_round_matches_.emplace(id, std::move(m));
-  }
-
-  stats_ = MarketStats{};
-  stats_.rounds = static_cast<std::size_t>(r.read_u64());
-  stats_.requests_submitted = static_cast<std::size_t>(r.read_u64());
-  stats_.requests_allocated = static_cast<std::size_t>(r.read_u64());
-  stats_.requests_abandoned = static_cast<std::size_t>(r.read_u64());
-  stats_.offers_submitted = static_cast<std::size_t>(r.read_u64());
-  stats_.offers_abandoned = static_cast<std::size_t>(r.read_u64());
-  stats_.bids_carried = static_cast<std::size_t>(r.read_u64());
-  stats_.bids_duplicate_rejected = static_cast<std::size_t>(r.read_u64());
-  stats_.agreements_denied = static_cast<std::size_t>(r.read_u64());
-  stats_.total_welfare = r.read_double();
-  stats_.total_settled = r.read_double();
-  const std::uint64_t latency_bins = r.read_u64();
-  DECLOUD_EXPECTS_MSG(latency_bins <= r.remaining(),
-                      "market snapshot latency bin count exceeds the payload");
-  stats_.allocation_latency.resize(static_cast<std::size_t>(latency_bins));
-  for (std::size_t& n : stats_.allocation_latency) n = static_cast<std::size_t>(r.read_u64());
-
-  protocol_.restore_state(r);
 }
 
 }  // namespace decloud::ledger

@@ -134,18 +134,6 @@ class MarketOrchestrator {
     return pending_requests_.size() + pending_offers_.size();
   }
 
-  /// Snapshot/restore of everything a resumed market needs to continue
-  /// the exact run: RNG stream position, pending bid queues (in order,
-  /// with attempt counts), the latest round's match records (sorted by
-  /// ContractId), lifetime stats, and the protocol's durable state.  The
-  /// wallet is NOT serialized — its keypair derives deterministically
-  /// from the orchestrator's fixed seed, so the constructor recreates it
-  /// and restore_state only rewinds the RNG to the snapshotted position.
-  /// Participant-side stale temporary keys (withheld reveals) are
-  /// deliberately dropped: they can never be revealed again, so they are
-  /// inert for every observable output (DESIGN.md §3k).
-  void encode_state(ByteWriter& w) const;
-  void restore_state(ByteReader& r);
 
  private:
   struct PendingRequest {

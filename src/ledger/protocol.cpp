@@ -328,23 +328,4 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
   return outcome;
 }
 
-void LedgerProtocol::encode_state(ByteWriter& w) const {
-  DECLOUD_EXPECTS_MSG(mempool_.size() == 0,
-                      "protocol snapshot requires an empty mempool (quiescent point)");
-  w.write_u64(chain_.height());
-  const crypto::Digest tip = chain_.tip_hash();
-  for (const std::uint8_t b : tip) w.write_u8(b);
-  w.write_u64(producer_penalties_);
-  contract_.encode_state(w);
-}
-
-void LedgerProtocol::restore_state(ByteReader& r) {
-  const std::uint64_t height = r.read_u64();
-  crypto::Digest tip{};
-  for (std::uint8_t& b : tip) b = r.read_u8();
-  chain_.restore_checkpoint(height, tip);
-  producer_penalties_ = static_cast<std::size_t>(r.read_u64());
-  contract_.restore_state(r);
-}
-
 }  // namespace decloud::ledger

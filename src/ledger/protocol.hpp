@@ -165,13 +165,6 @@ class LedgerProtocol {
     producer_.set_index_cache(cache);
   }
 
-  /// Snapshot/restore of the protocol's durable state: chain checkpoint
-  /// (height + tip hash — all a Blockchain keeps), contract state, and
-  /// the producer
-  /// penalty count.  Only valid at a quiescent point: the mempool must be
-  /// empty (rounds drain it), which encode asserts.
-  void encode_state(ByteWriter& w) const;
-  void restore_state(ByteReader& r);
 
  private:
   ConsensusParams params_;

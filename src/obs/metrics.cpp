@@ -63,60 +63,6 @@ void MetricsRegistry::merge_from(const MetricsRegistry& other) {
   }
 }
 
-void MetricsRegistry::encode(ByteWriter& w) const {
-  w.write_u64(counters_.size());
-  for (const auto& [name, c] : counters_) {
-    w.write_string(name);
-    w.write_u64(c.value());
-  }
-  w.write_u64(gauges_.size());
-  for (const auto& [name, g] : gauges_) {
-    w.write_string(name);
-    w.write_double(g.value());
-  }
-  w.write_u64(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    w.write_string(name);
-    w.write_double(h.lo());
-    w.write_double(h.hi());
-    w.write_u64(h.bin_count());
-    for (std::size_t i = 0; i < h.bin_count(); ++i) w.write_double(h.count(i));
-    w.write_double(h.total());
-    w.write_double(h.sum());
-  }
-}
-
-void MetricsRegistry::decode(ByteReader& r) {
-  const std::uint64_t num_counters = r.read_u64();
-  DECLOUD_EXPECTS_MSG(num_counters <= r.remaining(), "metrics counter count exceeds input");
-  for (std::uint64_t i = 0; i < num_counters; ++i) {
-    const std::string name = r.read_string();
-    counter(name).add(r.read_u64());
-  }
-  const std::uint64_t num_gauges = r.read_u64();
-  DECLOUD_EXPECTS_MSG(num_gauges <= r.remaining(), "metrics gauge count exceeds input");
-  for (std::uint64_t i = 0; i < num_gauges; ++i) {
-    const std::string name = r.read_string();
-    gauge(name).add(r.read_double());
-  }
-  const std::uint64_t num_histograms = r.read_u64();
-  DECLOUD_EXPECTS_MSG(num_histograms <= r.remaining(), "metrics histogram count exceeds input");
-  for (std::uint64_t i = 0; i < num_histograms; ++i) {
-    const std::string name = r.read_string();
-    const double lo = r.read_double();
-    const double hi = r.read_double();
-    const std::uint64_t bins = r.read_u64();
-    DECLOUD_EXPECTS_MSG(bins > 0 && bins <= r.remaining(), "metrics histogram bin count invalid");
-    std::vector<double> counts(static_cast<std::size_t>(bins));
-    for (double& c : counts) c = r.read_double();
-    const double total = r.read_double();
-    const double sum = r.read_double();
-    stats::Histogram decoded(lo, hi, static_cast<std::size_t>(bins));
-    decoded.restore(counts, total, sum);
-    histogram(name, lo, hi, static_cast<std::size_t>(bins)).merge(decoded);
-  }
-}
-
 std::string MetricsRegistry::to_json() const {
   std::string out = "{\"counters\":{";
   bool first = true;

@@ -19,7 +19,6 @@
 #include <string>
 #include <string_view>
 
-#include "common/byte_buffer.hpp"
 #include "stats/histogram.hpp"
 
 namespace decloud::obs {
@@ -75,14 +74,6 @@ class MetricsRegistry {
     return counters_.empty() && gauges_.empty() && histograms_.empty();
   }
 
-  /// Canonical binary form for snapshot/restore: names in sorted map
-  /// order, doubles bit-cast — a decoded registry exports byte-identical
-  /// JSON/Prometheus text.
-  void encode(ByteWriter& w) const;
-  /// Inverse of encode() into THIS registry (merging with any existing
-  /// entries via the normal creation paths).  Throws precondition_error
-  /// on a malformed buffer.
-  void decode(ByteReader& r);
 
  private:
   std::map<std::string, Counter, std::less<>> counters_;

@@ -41,14 +41,6 @@ void Histogram::add_all(std::span<const double> samples) {
 
 std::vector<double> Histogram::to_distribution() const { return normalize(counts_); }
 
-void Histogram::restore(std::span<const double> counts, double total, double sum) {
-  DECLOUD_EXPECTS_MSG(counts.size() == counts_.size(),
-                      "histogram restore requires matching bin count");
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] = counts[i];
-  total_ = total;
-  sum_ = sum;
-}
-
 std::vector<double> normalize(std::span<const double> weights) {
   double total = 0.0;
   for (const double w : weights) total += w;

@@ -42,9 +42,6 @@ class Histogram {
   /// uniform distribution (the least-informative choice).
   [[nodiscard]] std::vector<double> to_distribution() const;
 
-  /// Overwrites the accumulated state (per-bin counts, total, sum) for
-  /// snapshot/restore.  `counts.size()` must match bin_count().
-  void restore(std::span<const double> counts, double total, double sum);
 
  private:
   double lo_;

@@ -31,17 +31,8 @@ StreamDriveOutcome drive_trace_stream(StreamingMarket& market,
                                                 : market.submit(snapshot.offers[i - n_req]);
     progress.count(admission.engine.admitted());
     ++progress.done;
-    // A close by the final bid shares the snapshot point after the flush
-    // below, so that snapshot also covers the flush record.
-    if (log && admission.closed_micro_epoch && progress.done < order.size()) {
-      log->on_close(progress);
-    }
   }
-  if (!progress.flushed) {
-    (void)market.flush();
-    progress.flushed = true;
-    if (log) log->on_close(progress);
-  }
+  if (!progress.flushed) (void)market.flush();
 
   StreamDriveOutcome outcome;
   outcome.micro_epochs = market.micro_epochs();

@@ -12,8 +12,7 @@
 //
 // Durability is an attachment of the same loop: with DurableOptions the
 // loop opens a wal::DurableLog, which creates or recovers the write-ahead
-// log, resumes the loop where a crashed run stopped, and takes a snapshot
-// at each close point (DESIGN.md §3k).
+// log and resumes the loop where a crashed run stopped (DESIGN.md §3k).
 #pragma once
 
 #include "engine/driver.hpp"

@@ -104,22 +104,6 @@ std::size_t StreamingMarket::drain() {
   return ran;
 }
 
-void StreamingMarket::encode_state(ByteWriter& w) const {
-  w.write_u64(submitted_);
-  w.write_u64(closed_submitted_);
-  w.write_u8(sink_ != nullptr ? 1 : 0);
-  if (sink_ != nullptr) sink_->metrics().encode(w);
-}
-
-void StreamingMarket::restore_state(ByteReader& r) {
-  submitted_ = r.read_u64();
-  closed_submitted_ = r.read_u64();
-  const bool has_sink = r.read_u8() != 0;
-  DECLOUD_EXPECTS_MSG(has_sink == (sink_ != nullptr),
-                      "stream snapshot observability differs from the configured market");
-  if (has_sink) sink_->metrics().decode(r);
-}
-
 std::string StreamingMarket::metrics_json() const {
   const obs::MetricsSink* extras[] = {scheduler_.sink(), sink_.get()};
   return engine_.metrics_json(extras);

@@ -128,11 +128,6 @@ class StreamingMarket {
   /// inputs (DESIGN.md §3k).
   void set_wal_writer(wal::WalWriter* wal) { wal_ = wal; }
 
-  /// Snapshot/restore of the stream's own trigger state (submission
-  /// counters) plus its sink's metrics registry.
-  void encode_state(ByteWriter& w) const;
-  void restore_state(ByteReader& r);
-
  private:
   /// Close attribution is the journal's own taxonomy so the kEpochClose
   /// events a stream run journals are byte-comparable with the reference

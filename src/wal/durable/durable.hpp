@@ -2,33 +2,30 @@
 //
 // stream::drive_trace_stream is the one trace drive loop; given
 // DurableOptions it opens a DurableLog, which owns everything durable
-// about the run.  The low-level pieces live one directory up (wal/wal.hpp
-// framing and segments, wal/snapshot.hpp atomic snapshot files); this
-// layer knows the MARKET — it composes the snapshot payload out of the
-// engine, scheduler and stream state blobs and replays a WAL tail through
-// the market's normal submit/flush paths, so the loop
-// continues from exactly where a dead process stopped.  The byte-identity
+// about the run.  The low-level framing and segments live one directory
+// up (wal/wal.hpp); this layer knows the MARKET — it replays a WAL
+// through the market's normal submit/flush paths, so the loop continues
+// from exactly where a dead process stopped.  The byte-identity
 // contract: a crashed-and-recovered run's EngineReport, journal bytes and
 // metrics exports equal an uninterrupted run's at any thread count, chaos
 // included.
 //
 // What recovery does, in order:
 //   1. load_wal: every segment's valid prefix, inputs merged by input_seq;
-//   2. restore the latest intact snapshot, if any (else start fresh);
-//   3. replay the input tail PAST the snapshot's watermark through the
+//   2. replay every logged input into the fresh market through the
 //      normal code paths, with the WAL writer detached (replay must not
 //      re-log) and no crash injector (a recovered run must get past the
 //      site that killed its predecessor).  Micro-epoch closes are not
-//      logged: they re-fire when the replayed inputs cross the triggers;
-//   4. cross-check recovered chain tips against the WAL's block
+//      logged: they re-fire when the replayed inputs cross the triggers.
+//      The log must have a drive's shape — at most the trace's bids,
+//      then at most one flush — or recovery throws decode_error;
+//   3. cross-check recovered chain tips against the WAL's block
 //      fingerprints;
-//   5. re-attach the writer in append mode (truncating torn tails) and
+//   4. re-attach the writer in append mode (truncating torn tails) and
 //      hand the loop its resume position.
 //
-// Durable mode requires MarketConfig::reuse_candidate_index == false:
-// snapshots do not carry the producer's cross-round index cache, and the
-// cache-off contract is what guarantees bit-identical outcomes either
-// way.  DurableLog asserts this.
+// Replay rebuilds the producer's cross-round index cache exactly as the
+// live run built it, so durable mode runs with the cache on or off.
 #pragma once
 
 #include <cstddef>
@@ -46,23 +43,20 @@ namespace decloud::wal {
 /// Durable-mode parameters of a trace drive.
 struct DurableOptions {
   std::string wal_dir;
-  /// Snapshot after every N micro-epoch closes.  0 = never snapshot;
-  /// recovery then replays the whole WAL from a fresh market.
-  std::uint64_t snapshot_every = 0;
-  /// Recover from wal_dir (snapshot + tail replay) instead of starting a
-  /// fresh WAL.
+  /// Recover from wal_dir (whole-WAL replay) instead of starting a fresh
+  /// WAL.
   bool recover = false;
   /// fsync every WAL append (WalWriter::Options::sync).
   bool sync = true;
   /// Hash of the run configuration (config_fingerprint); checked against
-  /// every segment header and snapshot on recovery.
+  /// every segment header on recovery.
   std::uint64_t fingerprint = 0;
   /// The --crash-plan injector (not owned, may be null).  Attached to the
   /// engine only for the LIVE portion of the run, never during replay.
   const fault::FaultInjector* crash = nullptr;
 };
 
-/// How far a trace drive has got: restored by recovery, advanced by the
+/// How far a trace drive has got: rebuilt by recovery, advanced by the
 /// drive loop.
 struct DriveProgress {
   std::size_t done = 0;  ///< trace bids submitted so far
@@ -94,7 +88,8 @@ class DurableLog {
   /// opts.wal_dir as described above, leaving the recovered state in
   /// `market` and the resume position in resume().  The writer and the
   /// crash injector stay attached to the market until destruction.
-  DurableLog(stream::StreamingMarket& market, std::size_t trace_size, DurableOptions opts);
+  DurableLog(stream::StreamingMarket& market, std::size_t trace_size,
+             const DurableOptions& opts);
   ~DurableLog();
   DurableLog(const DurableLog&) = delete;
   DurableLog& operator=(const DurableLog&) = delete;
@@ -102,17 +97,8 @@ class DurableLog {
   /// Where the drive resumes: all zero for a fresh log.
   [[nodiscard]] const DriveProgress& resume() const { return resume_; }
 
-  /// The drive loop's snapshot callback, called at each close point:
-  /// writes a snapshot every opts.snapshot_every micro-epoch closes.
-  /// `progress` must already count the bid that triggered the close (or
-  /// recovery would resubmit it) and the flush once it has run (or the
-  /// resumed loop would log a second one).
-  void on_close(const DriveProgress& progress);
-
  private:
   stream::StreamingMarket& market_;
-  DurableOptions opts_;
-  std::size_t trace_size_;
   DriveProgress resume_;
   std::unique_ptr<WalWriter> writer_;
 };

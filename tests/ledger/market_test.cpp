@@ -4,7 +4,6 @@
 
 #include <numeric>
 
-#include "common/byte_buffer.hpp"
 #include "common/ensure.hpp"
 #include "common/rng.hpp"
 #include "fault/injector.hpp"
@@ -232,29 +231,6 @@ TEST(MarketOrchestrator, CorruptSealedBidsAreDroppedAndCounted) {
   EXPECT_EQ(outcome.block.preamble.sealed_bids.size(), 3u);
   EXPECT_EQ(outcome.snapshot.requests.size(), 2u);
   EXPECT_EQ(outcome.snapshot.offers.size(), 1u);
-}
-
-// A snapshot's latency-bin count is bounded by the bytes left, like every
-// other count restore_state reads: a corrupt count is a precondition
-// error, never an attempt to size a vector from it.  UINT64_MAX is above
-// vector::max_size(), so neither a checked nor an unchecked build
-// allocates.
-TEST(MarketOrchestrator, RestoreRejectsLatencyCountBeyondPayload) {
-  const MarketOrchestrator fresh(small_config());
-  ByteWriter w;
-  fresh.encode_state(w);
-  std::vector<std::uint8_t> bytes = w.bytes();
-  // Layout: 4 rng words, three empty list counts (requests, offers,
-  // matches), nine u64 counters and two doubles, then the latency count.
-  constexpr std::size_t kLatencyCountAt = (4 + 3 + 9 + 2) * 8;
-  ASSERT_GE(bytes.size(), kLatencyCountAt + 8);
-  for (std::size_t i = 0; i < 8; ++i) {
-    ASSERT_EQ(bytes[kLatencyCountAt + i], 0) << "fresh market has no latency bins";
-    bytes[kLatencyCountAt + i] = 0xff;
-  }
-  MarketOrchestrator restored(small_config());
-  ByteReader r(bytes);
-  EXPECT_THROW(restored.restore_state(r), precondition_error);
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Recovery edge cases of the durable drive loop (DESIGN.md §3k):
-// empty-WAL recovery, snapshot-only recovery (empty tail), recovery from
-// an abandoned partial run (the in-process stand-in for a kill), and
-// double-recover idempotence.  recover_check covers the real
+// empty-WAL recovery, recovery from an abandoned partial run (the
+// in-process stand-in for a kill), double-recover idempotence, stray
+// files a recovery must ignore, and logs no drive of the trace could have
+// written, which it must refuse.  recover_check covers the real
 // kill-a-process matrix; these tests keep the edge cases in the fast
 // unit tier.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <string>
 
 #include "batch_reference.hpp"
@@ -16,11 +18,11 @@
 #include "engine/epoch_scheduler.hpp"
 #include "journal/journal.hpp"
 #include "journal/wire.hpp"
+#include "ledger/codec.hpp"
 #include "ledger/market.hpp"
 #include "stream/stream_driver.hpp"
 #include "stream/streaming_market.hpp"
 #include "wal/durable/durable.hpp"
-#include "wal/snapshot.hpp"
 #include "wal/wal.hpp"
 
 namespace decloud::wal {
@@ -47,8 +49,6 @@ engine::EngineConfig engine_config() {
   config.market.consensus.difficulty_bits = 8;
   config.market.num_verifiers = 1;
   config.market.consensus.auction.threads = 1;
-  // Durable mode requires the cross-round index cache off.
-  config.market.reuse_candidate_index = false;
   return config;
 }
 
@@ -64,12 +64,12 @@ engine::TraceDriverConfig driver_config() {
   return driver;
 }
 
-stream::StreamConfig stream_config(std::size_t drain_epochs = kDrainEpochs) {
+stream::StreamConfig stream_config() {
   stream::StreamConfig config;
   config.engine = engine_config();
   config.triggers.bids = kBatch;
   config.threads = 1;
-  config.drain_epochs = drain_epochs;
+  config.drain_epochs = kDrainEpochs;
   return config;
 }
 
@@ -82,10 +82,42 @@ void expect_outcomes_identical(const engine::DriveOutcome& a, const engine::Driv
   EXPECT_EQ(a.report.summary_json(), b.report.summary_json());
 }
 
-engine::DriveOutcome run_durable(const DurableOptions& opts,
-                                 std::size_t drain_epochs = kDrainEpochs) {
-  stream::StreamingMarket market(stream_config(drain_epochs));
+DurableOptions durable_options(const std::string& dir, bool recover) {
+  DurableOptions opts;
+  opts.wal_dir = dir;
+  opts.recover = recover;
+  opts.sync = false;
+  opts.fingerprint = kFp;
+  return opts;
+}
+
+engine::DriveOutcome run_durable(const DurableOptions& opts) {
+  stream::StreamingMarket market(stream_config());
   return stream::drive_trace_stream(market, driver_config(), &opts).drive;
+}
+
+/// Logs trace bids [first, last) of the run's workload to `writer`, each
+/// on the segment of the shard it routes to, as the engine would.
+/// Positions past the trace's end wrap to its start.
+void log_trace_bids(WalWriter& writer, std::size_t first, std::size_t last) {
+  const engine::EngineConfig config = engine_config();
+  const engine::ShardRouter router(config.router);
+  const engine::TraceStream stream = engine::make_trace_stream(driver_config(), config);
+  const std::size_t n_req = stream.snapshot.requests.size();
+  for (std::size_t i = first; i < last; ++i) {
+    const std::size_t pick = stream.order[i % stream.order.size()];
+    if (pick < n_req) {
+      const auction::Request& r = stream.snapshot.requests[pick];
+      (void)writer.append_bid(router.route(r).shard + 1, false, ledger::encode_request(r));
+    } else {
+      const auction::Offer& o = stream.snapshot.offers[pick - n_req];
+      (void)writer.append_bid(router.route(o).shard + 1, true, ledger::encode_offer(o));
+    }
+  }
+}
+
+std::size_t trace_size() {
+  return engine::make_trace_stream(driver_config(), engine_config()).order.size();
 }
 
 /// The uninterrupted, WAL-less batch reference run.
@@ -99,14 +131,13 @@ TEST(Recovery, EmptyWalRecoversToFreshRun) {
   const std::string dir = fresh_dir("rec_empty");
   // A process that died right after creating the WAL left headers only.
   { const auto writer = WalWriter::create({dir, 2, kFp, false}); }
-  const engine::DriveOutcome recovered =
-      run_durable({dir, /*snapshot_every=*/0, /*recover=*/true, /*sync=*/false, kFp});
+  const engine::DriveOutcome recovered = run_durable(durable_options(dir, true));
   expect_outcomes_identical(recovered, run_plain());
 }
 
 TEST(Recovery, CompletedRunRecoversIdempotently) {
   const std::string dir = fresh_dir("rec_complete");
-  const DurableOptions fresh{dir, /*snapshot_every=*/2, /*recover=*/false, /*sync=*/false, kFp};
+  const DurableOptions fresh = durable_options(dir, false);
   const engine::DriveOutcome first = run_durable(fresh);
   expect_outcomes_identical(first, run_plain());
 
@@ -115,25 +146,6 @@ TEST(Recovery, CompletedRunRecoversIdempotently) {
   // Twice: recovery of a complete WAL must not perturb it for the next.
   expect_outcomes_identical(run_durable(recover), first);
   expect_outcomes_identical(run_durable(recover), first);
-}
-
-TEST(Recovery, SnapshotOnlyEmptyTail) {
-  // snapshot_every=1 makes the LAST close point's snapshot — taken after
-  // the flush, which it records — cover the entire input sequence:
-  // recovery restores it and replays nothing.
-  const std::string dir = fresh_dir("rec_snaponly");
-  // No drain epochs after the last snapshot.
-  const engine::DriveOutcome first = run_durable({dir, /*snapshot_every=*/1, false, false, kFp}, 0);
-  const std::optional<std::string> latest = find_latest_snapshot(dir);
-  ASSERT_TRUE(latest.has_value());
-  const SnapshotFile snap = read_snapshot(*latest, kFp);
-  EXPECT_EQ(load_wal(dir, 2, kFp).next_input_seq,
-            [&] {  // watermark == next_input_seq: nothing left to replay
-              ByteReader r(snap.payload);
-              return journal::wire::read_u64(r);
-            }());
-  const engine::DriveOutcome recovered = run_durable({dir, 1, true, false, kFp}, 0);
-  expect_outcomes_identical(recovered, first);
 }
 
 TEST(Recovery, AbandonedPartialRunRecovers) {
@@ -163,8 +175,7 @@ TEST(Recovery, AbandonedPartialRunRecovers) {
     market.market_engine().set_wal_writer(nullptr);
     market.set_wal_writer(nullptr);
   }
-  const engine::DriveOutcome recovered =
-      run_durable({dir, /*snapshot_every=*/0, /*recover=*/true, /*sync=*/false, kFp});
+  const engine::DriveOutcome recovered = run_durable(durable_options(dir, true));
   expect_outcomes_identical(recovered, run_plain());
 }
 
@@ -178,7 +189,7 @@ TEST(Recovery, StreamDurableMatchesPlainStream) {
     stream::StreamingMarket market(config);
     plain = stream::drive_trace_stream(market, driver_config());
   }
-  const DurableOptions fresh{dir, /*snapshot_every=*/1, false, false, kFp};
+  const DurableOptions fresh = durable_options(dir, false);
   stream::StreamDriveOutcome durable;
   {
     stream::StreamingMarket market(config);
@@ -189,7 +200,7 @@ TEST(Recovery, StreamDurableMatchesPlainStream) {
   expect_outcomes_identical(durable.drive, plain.drive);
 
   // Recover the completed stream WAL into a fresh market: same outcome.
-  const DurableOptions recover{dir, 1, true, false, kFp};
+  const DurableOptions recover = durable_options(dir, true);
   stream::StreamingMarket market(config);
   const stream::StreamDriveOutcome recovered =
       stream::drive_trace_stream(market, driver_config(), &recover);
@@ -199,8 +210,66 @@ TEST(Recovery, StreamDurableMatchesPlainStream) {
 
 TEST(Recovery, FingerprintMismatchRefused) {
   const std::string dir = fresh_dir("rec_fp");
-  (void)run_durable({dir, 0, false, false, kFp});
-  EXPECT_THROW(run_durable({dir, 0, true, false, kFp + 1}), journal::wire::decode_error);
+  (void)run_durable(durable_options(dir, false));
+  DurableOptions other = durable_options(dir, true);
+  other.fingerprint = kFp + 1;
+  EXPECT_THROW(run_durable(other), journal::wire::decode_error);
+}
+
+TEST(Recovery, StraySnapshotFilesAreIgnored) {
+  // Older builds wrote snapshot-<N>.dcs files (and .tmp leftovers) next to
+  // the segments; recovery replays the WAL and never opens them.
+  const std::string dir = fresh_dir("rec_stray");
+  const engine::DriveOutcome first = run_durable(durable_options(dir, false));
+  for (const char* name : {"snapshot-2.dcs", "snapshot-4.dcs.tmp"}) {
+    std::ofstream(fs::path(dir) / name, std::ios::binary) << "DCS1 not a snapshot";
+  }
+  expect_outcomes_identical(run_durable(durable_options(dir, true)), first);
+}
+
+TEST(Recovery, MoreBidsThanTheTraceRefused) {
+  // Every trace bid, one bid too many, then the flush.
+  const std::string dir = fresh_dir("rec_extra_bid");
+  {
+    const auto writer = WalWriter::create({dir, 2, kFp, false});
+    log_trace_bids(*writer, 0, trace_size() + 1);
+    (void)writer->append_flush();
+  }
+  EXPECT_THROW(run_durable(durable_options(dir, true)), journal::wire::decode_error);
+}
+
+TEST(Recovery, BidAfterTheFlushRefused) {
+  // A complete run's log with one more bid appended after its flush.
+  const std::string dir = fresh_dir("rec_bid_after_flush");
+  (void)run_durable(durable_options(dir, false));
+  {
+    const WalContents contents = load_wal(dir, 2, kFp);
+    const auto writer =
+        WalWriter::attach({dir, 2, kFp, false}, contents.valid_bytes, contents.next_input_seq);
+    log_trace_bids(*writer, 0, 1);
+  }
+  EXPECT_THROW(run_durable(durable_options(dir, true)), journal::wire::decode_error);
+}
+
+TEST(Recovery, FlushBeforeTheTraceEndsRefused) {
+  // A drive flushes only after its last bid; neither an early flush nor a
+  // second one can come from a drive of this trace.
+  const std::string early = fresh_dir("rec_early_flush");
+  {
+    const auto writer = WalWriter::create({early, 2, kFp, false});
+    log_trace_bids(*writer, 0, 5);
+    (void)writer->append_flush();
+  }
+  EXPECT_THROW(run_durable(durable_options(early, true)), journal::wire::decode_error);
+
+  const std::string twice = fresh_dir("rec_second_flush");
+  {
+    const auto writer = WalWriter::create({twice, 2, kFp, false});
+    log_trace_bids(*writer, 0, trace_size());
+    (void)writer->append_flush();
+    (void)writer->append_flush();
+  }
+  EXPECT_THROW(run_durable(durable_options(twice, true)), journal::wire::decode_error);
 }
 
 }  // namespace

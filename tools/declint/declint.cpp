@@ -143,10 +143,7 @@ constexpr EntryPoint kEntryPoints[] = {
     {"src/wal/wal.cpp", "load_wal"},
     {"src/wal/wal.cpp", "WalWriter::append_bid"},
     {"src/wal/wal.cpp", "WalWriter::append_block"},
-    {"src/wal/snapshot.cpp", "write_snapshot"},
-    {"src/wal/snapshot.cpp", "read_snapshot"},
     {"src/wal/durable/durable.cpp", "DurableLog::DurableLog"},
-    {"src/wal/durable/durable.cpp", "DurableLog::on_close"},
     {"tools/journal_query/journal_query.cpp", "main"},
 };
 

@@ -146,30 +146,26 @@ int main(int argc, char** argv) {
   }
 
   // Two close spacings of the one bid-count trigger: batch_* closes every
-  // 60 bids and snapshots every other close, stream_* closes every 50 bids
-  // and snapshots at every close.
-  const std::string batch =
-      "--shards 4 --requests 240 --bids-per-epoch 60 --seed 7 --snapshot-every 2";
-  const std::string stream =
-      "--bids-per-epoch 50 --shards 4 --requests 240 --seed 7 --snapshot-every 1";
+  // 60 bids, stream_* every 50.
+  const std::string batch = "--shards 4 --requests 240 --bids-per-epoch 60 --seed 7";
+  const std::string stream = "--bids-per-epoch 50 --shards 4 --requests 240 --seed 7";
   const std::string chaos =
       " --fault-plan 'withhold_reveal:p=0.2;dishonest_vote:p=0.25;deny_agreement:p=0.2;"
       "reject_ingest:p=0.1' --fault-seed 42";
 
-  // Site ids: 0 after-bid-append, 2 mid-epoch, 3 after-block-append,
-  // 4 mid-snapshot (1 is reserved: closes are not WAL inputs).
+  // Site ids: 0 after-bid-append, 2 mid-epoch, 3 after-block-append (1
+  // and 4 are reserved: closes are not WAL inputs and recovery writes no
+  // snapshots).
   std::vector<Scenario> scenarios = {
       {"batch_bid", batch, "crash_at_site:attempts=0:index=100", 2, 1},
       {"batch_midepoch", batch, "crash_at_site:attempts=2:index=2:shards=1", 1, 2},
       {"batch_block", batch, "crash_at_site:attempts=3:index=1", 2, 2},
-      {"batch_midsnap", batch, "crash_at_site:attempts=4:index=4", 2, 1},
       {"batch_chaos_bid", batch + chaos, "crash_at_site:attempts=0:index=150", 2, 1},
-      {"batch_chaos_midsnap", batch + chaos, "crash_at_site:attempts=4:index=2", 1, 2},
+      {"batch_chaos_midepoch", batch + chaos, "crash_at_site:attempts=2:index=2:shards=1", 1, 2},
       {"stream_bid", stream, "crash_at_site:attempts=0:index=150", 2, 1},
       {"stream_block", stream, "crash_at_site:attempts=3:index=1", 2, 2},
-      {"stream_midsnap", stream, "crash_at_site:attempts=4:index=3", 2, 1},
       {"stream_chaos_bid", stream + chaos, "crash_at_site:attempts=0:index=150", 2, 1},
-      {"stream_chaos_midsnap", stream + chaos, "crash_at_site:attempts=4:index=3", 1, 2},
+      {"stream_chaos_block", stream + chaos, "crash_at_site:attempts=3:index=1", 1, 2},
   };
   if (!quick) {
     const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
