@@ -149,7 +149,6 @@ void MarketEngine::run_shard_epoch(std::size_t shard_index, Time now) {
               {journal::EventKind::kIngestDeferred, 0, epoch, is_offer, seq, d.attempt + 1});
         } else {
           ++shard.retries_dropped;
-          shard.hooks.count("engine.bids_retry_dropped");
           shard.hooks.record(
               {journal::EventKind::kRetryDropped, 0, epoch, is_offer, seq, d.attempt});
         }
@@ -157,7 +156,6 @@ void MarketEngine::run_shard_epoch(std::size_t shard_index, Time now) {
       }
       std::visit([&](const auto& bid) { shard.market.submit(bid); }, d.item.bid);
       ++shard.retries_succeeded;
-      shard.hooks.count("engine.bids_retry_succeeded");
       shard.hooks.record(
           {journal::EventKind::kRetryAdmitted, 0, epoch, is_offer, seq, d.attempt});
     }

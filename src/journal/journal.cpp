@@ -254,21 +254,8 @@ obs::MetricsSink telemetry_sink(const Journal& journal) {
           m.counter("journal.ingest_admitted").add();
           if (e.a == 0) ++requests_admitted;
           break;
-        case EventKind::kIngestRejected:
-          m.counter("journal.ingest_rejected").add();
-          break;
-        case EventKind::kIngestDeferred:
-          m.counter("journal.ingest_deferred").add();
-          break;
         case EventKind::kRetryAdmitted:
-          m.counter("journal.retries_admitted").add();
           if (e.a == 0) ++requests_admitted;
-          break;
-        case EventKind::kRetryDropped:
-          m.counter("journal.retries_dropped").add();
-          break;
-        case EventKind::kEpochClose:
-          m.counter("journal.epoch_closes").add();
           break;
         case EventKind::kTradeStruck:
           ++trades;
@@ -278,20 +265,10 @@ obs::MetricsSink telemetry_sink(const Journal& journal) {
         case EventKind::kTradeReduced:
           m.counter("journal.trades_reduced").add(e.a);
           break;
-        case EventKind::kTradeDenied:
-          m.counter("journal.trades_denied").add();
-          break;
         case EventKind::kBlockMined:
-          m.counter("journal.blocks_mined").add();
           welfare += e.x;
           block_welfare.add(e.x);
           block_trades.add(static_cast<double>(e.b));
-          break;
-        case EventKind::kBlockRejected:
-          m.counter("journal.blocks_rejected").add();
-          break;
-        case EventKind::kBlockRemined:
-          m.counter("journal.blocks_remined").add();
           break;
         case EventKind::kFaultFired:
           m.counter("journal.faults_fired").add();
@@ -304,6 +281,18 @@ obs::MetricsSink telemetry_sink(const Journal& journal) {
           break;
         case EventKind::kResidueAbandoned:
           shard_abandoned += e.a + e.b;
+          break;
+        // Counted where they happen, journal on or off: ingest refusals
+        // and retries (engine.bids_*), closes (engine.epochs), denials
+        // (the report's agreements_denied) and blocks (ledger.blocks_*,
+        // fault.blocks_remined).
+        case EventKind::kIngestRejected:
+        case EventKind::kIngestDeferred:
+        case EventKind::kRetryDropped:
+        case EventKind::kEpochClose:
+        case EventKind::kTradeDenied:
+        case EventKind::kBlockRejected:
+        case EventKind::kBlockRemined:
           break;
       }
     }
@@ -321,14 +310,12 @@ obs::MetricsSink telemetry_sink(const Journal& journal) {
       m.counter(name).add(shard_abandoned);
       if (shard_trades > 0) ++trading_shards;
       if (shard_trades > max_shard_trades) max_shard_trades = shard_trades;
-      m.counter("journal.residue_carried").add(shard_carried);
       m.counter("journal.residue_abandoned").add(shard_abandoned);
     }
   }
 
   m.counter("journal.events").add(total);
   m.counter("journal.dropped").add(drops);
-  m.counter("journal.trades").add(trades);
   m.gauge("journal.welfare").set(welfare);
   m.gauge("journal.allocation_rate")
       .set(requests_admitted == 0

@@ -175,7 +175,9 @@ class Journal {
 /// Returns a "journal" MetricsSink for the existing merge order
 /// (MarketEngine::export_order extra sinks) — the journal is the source
 /// of truth and the metrics are a pure function of its events, so the
-/// exported bytes inherit the journal's determinism.
+/// exported bytes inherit the journal's determinism.  It holds only what
+/// the journal alone can say: a fact another layer counts with the
+/// journal off gets no twin here (DESIGN.md §3e counter catalogue).
 [[nodiscard]] obs::MetricsSink telemetry_sink(const Journal& journal);
 
 }  // namespace decloud::journal

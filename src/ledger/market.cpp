@@ -72,7 +72,6 @@ RoundOutcome MarketOrchestrator::run_round(Time now) {
   const std::vector<Miner> verifiers(config_.num_verifiers, Miner(config_.consensus));
   RoundOutcome outcome = protocol_.run_round({&wallet_}, verifiers, now);
   ++stats_.rounds;
-  hooks_.count("market.rounds");
   if (!outcome.block_accepted) {
     // A rejected block consumes nobody's bids: re-queue everything as-is.
     // The carry is free of retry-budget charge — the round never happened
@@ -81,7 +80,6 @@ RoundOutcome MarketOrchestrator::run_round(Time now) {
     stats_.bids_carried += carried;
     for (auto& pr : in_flight_requests) pending_requests_.push_back(pr);
     for (auto& po : in_flight_offers) pending_offers_.push_back(po);
-    hooks_.count("market.resubmissions", carried);
     if (carried > 0) {
       hooks_.record({journal::EventKind::kResidueCarried, 0, fault_round, carried,
                      static_cast<std::uint64_t>(journal::CarryCause::kBlockRejected), 0});
@@ -138,13 +136,11 @@ RoundOutcome MarketOrchestrator::run_round(Time now) {
   }
 
   std::size_t resubmitted = 0;
-  std::size_t allocated_this_round = 0;
   std::size_t requests_abandoned_this_round = 0;
   std::size_t offers_abandoned_this_round = 0;
   for (auto& pr : in_flight_requests) {
     const auto id = pr.request.id.value();
     if (matched_ids.contains(id)) {
-      ++allocated_this_round;
       ++stats_.requests_allocated;
       const std::size_t attempt = request_attempt[id];
       if (stats_.allocation_latency.size() <= attempt) {
@@ -172,8 +168,6 @@ RoundOutcome MarketOrchestrator::run_round(Time now) {
       ++offers_abandoned_this_round;
     }
   }
-  hooks_.count("market.resubmissions", resubmitted);
-  hooks_.count("market.requests_allocated", allocated_this_round);
   if (hooks_.sink != nullptr) {
     hooks_.sink->metrics()
         .histogram("market.round_welfare", 0.0, 64.0, 16)

@@ -61,8 +61,11 @@ struct MarketStats {
   /// keep alive between closes (DESIGN.md §3h); its age is bounded by
   /// max_resubmissions.
   std::size_t bids_carried = 0;
-  /// Sealed bids the mempool refused as duplicates (double-submission,
-  /// whether injected by a fault plan or a buggy client).
+  /// Byte-identical second copies of one sealed bid that the mempool
+  /// refused.  Only the duplicate_sealed_bid fault makes such copies
+  /// (equal to fault.duplicates_rejected): a client that re-submits a
+  /// request id has it sealed again under a fresh nonce, so the mempool
+  /// sees a new bid and nothing is counted here.
   std::size_t bids_duplicate_rejected = 0;
   /// Proposed agreements the client side denied (deny_agreement).  A
   /// denial un-counts the request's allocation — the match never executed

@@ -7,6 +7,15 @@
 
 namespace decloud::stream {
 
+StreamAdmission submit_trace_bid(StreamingMarket& market, const engine::TraceStream& trace,
+                                 std::size_t position) {
+  DECLOUD_EXPECTS(position < trace.order.size());
+  const std::size_t i = trace.order[position];
+  const std::size_t n_req = trace.snapshot.requests.size();
+  return i < n_req ? market.submit(trace.snapshot.requests[i])
+                   : market.submit(trace.snapshot.offers[i - n_req]);
+}
+
 StreamDriveOutcome drive_trace_stream(StreamingMarket& market,
                                       const engine::TraceDriverConfig& config,
                                       const wal::DurableOptions* durable) {
@@ -17,19 +26,14 @@ StreamDriveOutcome drive_trace_stream(StreamingMarket& market,
 
   const engine::TraceStream stream =
       engine::make_trace_stream(config, market.config().engine);
-  const auction::MarketSnapshot& snapshot = stream.snapshot;
-  const std::vector<std::size_t>& order = stream.order;
-  const std::size_t n_req = snapshot.requests.size();
+  const std::size_t trace_size = stream.order.size();
 
   std::optional<wal::DurableLog> log;
-  if (durable != nullptr) log.emplace(market, order.size(), *durable);
+  if (durable != nullptr) log.emplace(market, stream, *durable);
   wal::DriveProgress progress = log ? log->resume() : wal::DriveProgress{};
 
-  while (progress.done < order.size()) {
-    const std::size_t i = order[progress.done];
-    const StreamAdmission admission = i < n_req ? market.submit(snapshot.requests[i])
-                                                : market.submit(snapshot.offers[i - n_req]);
-    progress.count(admission.engine.admitted());
+  while (progress.done < trace_size) {
+    progress.count(submit_trace_bid(market, stream, progress.done).engine.admitted());
     ++progress.done;
   }
   if (!progress.flushed) (void)market.flush();
@@ -37,16 +41,10 @@ StreamDriveOutcome drive_trace_stream(StreamingMarket& market,
   StreamDriveOutcome outcome;
   outcome.micro_epochs = market.micro_epochs();
   outcome.drain_epochs = market.drain();
-  outcome.drive.bids_generated = order.size();
+  outcome.drive.bids_generated = trace_size;
   outcome.drive.bids_admitted = progress.admitted;
   outcome.drive.bids_rejected = progress.rejected;
   outcome.drive.report = market.report();
-  if (obs::MetricsSink* sink = market.scheduler().sink(); sink != nullptr) {
-    obs::MetricsRegistry& m = sink->metrics();
-    m.counter("driver.bids_generated").add(outcome.drive.bids_generated);
-    m.counter("driver.bids_admitted").add(outcome.drive.bids_admitted);
-    m.counter("driver.bids_rejected").add(outcome.drive.bids_rejected);
-  }
   return outcome;
 }
 

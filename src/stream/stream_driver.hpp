@@ -31,6 +31,11 @@ struct StreamDriveOutcome {
   std::size_t drain_epochs = 0;    ///< residue-clearing ticks after the stream
 };
 
+/// Submits the bid at `position` of `trace.order` to `market`: the drive
+/// loop's one submit, shared by recovery's replay.
+StreamAdmission submit_trace_bid(StreamingMarket& market, const engine::TraceStream& trace,
+                                 std::size_t position);
+
 /// Streams the trace for `config` into the fresh `market` bid-by-bid,
 /// flushes, and drains.  With `durable` the run is logged (and, with
 /// durable->recover, first recovered) as wal/durable/durable.hpp

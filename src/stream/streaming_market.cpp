@@ -30,7 +30,6 @@ void StreamingMarket::close_micro_epoch(CloseReason reason) {
   closed_submitted_ = submitted_;
   if (sink_ != nullptr) {
     obs::MetricsRegistry& m = sink_->metrics();
-    m.counter("stream.micro_epochs").add(1);
     switch (reason) {
       case CloseReason::kBidCount: m.counter("stream.close_bid_count").add(1); break;
       case CloseReason::kFlush: m.counter("stream.close_flush").add(1); break;
@@ -54,11 +53,7 @@ StreamAdmission StreamingMarket::submit_bid(const Bid& bid) {
   ++submitted_;
   StreamAdmission admission;
   admission.engine = engine_.submit(bid);
-  if (sink_ != nullptr) {
-    obs::MetricsRegistry& m = sink_->metrics();
-    m.counter("stream.bids_submitted").add(1);
-    if (!admission.engine.admitted()) m.counter("stream.bids_rejected").add(1);
-  }
+  if (sink_ != nullptr) sink_->metrics().counter("stream.bids_submitted").add(1);
   admission.closed_micro_epoch = maybe_close();
   return admission;
 }
@@ -96,11 +91,7 @@ std::size_t StreamingMarket::drain() {
       config_.start_time + static_cast<Time>(scheduler_.epochs()) * config_.epoch_interval;
   const std::size_t ran = scheduler_.run(config_.drain_epochs, now, config_.epoch_interval);
   closed_submitted_ = submitted_;
-  if (sink_ != nullptr && ran > 0) {
-    obs::MetricsRegistry& m = sink_->metrics();
-    m.counter("stream.micro_epochs").add(ran);
-    m.counter("stream.close_drain").add(ran);
-  }
+  if (sink_ != nullptr && ran > 0) sink_->metrics().counter("stream.close_drain").add(ran);
   return ran;
 }
 

@@ -3,6 +3,7 @@
 #include "common/ensure.hpp"
 #include "journal/wire.hpp"
 #include "ledger/codec.hpp"
+#include "stream/stream_driver.hpp"
 
 namespace decloud::wal {
 namespace {
@@ -21,29 +22,35 @@ void verify_block_fingerprints(const engine::MarketEngine& engine, const WalCont
   }
 }
 
-/// Feeds every logged input back through the market.  A drive logs at
-/// most the trace's bids and then at most one flush; a log of any other
-/// shape did not come from a drive of this trace and is refused before
-/// it can skew the report.  A crash during the post-flush drain
-/// discards the partial drain work: replay rebuilds the post-flush state
-/// and the resumed drain re-runs the whole (deterministic) tail,
-/// re-logging identical block fingerprints (load_wal tolerates the equal
-/// duplicates).
+/// Feeds every logged input back through the market.  A drive logs the
+/// trace's bids in trace order, each as its codec bytes, and then at most
+/// one flush; a log of any other shape or content did not come from a
+/// drive of this trace and is refused before it can skew the report.  A
+/// crash during the post-flush drain discards the partial drain work:
+/// replay rebuilds the post-flush state and the resumed drain re-runs the
+/// whole (deterministic) tail, re-logging identical block fingerprints
+/// (load_wal tolerates the equal duplicates).
 void replay(stream::StreamingMarket& market, const WalContents& contents,
-            std::size_t trace_size, DriveProgress& progress) {
+            const engine::TraceStream& trace, DriveProgress& progress) {
+  const std::size_t n_req = trace.snapshot.requests.size();
   for (const Record& record : contents.inputs) {
     switch (record.kind) {
       case RecordKind::kBid: {
-        wire::check(progress.done < trace_size, "wal logs a bid past the end of the trace");
-        const stream::StreamAdmission admission =
-            record.is_offer ? market.submit(ledger::decode_offer(record.payload))
-                            : market.submit(ledger::decode_request(record.payload));
-        progress.count(admission.engine.admitted());
+        wire::check(progress.done < trace.order.size(),
+                    "wal logs a bid past the end of the trace");
+        const std::size_t i = trace.order[progress.done];
+        const bool is_offer = i >= n_req;
+        const std::vector<std::uint8_t> expected =
+            is_offer ? ledger::encode_offer(trace.snapshot.offers[i - n_req])
+                     : ledger::encode_request(trace.snapshot.requests[i]);
+        wire::check(record.is_offer == is_offer && record.payload == expected,
+                    "wal logs a bid unlike the trace bid at its position");
+        progress.count(stream::submit_trace_bid(market, trace, progress.done).engine.admitted());
         ++progress.done;
         break;
       }
       case RecordKind::kFlush:
-        wire::check(progress.done == trace_size && !progress.flushed,
+        wire::check(progress.done == trace.order.size() && !progress.flushed,
                     "wal logs a flush before the end of the trace or twice");
         (void)market.flush();
         progress.flushed = true;
@@ -65,7 +72,7 @@ std::uint64_t config_fingerprint(std::string_view canonical) {
   return h;
 }
 
-DurableLog::DurableLog(stream::StreamingMarket& market, std::size_t trace_size,
+DurableLog::DurableLog(stream::StreamingMarket& market, const engine::TraceStream& trace,
                        const DurableOptions& opts)
     : market_(market) {
   DECLOUD_EXPECTS_MSG(!opts.wal_dir.empty(), "durable drive needs a WAL directory");
@@ -76,7 +83,7 @@ DurableLog::DurableLog(stream::StreamingMarket& market, std::size_t trace_size,
     writer_ = WalWriter::create(wal_options);
   } else {
     const WalContents contents = load_wal(opts.wal_dir, engine.num_shards(), opts.fingerprint);
-    replay(market_, contents, trace_size, resume_);
+    replay(market_, contents, trace, resume_);
     verify_block_fingerprints(engine, contents);
     writer_ = WalWriter::attach(wal_options, contents.valid_bytes, contents.next_input_seq);
   }

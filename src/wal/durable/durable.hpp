@@ -17,8 +17,9 @@
 //      re-log) and no crash injector (a recovered run must get past the
 //      site that killed its predecessor).  Micro-epoch closes are not
 //      logged: they re-fire when the replayed inputs cross the triggers.
-//      The log must have a drive's shape — at most the trace's bids,
-//      then at most one flush — or recovery throws decode_error;
+//      The log must be a drive's — a prefix of the trace's bids in trace
+//      order, byte for byte, then at most one flush — or recovery throws
+//      decode_error;
 //   3. cross-check recovered chain tips against the WAL's block
 //      fingerprints;
 //   4. re-attach the writer in append mode (truncating torn tails) and
@@ -34,6 +35,7 @@
 #include <string>
 #include <string_view>
 
+#include "engine/driver.hpp"
 #include "fault/injector.hpp"
 #include "stream/streaming_market.hpp"
 #include "wal/wal.hpp"
@@ -83,12 +85,12 @@ struct DriveProgress {
 /// A WAL attached to one StreamingMarket for one drive of a trace.
 class DurableLog {
  public:
-  /// Opens the log of a `trace_size`-bid drive into the FRESH `market`:
+  /// Opens the log of a drive of `trace` into the FRESH `market`:
   /// creates a new WAL, or (opts.recover) recovers the one in
   /// opts.wal_dir as described above, leaving the recovered state in
   /// `market` and the resume position in resume().  The writer and the
   /// crash injector stay attached to the market until destruction.
-  DurableLog(stream::StreamingMarket& market, std::size_t trace_size,
+  DurableLog(stream::StreamingMarket& market, const engine::TraceStream& trace,
              const DurableOptions& opts);
   ~DurableLog();
   DurableLog(const DurableLog&) = delete;

@@ -146,11 +146,7 @@ TEST(Journal, TelemetrySinkDerivesEconomicAggregates) {
 
   obs::MetricsRegistry& m = sink.metrics();
   EXPECT_EQ(m.counter("journal.events").value(), 10u);
-  EXPECT_EQ(m.counter("journal.epoch_closes").value(), 2u);
   EXPECT_EQ(m.counter("journal.ingest_admitted").value(), 3u);
-  EXPECT_EQ(m.counter("journal.trades").value(), 2u);
-  EXPECT_EQ(m.counter("journal.blocks_mined").value(), 1u);
-  EXPECT_EQ(m.counter("journal.residue_carried").value(), 3u);
   EXPECT_EQ(m.counter("journal.residue_abandoned").value(), 3u);
   EXPECT_EQ(m.counter("journal.shard0.trades").value(), 2u);
   EXPECT_EQ(m.counter("journal.shard0.residue_carried").value(), 3u);
@@ -164,6 +160,12 @@ TEST(Journal, TelemetrySinkDerivesEconomicAggregates) {
   // Clearing-price dispersion histogram saw both unit prices.
   EXPECT_NE(json.find("journal.clearing_price"), std::string::npos) << json;
   EXPECT_NE(json.find("journal.welfare_per_block"), std::string::npos) << json;
+  // Closes, trades, blocks and carried residue are counted where they
+  // happen, journal on or off; the telemetry sink has no twin of them.
+  for (const char* twin : {"\"journal.epoch_closes\"", "\"journal.trades\"",
+                           "\"journal.blocks_mined\"", "\"journal.residue_carried\""}) {
+    EXPECT_EQ(json.find(twin), std::string::npos) << twin;
+  }
 }
 
 TEST(Journal, AppendAndDecodePreconditions) {

@@ -2,9 +2,9 @@
 // empty-WAL recovery, recovery from an abandoned partial run (the
 // in-process stand-in for a kill), double-recover idempotence, stray
 // files a recovery must ignore, and logs no drive of the trace could have
-// written, which it must refuse.  recover_check covers the real
-// kill-a-process matrix; these tests keep the edge cases in the fast
-// unit tier.
+// written (wrong count, position or content), which it must refuse.
+// recover_check covers the real kill-a-process matrix; these tests keep
+// the edge cases in the fast unit tier.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -270,6 +270,20 @@ TEST(Recovery, FlushBeforeTheTraceEndsRefused) {
     (void)writer->append_flush();
   }
   EXPECT_THROW(run_durable(durable_options(twice, true)), journal::wire::decode_error);
+}
+
+TEST(Recovery, ForeignBidContentRefused) {
+  // The trace's bid count and a flush, so count and position checks pass,
+  // but every bid is a copy of trace bid 0: a log no drive of this trace
+  // writes, which would otherwise recover to a different report.
+  const std::string dir = fresh_dir("rec_foreign_bid");
+  {
+    const auto writer = WalWriter::create({dir, 2, kFp, false});
+    const std::size_t bids = trace_size();
+    for (std::size_t n = 0; n < bids; ++n) log_trace_bids(*writer, 0, 1);
+    (void)writer->append_flush();
+  }
+  EXPECT_THROW(run_durable(durable_options(dir, true)), journal::wire::decode_error);
 }
 
 }  // namespace
