@@ -2,16 +2,16 @@
 
 #include <bit>
 
-#include "common/ensure.hpp"
-
 namespace decloud {
 
 void ByteWriter::write_u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  const auto bytes = le_bytes(v);
+  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
 }
 
 void ByteWriter::write_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  const auto bytes = le_bytes(v);
+  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
 }
 
 void ByteWriter::write_double(double v) { write_u64(std::bit_cast<std::uint64_t>(v)); }

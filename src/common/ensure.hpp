@@ -5,6 +5,12 @@
 // paths; they are never compiled out because the library is used in
 // verification contexts (miners re-checking each other's allocations) where
 // silent corruption would be worse than the branch cost.
+//
+// The macros test the condition first and build the message only on
+// failure: a passing check is one branch, with no std::string and no heap
+// allocation, even when its message is computed (`"id " + to_string(id)`).
+// The hashing paths rely on that to stay allocation-free
+// (tests/common/alloc_free_test.cpp).
 #pragma once
 
 #include <source_location>
@@ -55,7 +61,19 @@ inline void ensures(bool cond, const char* expr, const std::string& msg = {},
 
 }  // namespace decloud
 
-#define DECLOUD_EXPECTS(cond) ::decloud::expects((cond), #cond)
-#define DECLOUD_EXPECTS_MSG(cond, msg) ::decloud::expects((cond), #cond, (msg))
-#define DECLOUD_ENSURES(cond) ::decloud::ensures((cond), #cond)
-#define DECLOUD_ENSURES_MSG(cond, msg) ::decloud::ensures((cond), #cond, (msg))
+// `cond` is evaluated once; `msg` only when `cond` is false.  The
+// expression is stringified here, unexpanded, and
+// std::source_location::current() names the macro's call site, as the
+// default argument of expects()/ensures() does for direct callers.
+#define DECLOUD_DETAIL_CHECK(cond, expr, msg, thrower)              \
+  do {                                                              \
+    if (!(cond)) thrower(expr, (msg), std::source_location::current()); \
+  } while (false)
+#define DECLOUD_EXPECTS(cond) \
+  DECLOUD_DETAIL_CHECK(cond, #cond, "", ::decloud::detail::throw_precondition)
+#define DECLOUD_EXPECTS_MSG(cond, msg) \
+  DECLOUD_DETAIL_CHECK(cond, #cond, msg, ::decloud::detail::throw_precondition)
+#define DECLOUD_ENSURES(cond) \
+  DECLOUD_DETAIL_CHECK(cond, #cond, "", ::decloud::detail::throw_invariant)
+#define DECLOUD_ENSURES_MSG(cond, msg) \
+  DECLOUD_DETAIL_CHECK(cond, #cond, msg, ::decloud::detail::throw_invariant)

@@ -3,9 +3,16 @@
 #include <array>
 #include <vector>
 
+#include "common/byte_buffer.hpp"
+
 namespace decloud::crypto {
 
 Digest hmac_sha256(std::span<const std::uint8_t> key, std::span<const std::uint8_t> message) {
+  const std::span<const std::uint8_t> parts[] = {message};
+  return hmac_sha256(key, parts);
+}
+
+Digest hmac_sha256(std::span<const std::uint8_t> key, MessageParts message) {
   constexpr std::size_t kBlock = 64;
   std::array<std::uint8_t, kBlock> k{};
   if (key.size() > kBlock) {
@@ -30,15 +37,11 @@ std::vector<std::uint8_t> derive_bytes(std::span<const std::uint8_t> key,
                                        std::span<const std::uint8_t> info, std::size_t n) {
   std::vector<std::uint8_t> out;
   out.reserve(n);
-  std::vector<std::uint8_t> msg(info.begin(), info.end());
-  msg.resize(info.size() + 4);  // trailing counter bytes, rewritten per block
   std::uint32_t counter = 0;
   while (out.size() < n) {
-    for (int i = 0; i < 4; ++i) {
-      msg[info.size() + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(counter >> (8 * i));
-    }
-    const Digest block = hmac_sha256(key, msg);
+    const auto counter_bytes = le_bytes(counter);
+    const std::span<const std::uint8_t> parts[] = {info, counter_bytes};
+    const Digest block = hmac_sha256(key, parts);
     const std::size_t take = std::min(block.size(), n - out.size());
     out.insert(out.end(), block.begin(), block.begin() + static_cast<std::ptrdiff_t>(take));
     ++counter;

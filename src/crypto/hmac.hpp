@@ -14,6 +14,9 @@ namespace decloud::crypto {
 [[nodiscard]] Digest hmac_sha256(std::span<const std::uint8_t> key,
                                  std::span<const std::uint8_t> message);
 
+/// HMAC-SHA256 of the concatenated parts, streamed into the inner hash.
+[[nodiscard]] Digest hmac_sha256(std::span<const std::uint8_t> key, MessageParts message);
+
 /// HKDF-style expansion: derives `n` bytes from a key and an info label.
 /// Output is the concatenation of HMAC(key, info || counter) blocks.
 [[nodiscard]] std::vector<std::uint8_t> derive_bytes(std::span<const std::uint8_t> key,

@@ -21,9 +21,7 @@ bool meets_difficulty(const Digest& digest, unsigned difficulty_bits) {
 }
 
 Digest pow_digest(std::span<const std::uint8_t> header, std::uint64_t nonce) {
-  ByteWriter w;
-  w.write_u64(nonce);
-  return Sha256().update(header).update({w.bytes().data(), w.bytes().size()}).finish();
+  return Sha256().update(header).update(le_bytes(nonce)).finish();
 }
 
 std::optional<PowSolution> solve_pow(std::span<const std::uint8_t> header,

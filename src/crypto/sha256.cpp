@@ -1,5 +1,6 @@
 #include "crypto/sha256.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -64,24 +65,30 @@ Sha256& Sha256::update(std::string_view data) {
   return update({reinterpret_cast<const std::uint8_t*>(data.data()), data.size()});
 }
 
+Sha256& Sha256::update(MessageParts parts) {
+  for (const auto part : parts) update(part);
+  return *this;
+}
+
 Digest Sha256::finish() {
   DECLOUD_EXPECTS_MSG(!finished_, "Sha256 reused after finish()");
   finished_ = true;
 
+  // Padding, in place: 0x80, zeros up to 56 mod 64, then the 64-bit
+  // big-endian message length in bits.
   const std::uint64_t bit_len = total_len_ * 8;
-  // Padding: 0x80, zeros, then 64-bit big-endian length.
-  std::array<std::uint8_t, 72> pad{};
-  pad[0] = 0x80;
-  const std::size_t rem = buffer_len_;
-  const std::size_t pad_len = (rem < 56) ? (56 - rem) : (120 - rem);
-  std::array<std::uint8_t, 8> len_be{};
-  for (int i = 0; i < 8; ++i) len_be[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-
-  finished_ = false;  // allow the two internal updates below
-  update({pad.data(), pad_len});
-  update({len_be.data(), len_be.size()});
-  finished_ = true;
-  DECLOUD_ENSURES(buffer_len_ == 0);
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::fill(buffer_.begin() + static_cast<std::ptrdiff_t>(buffer_len_), buffer_.end(), 0);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
+  }
+  std::fill(buffer_.begin() + static_cast<std::ptrdiff_t>(buffer_len_), buffer_.begin() + 56, 0);
+  for (std::size_t i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  process_block(buffer_.data());
+  buffer_len_ = 0;
 
   Digest out{};
   for (int i = 0; i < 8; ++i) {

@@ -2,7 +2,8 @@
 //
 // Used for block hashing, proof-of-work, Merkle trees, key fingerprints and
 // the verifiable-randomization seed.  Incremental interface so large block
-// bodies can be hashed without copying.
+// bodies and multi-part messages (MessageParts) are hashed without copying
+// or allocating.
 #pragma once
 
 #include <array>
@@ -16,6 +17,11 @@ namespace decloud::crypto {
 /// A 256-bit digest.
 using Digest = std::array<std::uint8_t, 32>;
 
+/// A message given as consecutive byte spans.  Hashing, signing or MACing
+/// the parts gives the result for their concatenation, which is never
+/// built: a canonical encoding is streamed field by field.
+using MessageParts = std::span<const std::span<const std::uint8_t>>;
+
 /// Incremental SHA-256 hasher.
 class Sha256 {
  public:
@@ -24,6 +30,8 @@ class Sha256 {
   /// Feeds more input.  May be called any number of times.
   Sha256& update(std::span<const std::uint8_t> data);
   Sha256& update(std::string_view data);
+  /// Feeds each part in order.
+  Sha256& update(MessageParts parts);
 
   /// Finalizes and returns the digest.  The hasher must not be reused
   /// afterwards (create a new one instead).

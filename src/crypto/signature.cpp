@@ -16,10 +16,8 @@ std::uint64_t mul_mod(std::uint64_t a, std::uint64_t b) {
 std::uint64_t mod_order(std::uint64_t v) { return v % kOrder; }
 
 /// Challenge e = H(r || message) reduced mod (p-1).
-std::uint64_t challenge(std::uint64_t r, std::span<const std::uint8_t> message) {
-  ByteWriter w;
-  w.write_u64(r);
-  const Digest d = Sha256().update({w.bytes().data(), w.bytes().size()}).update(message).finish();
+std::uint64_t challenge(std::uint64_t r, MessageParts message) {
+  const Digest d = Sha256().update(le_bytes(r)).update(message).finish();
   std::uint64_t e = 0;
   for (int i = 0; i < 8; ++i) e = (e << 8) | d[static_cast<std::size_t>(i)];
   return mod_order(e);
@@ -38,11 +36,7 @@ std::uint64_t pow_mod(std::uint64_t base, std::uint64_t exp) {
   return result;
 }
 
-Digest PublicKey::fingerprint() const {
-  ByteWriter w;
-  w.write_u64(y);
-  return Sha256::hash({w.bytes().data(), w.bytes().size()});
-}
+Digest PublicKey::fingerprint() const { return Sha256::hash(le_bytes(y)); }
 
 KeyPair generate_keypair(Rng& rng) {
   // x uniform in [1, p-2]; avoid 0 (degenerate key).
@@ -51,10 +45,13 @@ KeyPair generate_keypair(Rng& rng) {
 }
 
 Signature sign(const PrivateKey& key, std::span<const std::uint8_t> message) {
+  const std::span<const std::uint8_t> parts[] = {message};
+  return sign(key, parts);
+}
+
+Signature sign(const PrivateKey& key, MessageParts message) {
   // Deterministic nonce: k = HMAC(x, message) mod (p-1), never zero.
-  ByteWriter kw;
-  kw.write_u64(key.x);
-  const Digest kd = hmac_sha256({kw.bytes().data(), kw.bytes().size()}, message);
+  const Digest kd = hmac_sha256(le_bytes(key.x), message);
   std::uint64_t k = 0;
   for (int i = 0; i < 8; ++i) k = (k << 8) | kd[static_cast<std::size_t>(i)];
   k = 1 + mod_order(k) % (kOrder - 1);
@@ -69,6 +66,11 @@ Signature sign(const PrivateKey& key, std::span<const std::uint8_t> message) {
 }
 
 bool verify(const PublicKey& key, std::span<const std::uint8_t> message, const Signature& sig) {
+  const std::span<const std::uint8_t> parts[] = {message};
+  return verify(key, parts, sig);
+}
+
+bool verify(const PublicKey& key, MessageParts message, const Signature& sig) {
   if (sig.r == 0 || sig.r >= kFieldPrime || key.y == 0 || key.y >= kFieldPrime) return false;
   const std::uint64_t e = challenge(sig.r, message);
   // Check g^s · y^e == r.

@@ -58,10 +58,13 @@ struct KeyPair {
 /// and message (RFC 6979 style), so signing is reproducible and never
 /// reuses a nonce across messages.
 [[nodiscard]] Signature sign(const PrivateKey& key, std::span<const std::uint8_t> message);
+/// Signs the concatenated parts without building the concatenation.
+[[nodiscard]] Signature sign(const PrivateKey& key, MessageParts message);
 
 /// Verifies a signature.
 [[nodiscard]] bool verify(const PublicKey& key, std::span<const std::uint8_t> message,
                           const Signature& sig);
+[[nodiscard]] bool verify(const PublicKey& key, MessageParts message, const Signature& sig);
 
 /// Field parameters, exposed for tests.
 inline constexpr std::uint64_t kFieldPrime = (1ULL << 61) - 1;  // 2^61 - 1

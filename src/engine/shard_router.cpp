@@ -43,7 +43,6 @@ Route ShardRouter::route(const std::optional<auction::Location>& location,
 }
 
 void ShardRouter::annotate(obs::MetricsRegistry& metrics) const {
-  metrics.gauge("router.num_shards").set(static_cast<double>(config_.num_shards));
   metrics.gauge("router.grid_x").set(static_cast<double>(grid_x_));
   metrics.gauge("router.grid_y").set(static_cast<double>(grid_y_));
 }

@@ -67,9 +67,9 @@ class ShardRouter {
     return route(o.location, o.id.value());
   }
 
-  /// Records the resolved routing topology as gauges (router.num_shards,
-  /// router.grid_x/grid_y) — static facts a dashboard needs next to the
-  /// per-shard counters.
+  /// Records the resolved grid shape as gauges (router.grid_x/grid_y) —
+  /// static facts a dashboard needs next to the per-shard counters; the
+  /// shard count is engine.num_shards.
   void annotate(obs::MetricsRegistry& metrics) const;
 
  private:

@@ -236,6 +236,7 @@ obs::MetricsSink telemetry_sink(const Journal& journal) {
   std::uint64_t drops = 0;
   std::uint64_t requests_admitted = 0;
   std::uint64_t trades = 0;
+  std::uint64_t denied = 0;
   double welfare = 0.0;
   std::size_t trading_shards = 0;
   std::uint64_t max_shard_trades = 0;
@@ -251,9 +252,6 @@ obs::MetricsSink telemetry_sink(const Journal& journal) {
       ++total;
       switch (e.kind) {
         case EventKind::kIngestAdmitted:
-          m.counter("journal.ingest_admitted").add();
-          if (e.a == 0) ++requests_admitted;
-          break;
         case EventKind::kRetryAdmitted:
           if (e.a == 0) ++requests_admitted;
           break;
@@ -261,6 +259,9 @@ obs::MetricsSink telemetry_sink(const Journal& journal) {
           ++trades;
           ++shard_trades;
           price.add(e.y);
+          break;
+        case EventKind::kTradeDenied:
+          ++denied;  // the client took the trade back: it does not stand
           break;
         case EventKind::kTradeReduced:
           m.counter("journal.trades_reduced").add(e.a);
@@ -282,15 +283,14 @@ obs::MetricsSink telemetry_sink(const Journal& journal) {
         case EventKind::kResidueAbandoned:
           shard_abandoned += e.a + e.b;
           break;
-        // Counted where they happen, journal on or off: ingest refusals
-        // and retries (engine.bids_*), closes (engine.epochs), denials
-        // (the report's agreements_denied) and blocks (ledger.blocks_*,
-        // fault.blocks_remined).
+        // Counted where they happen, journal on or off: ingests
+        // (engine.bids_drained), ingest refusals and retries
+        // (engine.bids_*), closes (engine.epochs) and blocks
+        // (ledger.blocks_*, fault.blocks_remined).
         case EventKind::kIngestRejected:
         case EventKind::kIngestDeferred:
         case EventKind::kRetryDropped:
         case EventKind::kEpochClose:
-        case EventKind::kTradeDenied:
         case EventKind::kBlockRejected:
         case EventKind::kBlockRemined:
           break;
@@ -317,10 +317,15 @@ obs::MetricsSink telemetry_sink(const Journal& journal) {
   m.counter("journal.events").add(total);
   m.counter("journal.dropped").add(drops);
   m.gauge("journal.welfare").set(welfare);
+  // Standing trades over admitted requests, as the report's
+  // requests_allocated / requests_submitted: a denied trade was struck but
+  // never executed.  Ring drops can take a struck event and keep its
+  // denial, hence the floor.
+  const std::uint64_t standing = trades > denied ? trades - denied : 0;
   m.gauge("journal.allocation_rate")
       .set(requests_admitted == 0
                ? 0.0
-               : static_cast<double>(trades) / static_cast<double>(requests_admitted));
+               : static_cast<double>(standing) / static_cast<double>(requests_admitted));
   m.gauge("journal.trading_shards").set(static_cast<double>(trading_shards));
   // Share of all trades struck on the busiest shard: 1/num_shards when
   // liquidity spreads evenly, → 1.0 as it concentrates.

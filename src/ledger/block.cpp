@@ -6,13 +6,13 @@
 
 namespace decloud::ledger {
 
-std::vector<std::uint8_t> BlockHeader::bytes() const {
-  ByteWriter w;
+std::array<std::uint8_t, BlockHeader::kBytes> BlockHeader::bytes() const {
+  FixedWriter<kBytes> w;
   w.write_u64(height);
-  w.write_bytes({prev_hash.data(), prev_hash.size()});
+  w.write_bytes(prev_hash);
   w.write_i64(timestamp);
-  w.write_bytes({bids_root.data(), bids_root.size()});
-  return std::move(w).take();
+  w.write_bytes(bids_root);
+  return w.bytes();
 }
 
 crypto::Digest bids_merkle_root(const std::vector<SealedBid>& bids) {
@@ -23,21 +23,14 @@ crypto::Digest bids_merkle_root(const std::vector<SealedBid>& bids) {
 }
 
 bool VerifiedBids::admit(const SealedBid& bid) {
-  const auto payload = bid.signed_payload();
-  if (!crypto::verify(bid.sender, {payload.data(), payload.size()}, bid.signature)) return false;
-  // The key's digest is SealedBid::digest(), hashed from the payload
-  // already built for the check.
-  entries_.insert({crypto::Sha256::hash({payload.data(), payload.size()}), bid.signature});
+  if (!verify_sealed_bid(bid)) return false;
+  entries_.insert({bid.digest(), bid.signature});
   return true;
 }
 
 bool validate_preamble(const BlockPreamble& preamble, unsigned difficulty_bits,
                        const VerifiedBids* verified) {
-  const auto header_bytes = preamble.header.bytes();
-  if (!crypto::verify_pow({header_bytes.data(), header_bytes.size()}, difficulty_bits,
-                          preamble.pow)) {
-    return false;
-  }
+  if (!crypto::verify_pow(preamble.header.bytes(), difficulty_bits, preamble.pow)) return false;
   std::vector<crypto::Digest> leaves;
   leaves.reserve(preamble.sealed_bids.size());
   for (const auto& bid : preamble.sealed_bids) leaves.push_back(bid.digest());

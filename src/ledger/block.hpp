@@ -9,6 +9,7 @@
 //     verify it by replaying the (deterministic) auction.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <unordered_set>
 #include <vector>
@@ -30,8 +31,12 @@ struct BlockHeader {
   /// miner neither dropped nor injected bids after PoW.
   crypto::Digest bids_root{};
 
-  /// Canonical bytes of the header (the PoW pre-image).
-  [[nodiscard]] std::vector<std::uint8_t> bytes() const;
+  /// u64 height ‖ u32-length-prefixed prev_hash ‖ i64 timestamp ‖
+  /// u32-length-prefixed bids_root.
+  static constexpr std::size_t kBytes = 8 + 4 + 32 + 8 + 4 + 32;
+
+  /// Canonical bytes of the header (the PoW pre-image), on the stack.
+  [[nodiscard]] std::array<std::uint8_t, kBytes> bytes() const;
 };
 
 /// Phase-1 output: header + PoW + sealed bids.

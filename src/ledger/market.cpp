@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/ensure.hpp"
+#include "obs/sink.hpp"
 
 namespace decloud::ledger {
 
@@ -61,12 +62,16 @@ RoundOutcome MarketOrchestrator::run_round(Time now) {
       hooks_.count("fault.duplicates_rejected");
     }
   };
-  for (const auto& pr : in_flight_requests) {
-    request_attempt[pr.request.id.value()] = pr.attempts;
-    submit_sealed(wallet_.submit_request(pr.request, rng_));
-  }
-  for (const auto& po : in_flight_offers) {
-    submit_sealed(wallet_.submit_offer(po.offer, rng_));
+  {
+    obs::SpanScope span(hooks_.sink, "seal");
+    for (const auto& pr : in_flight_requests) {
+      request_attempt[pr.request.id.value()] = pr.attempts;
+      submit_sealed(wallet_.submit_request(pr.request, rng_));
+    }
+    for (const auto& po : in_flight_offers) {
+      submit_sealed(wallet_.submit_offer(po.offer, rng_));
+    }
+    span.add_work(in_flight_requests.size() + in_flight_offers.size());
   }
 
   const std::vector<Miner> verifiers(config_.num_verifiers, Miner(config_.consensus));

@@ -20,10 +20,8 @@ std::optional<BlockPreamble> Miner::mine_preamble(std::vector<SealedBid> bids,
   preamble.header.bids_root = bids_merkle_root(bids);
   preamble.sealed_bids = std::move(bids);
 
-  const auto header_bytes = preamble.header.bytes();
-  const auto solution = crypto::solve_pow({header_bytes.data(), header_bytes.size()},
-                                          params_.difficulty_bits, /*start_nonce=*/0,
-                                          params_.max_pow_attempts);
+  const auto solution = crypto::solve_pow(preamble.header.bytes(), params_.difficulty_bits,
+                                          /*start_nonce=*/0, params_.max_pow_attempts);
   if (!solution) return std::nullopt;
   preamble.pow = *solution;
   span.add_work(solution->nonce + 1);  // attempts, not the winning nonce

@@ -31,14 +31,15 @@ struct SealedBid {
   /// The submitter's long-term public key (its fingerprint is the ledger
   /// address).
   crypto::PublicKey sender;
-  /// Signature over (kind ‖ nonce ‖ ciphertext) with the long-term key.
+  /// Signature with the long-term key over the signed payload: kind ‖
+  /// nonce ‖ ciphertext ‖ sender, in ByteWriter's encoding (u8 kind,
+  /// u32-length-prefixed nonce and ciphertext, u64 sender.y).
   crypto::Signature signature;
 
-  /// Digest identifying this sealed bid (the Merkle leaf for the preamble).
+  /// SHA-256 of the signed payload: the id of this sealed bid and its
+  /// Merkle leaf in the preamble.  The payload is streamed into the hash,
+  /// never built.
   [[nodiscard]] crypto::Digest digest() const;
-
-  /// Canonical signed payload bytes.
-  [[nodiscard]] std::vector<std::uint8_t> signed_payload() const;
 };
 
 /// A temporary key disclosure: "participants broadcast their temporary

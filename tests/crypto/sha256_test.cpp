@@ -60,6 +60,16 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   }
 }
 
+TEST(Sha256, MessagePartsHashAsTheirConcatenation) {
+  const std::string msg = "the quick brown fox jumps over the lazy dog";
+  const std::vector<std::uint8_t> bytes(msg.begin(), msg.end());
+  const std::span<const std::uint8_t> all(bytes);
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    const std::span<const std::uint8_t> parts[] = {all.first(split), {}, all.subspan(split)};
+    EXPECT_EQ(Sha256().update(parts).finish(), Sha256::hash(msg)) << "split at " << split;
+  }
+}
+
 TEST(Sha256, ByteSpanOverloadAgrees) {
   const std::string msg = "payload";
   const std::vector<std::uint8_t> bytes(msg.begin(), msg.end());

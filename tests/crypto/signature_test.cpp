@@ -85,6 +85,19 @@ TEST(Signature, SigningIsDeterministic) {
   EXPECT_NE(sign(kp.priv, m1).r, sign(kp.priv, m2).r);
 }
 
+TEST(Signature, MessagePartsSignAsTheirConcatenation) {
+  Rng rng(9);
+  const KeyPair kp = generate_keypair(rng);
+  const auto msg = bytes_of("kind | nonce | ciphertext | sender");
+  const std::span<const std::uint8_t> all(msg);
+  const std::span<const std::uint8_t> parts[] = {all.first(4), all.subspan(4, 9), all.subspan(13)};
+  const Signature whole = sign(kp.priv, all);
+  EXPECT_EQ(sign(kp.priv, parts), whole);
+  EXPECT_TRUE(verify(kp.pub, parts, whole));
+  const std::span<const std::uint8_t> short_parts[] = {all.first(4), all.subspan(5)};
+  EXPECT_FALSE(verify(kp.pub, short_parts, whole));
+}
+
 TEST(Signature, FingerprintIsStablePerKey) {
   Rng rng(7);
   const KeyPair a = generate_keypair(rng);

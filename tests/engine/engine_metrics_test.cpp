@@ -1,7 +1,8 @@
 // One counter per fact (DESIGN.md §3e counter catalogue): every engine
 // counter in the merged metrics export equals the EngineReport field it
-// restates, under the CI chaos plan with retries and the journal on, and
-// none of the retired duplicate counters comes back.
+// restates, under the CI chaos plan with retries and the journal on, the
+// journal's allocation rate equals the report's, and none of the retired
+// duplicate counters comes back.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -20,6 +21,16 @@ namespace {
 constexpr const char* kChaosPlan =
     "withhold_reveal:p=0.2;dishonest_vote:p=0.25;deny_agreement:p=0.2;reject_ingest:p=0.1;"
     "corrupt_sealed_bid:p=0.05;duplicate_sealed_bid:p=0.05;corrupt_allocation:p=0.05";
+
+/// The value of gauge `name` in a merged metrics JSON export, if present.
+std::optional<double> gauge(const std::string& json, const std::string& name) {
+  const std::size_t gauges = json.find("\"gauges\":{");
+  if (gauges == std::string::npos) return std::nullopt;
+  const std::string key = "\"" + name + "\":";
+  const std::size_t at = json.find(key, gauges);
+  if (at == std::string::npos) return std::nullopt;
+  return std::strtod(json.c_str() + at + key.size(), nullptr);
+}
 
 /// The value of counter `name` in a merged metrics JSON export, if present.
 std::optional<std::size_t> counter(const std::string& json, const std::string& name) {
@@ -84,6 +95,12 @@ TEST(EngineMetrics, CountersReconcileWithReport) {
     EXPECT_EQ(counter(json, name), std::optional<std::size_t>(expected)) << name;
   }
 
+  // The journal's rate counts standing trades: a denied trade is taken
+  // back, as in the report's requests_allocated / requests_submitted.
+  ASSERT_GT(report.total.agreements_denied, 0u) << "the plan must exercise denials";
+  EXPECT_EQ(gauge(json, "journal.allocation_rate"),
+            std::optional<double>(report.total.allocation_rate()));
+
   for (const char* retired :
        {"market.rounds", "market.requests_allocated", "market.resubmissions",
         "stream.micro_epochs", "stream.bids_rejected", "driver.bids_generated",
@@ -91,7 +108,7 @@ TEST(EngineMetrics, CountersReconcileWithReport) {
         "journal.ingest_deferred", "journal.retries_admitted", "journal.retries_dropped",
         "journal.epoch_closes", "journal.trades", "journal.trades_denied",
         "journal.blocks_mined", "journal.blocks_rejected", "journal.blocks_remined",
-        "journal.residue_carried"}) {
+        "journal.residue_carried", "journal.ingest_admitted", "router.num_shards"}) {
     EXPECT_EQ(counter(json, retired), std::nullopt) << retired;
   }
 }

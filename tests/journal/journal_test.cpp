@@ -146,7 +146,6 @@ TEST(Journal, TelemetrySinkDerivesEconomicAggregates) {
 
   obs::MetricsRegistry& m = sink.metrics();
   EXPECT_EQ(m.counter("journal.events").value(), 10u);
-  EXPECT_EQ(m.counter("journal.ingest_admitted").value(), 3u);
   EXPECT_EQ(m.counter("journal.residue_abandoned").value(), 3u);
   EXPECT_EQ(m.counter("journal.shard0.trades").value(), 2u);
   EXPECT_EQ(m.counter("journal.shard0.residue_carried").value(), 3u);
@@ -160,12 +159,27 @@ TEST(Journal, TelemetrySinkDerivesEconomicAggregates) {
   // Clearing-price dispersion histogram saw both unit prices.
   EXPECT_NE(json.find("journal.clearing_price"), std::string::npos) << json;
   EXPECT_NE(json.find("journal.welfare_per_block"), std::string::npos) << json;
-  // Closes, trades, blocks and carried residue are counted where they
-  // happen, journal on or off; the telemetry sink has no twin of them.
-  for (const char* twin : {"\"journal.epoch_closes\"", "\"journal.trades\"",
-                           "\"journal.blocks_mined\"", "\"journal.residue_carried\""}) {
+  // Closes, trades, blocks, carried residue and admitted ingests are
+  // counted where they happen, journal on or off; the telemetry sink has
+  // no twin of them.
+  for (const char* twin :
+       {"\"journal.epoch_closes\"", "\"journal.trades\"", "\"journal.blocks_mined\"",
+        "\"journal.residue_carried\"", "\"journal.ingest_admitted\""}) {
     EXPECT_EQ(json.find(twin), std::string::npos) << twin;
   }
+}
+
+TEST(Journal, TelemetryAllocationRateTakesDenialsBack) {
+  Journal journal(2, 16);  // control + 1 shard
+  journal.append(1, make(EventKind::kIngestAdmitted, 0, /*is_offer=*/0, 0, 1));
+  journal.append(1, make(EventKind::kIngestAdmitted, 0, /*is_offer=*/0, 1, 1));
+  journal.append(1, make(EventKind::kTradeStruck, 1, 0, 0, 0, 0.5, 2.0));
+  journal.append(1, make(EventKind::kTradeStruck, 1, 1, 0, 0, 0.25, 6.0));
+  journal.append(1, make(EventKind::kTradeDenied, 1, 0, 1));
+
+  obs::MetricsSink sink = telemetry_sink(journal);
+  // Two struck, one denied: one standing trade over two admitted requests.
+  EXPECT_EQ(sink.metrics().gauge("journal.allocation_rate").value(), 0.5);
 }
 
 TEST(Journal, AppendAndDecodePreconditions) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/byte_buffer.hpp"
 #include "common/rng.hpp"
 #include "ledger/codec.hpp"
 #include "ledger/miner.hpp"
@@ -48,6 +49,21 @@ TEST(BlockHeader, BytesAreDeterministic) {
   BlockHeader h2 = h;
   h2.height = 4;
   EXPECT_NE(h.bytes(), h2.bytes());
+}
+
+TEST(BlockHeader, BytesAreTheCanonicalEncoding) {
+  BlockHeader h;
+  h.height = 0x0102030405060708ULL;
+  h.prev_hash[0] = 0x42;
+  h.timestamp = -5;
+  h.bids_root[31] = 0x7f;
+  ByteWriter w;
+  w.write_u64(h.height);
+  w.write_bytes(h.prev_hash);
+  w.write_i64(h.timestamp);
+  w.write_bytes(h.bids_root);
+  const auto bytes = h.bytes();
+  EXPECT_EQ(std::vector<std::uint8_t>(bytes.begin(), bytes.end()), w.bytes());
 }
 
 TEST(BidsMerkleRoot, EmptyIsZeroAndContentSensitive) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/byte_buffer.hpp"
 #include "common/ensure.hpp"
 #include "common/rng.hpp"
 #include "ledger/codec.hpp"
@@ -91,6 +92,22 @@ TEST(SealedBid, DigestIdentifiesContent) {
   other_nonce[1] = 1;
   const SealedBid c = seal_bid(BidKind::kRequest, f.plaintext, f.key, other_nonce, f.signer);
   EXPECT_NE(a.digest(), c.digest());
+}
+
+// The payload is streamed into the hash and the signature; its bytes are
+// still the ByteWriter encoding kind ‖ nonce ‖ ciphertext ‖ sender.
+TEST(SealedBid, DigestAndSignatureCoverTheCanonicalPayload) {
+  Fixture f;
+  const SealedBid bid = seal_bid(BidKind::kOffer, f.plaintext, f.key, f.nonce, f.signer);
+  ByteWriter w;
+  w.write_u8(static_cast<std::uint8_t>(BidKind::kOffer));
+  w.write_bytes(f.nonce);
+  w.write_bytes(bid.ciphertext);
+  w.write_u64(bid.sender.y);
+  const std::span<const std::uint8_t> payload(w.bytes());
+  EXPECT_EQ(bid.digest(), crypto::Sha256::hash(payload));
+  EXPECT_EQ(bid.signature, crypto::sign(f.signer.priv, payload));
+  EXPECT_TRUE(crypto::verify(bid.sender, payload, bid.signature));
 }
 
 TEST(SealedBid, OfferKindRoundtrip) {
