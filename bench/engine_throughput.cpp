@@ -20,8 +20,7 @@
 //               one-pointer-test cost (default "off"); the header records
 //               which, so trajectory points stay comparable
 //   --wal       "on" attaches a write-ahead log to every run's drive loop
-//               — fsync on every append, candidate-index cache off (the
-//               durable-mode contract) — "off" runs in-memory only
+//               — fsync on every append — "off" runs in-memory only
 //               (default "off"); the header records which.
 //               WAL files land in a scratch directory under the system
 //               temp path
@@ -177,7 +176,7 @@ int main(int argc, char** argv) {
   std::printf("  \"dsched\": \"%s\",\n", dsched::kEnabled ? "on" : "off");
   // Whether every timed run recorded into a live flight recorder.
   std::printf("  \"journal\": \"%s\",\n", journal ? "on" : "off");
-  // Whether every timed run wrote a fsync'd WAL (durable path, cache off).
+  // Whether every timed run wrote a fsync'd WAL (the durable path).
   std::printf("  \"wal\": \"%s\",\n", wal ? "on" : "off");
   std::printf("  \"rounds\": %d,\n", rounds);
   std::printf("  \"requests\": %zu,\n", num_requests);

@@ -24,9 +24,8 @@
 //     live journal recording every event (DESIGN.md §3j, same ≤2%
 //     budget);
 //   * engine_no_wal / engine_wal_nosync / engine_wal_fsync — the same
-//     1-shard drive (candidate-index cache off, the durable-mode
-//     contract) with no WAL vs. a write-ahead log without fsync vs. with
-//     fsync on every append (DESIGN.md §3k).  The WAL is opt-in, not an
+//     1-shard drive with no WAL vs. a write-ahead log without fsync vs.
+//     with fsync on every append (DESIGN.md §3k).  The WAL is opt-in, not an
 //     ambient hook — with no writer attached the engine pays one pointer
 //     test, covered by the existing ≤2% budget — so neither WAL-on delta
 //     is budgeted: the nosync delta is the encode+write() logging cost,
@@ -370,9 +369,8 @@ int main(int argc, char** argv) {
   // with no WAL, with a WAL but no fsync (pure logging cost, the part the
   // ≤2% in-memory budget covers), and with fsync on every append (the
   // storage-bound price of power-loss durability — exempt from the budget
-  // but reported).  All three run with the candidate-index cache off:
-  // durable mode requires it, so the baseline must match to isolate the
-  // WAL delta.
+  // but reported).  All three share one config, so the deltas isolate the
+  // WAL.
   if (wal) {
     engine::TraceDriverConfig driver;
     driver.workload.num_requests = 512;

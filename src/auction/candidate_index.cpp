@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "auction/best_select.hpp"
 #include "auction/feasibility.hpp"
@@ -127,20 +128,6 @@ CandidateIndex::CandidateIndex(const MarketSnapshot& snapshot, const BlockScale&
   for (std::size_t i = 1; i < no; ++i) {
     group_rank[order[i]] = same_group(order[i - 1], order[i]) ? group_rank[order[i - 1]] + 1 : 0;
   }
-  // Mark every member of a group that spilled past kGroupCap: the
-  // cross-round cache must rebuild (not carry) when one of these expires,
-  // because the expiry could promote an overflow member into reach of
-  // max_best_offers (see in_capped_group).
-  capped_group_.assign(no, 0);
-  for (std::size_t run_begin = 0, i = 1; i <= no; ++i) {
-    if (i == no || group_rank[order[i]] == 0) {
-      if (i - run_begin > kGroupCap) {
-        for (std::size_t j = run_begin; j < i; ++j) capped_group_[order[j]] = 1;
-      }
-      run_begin = i;
-    }
-  }
-
   // Window grid: quantile buckets over the offers' start/end stamps.
   std::vector<Time> starts(no);
   std::vector<Time> ends(no);
@@ -201,20 +188,8 @@ std::vector<std::size_t> CandidateIndex::best_offers(std::size_t request,
                                                      Scratch& scratch) const {
   DECLOUD_EXPECTS(request < snapshot.requests.size());
   scratch.scored = 0;
-  if (config.max_best_offers == 0) return {};
+  if (config.max_best_offers == 0) return {};  // selector would be vacuously full
   BestOfferSelector selector(snapshot.offers, config.max_best_offers);
-  scan_into(selector, request, snapshot, scores, config, scratch, {});
-  return selector.finish(config.best_offer_ratio);
-}
-
-void CandidateIndex::scan_into(BestOfferSelector& selector, std::size_t request,
-                               const MarketSnapshot& snapshot, const ScoreMatrix& scores,
-                               const AuctionConfig& config, Scratch& scratch,
-                               std::span<const std::size_t> remap) const {
-  DECLOUD_EXPECTS(request < snapshot.requests.size());
-  DECLOUD_EXPECTS_MSG(remap.empty() || remap.size() == ub_.size(),
-                      "remap must cover every build-time slot");
-  if (config.max_best_offers == 0) return;  // selector would be vacuously full
   const Request& r = snapshot.requests[request];
   const double* rp = scores.request_norm_row(request);
   const double* sig = scores.request_sig_row(request);
@@ -283,13 +258,7 @@ void CandidateIndex::scan_into(BestOfferSelector& selector, std::size_t request,
       for (std::size_t i = 0; i < n; ++i) {
         const double q = acc[i];
         if (q <= 0.0) continue;  // no common resource type: never ranked
-        const std::size_t slot = cell.offers[base + i];
-        // Translate the build-time slot into the current snapshot;
-        // tombstoned slots drop out here, AFTER the vectorized panel (a
-        // per-lane branch inside the kernel would cost more than the dead
-        // lanes' wasted arithmetic).
-        const std::size_t o = remap.empty() ? slot : remap[slot];
-        if (o == kExpiredSlot) continue;
+        const std::size_t o = cell.offers[base + i];
         if (!feasible(snapshot.offers[o], r, config)) continue;
         selector.consider(o, q);
       }
@@ -299,10 +268,8 @@ void CandidateIndex::scan_into(BestOfferSelector& selector, std::size_t request,
   // than the build-time guarantee; then they are scanned exhaustively —
   // exactness over speed for that (unusual) configuration.
   if (config.max_best_offers > kGroupCap) {
-    for (const std::size_t slot : overflow_) {
-      if ((mask_[slot] & rmask) == 0) continue;  // q would be exactly +0.0
-      const std::size_t o = remap.empty() ? slot : remap[slot];
-      if (o == kExpiredSlot) continue;
+    for (const std::size_t o : overflow_) {
+      if ((mask_[o] & rmask) == 0) continue;  // q would be exactly +0.0
       if (!feasible(snapshot.offers[o], r, config)) continue;
       const double q = scores.score_sparse(request, o);
       ++scratch.scored;
@@ -310,149 +277,6 @@ void CandidateIndex::scan_into(BestOfferSelector& selector, std::size_t request,
       selector.consider(o, q);
     }
   }
-}
-
-namespace {
-
-/// Bitwise equality in every field the index derives state from.  Fields
-/// the index never reads (provider, bid, location) may differ freely: the
-/// query reads them from the CURRENT snapshot anyway (feasibility,
-/// selector tie-breaks, downstream economics all take current offers).
-bool offer_unchanged(const Offer& base, const Offer& cur) {
-  return base.submitted == cur.submitted && base.window_start == cur.window_start &&
-         base.window_end == cur.window_end && base.min_reputation == cur.min_reputation &&
-         base.resources == cur.resources;
-}
-
-}  // namespace
-
-bool CandidateIndexCache::scale_matches(const BlockScale& scale) const {
-  const std::vector<double>& cur = scale.maxima();
-  if (cur.size() != scale_max_.size()) return false;
-  for (std::size_t k = 0; k < cur.size(); ++k) {
-    // Bitwise, not approximate: equal maxima (with equal raw resources)
-    // reproduce a carried offer's normalized row bit for bit, which is
-    // exactly what the cached cell columns assume.
-    if (cur[k] != scale_max_[k]) return false;
-  }
-  return true;
-}
-
-void CandidateIndexCache::rebuild(const MarketSnapshot& snapshot, const BlockScale& scale,
-                                  const ScoreMatrix& scores) {
-  index_.emplace(snapshot, scale, scores);
-  base_offers_ = snapshot.offers;
-  scale_max_ = scale.maxima();
-  slot_of_.clear();
-  slot_of_.reserve(base_offers_.size());
-  for (std::size_t s = 0; s < base_offers_.size(); ++s) {
-    // Duplicate ids cannot happen in an orchestrated round (the mempool
-    // dedups); if one does, the shadowed slot simply never carries and
-    // the next prepare() rebuilds — safe either way.
-    slot_of_[base_offers_[s].id.value()] = s;
-  }
-  base_to_cur_.resize(base_offers_.size());
-  for (std::size_t s = 0; s < base_to_cur_.size(); ++s) base_to_cur_[s] = s;
-  loose_.clear();
-  loose_mask_.clear();
-  ++rebuilds_;
-}
-
-CandidateIndexCache::PrepareStats CandidateIndexCache::prepare(const MarketSnapshot& snapshot,
-                                                               const BlockScale& scale,
-                                                               const ScoreMatrix& scores,
-                                                               const AuctionConfig& config) {
-  DECLOUD_EXPECTS_MSG(scores.offers() == snapshot.offers.size() &&
-                          scores.width() == scale.dimension(),
-                      "ScoreMatrix/BlockScale must come from the same snapshot");
-  PrepareStats st;
-  const std::size_t no = snapshot.offers.size();
-
-  bool carry = index_.has_value() && scale_matches(scale);
-  if (carry) {
-    base_to_cur_.assign(base_offers_.size(), kExpiredSlot);
-    loose_.clear();
-    for (std::size_t o = 0; o < no; ++o) {
-      const Offer& cur = snapshot.offers[o];
-      const auto it = slot_of_.find(cur.id.value());
-      if (it != slot_of_.end() && base_to_cur_[it->second] == kExpiredSlot &&
-          offer_unchanged(base_offers_[it->second], cur)) {
-        base_to_cur_[it->second] = o;
-        ++st.carried;
-      } else {
-        loose_.push_back(o);
-      }
-    }
-    st.inserted = loose_.size();
-    for (std::size_t s = 0; s < base_to_cur_.size(); ++s) {
-      if (base_to_cur_[s] != kExpiredSlot) continue;
-      ++st.expired;
-      // An expiry inside a capped tie group voids the overflow-relegation
-      // guarantee (in_capped_group): rebuild instead of carrying.
-      if (index_->in_capped_group(s)) carry = false;
-    }
-    const std::size_t divisor =
-        config.residue.index_rebuild_divisor == 0 ? 1 : config.residue.index_rebuild_divisor;
-    if (st.expired + st.inserted > config.residue.index_min_rebuild + no / divisor) {
-      carry = false;  // the delta outgrew the index: carrying would scan
-                      // a large loose list every query
-    }
-  }
-
-  if (!carry) {
-    rebuild(snapshot, scale, scores);
-    st = PrepareStats{};
-    st.rebuilt = true;
-    return st;
-  }
-
-  // Loose-offer type masks (the scan's only prefilter for them), built
-  // from the CURRENT score rows — loose offers have no build-time state.
-  loose_mask_.resize(loose_.size());
-  const std::size_t width = scores.width();
-  for (std::size_t i = 0; i < loose_.size(); ++i) {
-    const double* row = scores.offer_norm_row(loose_[i]);
-    std::uint64_t mask = 0;
-    for (std::size_t k = 0; k < width; ++k) {
-      if (row[k] > 0.0) mask |= std::uint64_t{1} << (k % 64);
-    }
-    loose_mask_[i] = mask;
-  }
-  ++reuses_;
-  return st;
-}
-
-std::vector<std::size_t> CandidateIndexCache::best_offers(std::size_t request,
-                                                          const MarketSnapshot& snapshot,
-                                                          const ScoreMatrix& scores,
-                                                          const AuctionConfig& config,
-                                                          CandidateIndex::Scratch& scratch) const {
-  DECLOUD_EXPECTS_MSG(index_.has_value(), "prepare() must precede queries");
-  DECLOUD_EXPECTS(request < snapshot.requests.size());
-  scratch.scored = 0;
-  if (config.max_best_offers == 0) return {};
-  const Request& r = snapshot.requests[request];
-  BestOfferSelector selector(snapshot.offers, config.max_best_offers);
-
-  // Loose offers first: they are few (the rebuild threshold bounds them),
-  // and seeding the selector tightens the index scan's early exits.  The
-  // selector's outcome is independent of consideration order, so this is
-  // purely a scheduling choice.
-  std::uint64_t rmask = 0;
-  for (const ResourceId k : scores.request_types(request)) {
-    rmask |= std::uint64_t{1} << (k % 64);
-  }
-  for (std::size_t i = 0; i < loose_.size(); ++i) {
-    if ((loose_mask_[i] & rmask) == 0) continue;  // q would be exactly +0.0
-    const std::size_t o = loose_[i];
-    if (!feasible(snapshot.offers[o], r, config)) continue;
-    const double q = scores.score_sparse(request, o);
-    ++scratch.scored;
-    if (q <= 0.0) continue;
-    selector.consider(o, q);
-  }
-
-  index_->scan_into(selector, request, snapshot, scores, config, scratch, base_to_cur_);
   return selector.finish(config.best_offer_ratio);
 }
 

@@ -70,9 +70,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "auction/bid.hpp"
@@ -80,12 +77,6 @@
 #include "auction/score_matrix.hpp"
 
 namespace decloud::auction {
-
-class BestOfferSelector;
-
-/// Remap value marking a build-time slot whose offer has left the market
-/// (TTL expiry, allocation, withdrawal) — see CandidateIndex::scan_into.
-inline constexpr std::size_t kExpiredSlot = SIZE_MAX;
 
 class CandidateIndex {
  public:
@@ -110,8 +101,8 @@ class CandidateIndex {
     std::vector<Active> active;  // activated cells, (bound desc, cell asc)
     std::vector<double> acc;     // block accumulator panel
     /// Candidates the last best_offers() query scored: kernel lanes of
-    /// every scanned block plus each score_sparse call (overflow and
-    /// loose-list offers).  A deterministic work count for the score span.
+    /// every scanned block plus each score_sparse call (overflow offers).
+    /// A deterministic work count for the score span.
     std::size_t scored = 0;
   };
 
@@ -123,42 +114,10 @@ class CandidateIndex {
                                                      const AuctionConfig& config,
                                                      Scratch& scratch) const;
 
-  /// The scan core shared by best_offers and the cross-round cache: feeds
-  /// every live candidate into `selector` WITHOUT applying the admission
-  /// threshold (the caller finishes, so it can merge other candidate
-  /// sources — the cache's loose list — first).  Adds the candidates it
-  /// scores to scratch.scored.
-  ///
-  /// `remap` translates build-time slots into indices of the CURRENT
-  /// snapshot: empty = identity (the query snapshot IS the build
-  /// snapshot); otherwise remap[slot] is the offer's current index or
-  /// kExpiredSlot for offers that left the market.  Exactness under a
-  /// non-trivial remap is the cache's carry contract
-  /// (CandidateIndexCache::prepare): carried offers are bitwise unchanged
-  /// under an unchanged BlockScale, so the cells' cached normalized
-  /// columns still equal the current rows, stale cell aggregates remain
-  /// conservative upper bounds over the live members (extra scans, never
-  /// false skips — the dead members only ever RAISE ws/we/mask/dim_max/ub),
-  /// and no member of a capped tie group has expired (so the overflow
-  /// relegation argument in structural fact 4 still holds).
-  void scan_into(BestOfferSelector& selector, std::size_t request,
-                 const MarketSnapshot& snapshot, const ScoreMatrix& scores,
-                 const AuctionConfig& config, Scratch& scratch,
-                 std::span<const std::size_t> remap) const;
-
   /// Static QoM upper bound of one offer (tests/bench introspection).
   [[nodiscard]] double upper_bound(std::size_t offer) const { return ub_[offer]; }
 
   [[nodiscard]] std::size_t cell_count() const { return cells_.size(); }
-
-  /// True when the offer's tie group spilled members past kGroupCap into
-  /// the overflow list.  The cap's exactness argument needs every scanned
-  /// group member alive (an expiry could promote an overflow member into
-  /// reach of max_best_offers), so CandidateIndexCache rebuilds instead of
-  /// carrying whenever a member of such a group expires.
-  [[nodiscard]] bool in_capped_group(std::size_t offer) const {
-    return capped_group_[offer] != 0;
-  }
 
  private:
   struct Cell {
@@ -176,97 +135,10 @@ class CandidateIndex {
   std::size_t width_ = 0;
   std::vector<double> ub_;            // per offer: Σ_k ρ'_(o,k), ascending-k fold
   std::vector<std::uint64_t> mask_;   // per offer: bit (k mod 64) per ρ'_(o,k) > 0
-  std::vector<char> capped_group_;    // per offer: 1 iff its tie group overflowed
   std::vector<Cell> cells_;
   /// Tie-group members of rank ≥ kGroupCap, ascending offer index —
   /// scanned only when config.max_best_offers exceeds kGroupCap.
   std::vector<std::size_t> overflow_;
-};
-
-/// Cross-round reuse of a CandidateIndex over an evolving offer book —
-/// the incremental insert/expire layer the streaming market (src/stream)
-/// and the batch resubmission loop share.
-///
-/// Successive rounds of an orchestrated market overlap heavily: unmatched
-/// offers are carried forward verbatim, and only the round's arrivals and
-/// departures differ.  Rebuilding the index from scratch every round is
-/// therefore mostly wasted work.  The cache instead keeps the index built
-/// over some BASE snapshot and, each round, aligns it with the current one
-/// in prepare():
-///
-///   * delta expire — base offers absent from the current snapshot become
-///     tombstones (remap slot → kExpiredSlot); the scan skips them at
-///     consider time.  Stale cell aggregates are conservative (a dead
-///     member can only widen a bound), so pruning stays exact.
-///   * delta insert — current offers that are not carried base offers go
-///     to a LOOSE list scanned exhaustively (mask prefilter only) before
-///     the index scan.  The loose list is small by construction: when the
-///     total delta exceeds AuctionConfig::residue's threshold the cache
-///     rebuilds instead.
-///
-/// A carry is only attempted when it is provably exact: the BlockScale
-/// maxima must be bitwise identical to the build-time ones and a carried
-/// offer must be bitwise unchanged in every field the index derives state
-/// from (submitted, window, min_reputation, raw resources — equal raw
-/// resources under an equal scale reproduce the normalized row bit for
-/// bit).  Any violation, an expiry inside a capped tie group, or an
-/// oversized delta forces a full rebuild.  Every decision is a function of
-/// the snapshot sequence alone, so miners replaying the same blocks make
-/// the same decisions — and since cache hits are bit-identical to fresh
-/// builds ANYWAY (tests/auction/incremental_index_test), a producer using
-/// the cache always agrees with verifiers building fresh.
-///
-/// Thread contract: prepare() is exclusive; best_offers() is const and
-/// safe to call concurrently after prepare() returns (the per-request
-/// fan-out of DeCloudAuction::run does exactly that).
-class CandidateIndexCache {
- public:
-  /// What prepare() did, for observability and tests.
-  struct PrepareStats {
-    bool rebuilt = false;      ///< fresh build (first round or carry refused)
-    std::size_t carried = 0;   ///< base offers still live this round
-    std::size_t expired = 0;   ///< base slots tombstoned this round
-    std::size_t inserted = 0;  ///< current offers scanned via the loose list
-  };
-
-  /// Aligns the cache with the current snapshot: carries the base index
-  /// when the contract above allows it, rebuilds otherwise.  Must be
-  /// called before best_offers() each round; `scale`/`scores` must come
-  /// from `snapshot`.
-  PrepareStats prepare(const MarketSnapshot& snapshot, const BlockScale& scale,
-                       const ScoreMatrix& scores, const AuctionConfig& config);
-
-  /// The query against the prepared state: bit-identical to a
-  /// fresh CandidateIndex over the current snapshot (loose offers are
-  /// considered first, then the remapped index scan; the selector's
-  /// outcome is independent of consideration order).
-  [[nodiscard]] std::vector<std::size_t> best_offers(std::size_t request,
-                                                     const MarketSnapshot& snapshot,
-                                                     const ScoreMatrix& scores,
-                                                     const AuctionConfig& config,
-                                                     CandidateIndex::Scratch& scratch) const;
-
-  [[nodiscard]] bool has_index() const { return index_.has_value(); }
-  /// Lifetime counters (rebuild = fresh build including the first).
-  [[nodiscard]] std::size_t rebuilds() const { return rebuilds_; }
-  [[nodiscard]] std::size_t reuses() const { return reuses_; }
-
- private:
-  [[nodiscard]] bool scale_matches(const BlockScale& scale) const;
-  void rebuild(const MarketSnapshot& snapshot, const BlockScale& scale,
-               const ScoreMatrix& scores);
-
-  std::optional<CandidateIndex> index_;
-  std::vector<Offer> base_offers_;  // build-time copies, slot-indexed
-  std::vector<double> scale_max_;   // BlockScale maxima at build time
-  // Offer id → base slot.  Membership/lookup only — NEVER iterated, so
-  // hash order cannot leak into results.
-  std::unordered_map<std::uint64_t, std::size_t> slot_of_;
-  std::vector<std::size_t> base_to_cur_;   // slot → current index / kExpiredSlot
-  std::vector<std::size_t> loose_;         // current indices outside the base
-  std::vector<std::uint64_t> loose_mask_;  // their type masks (prefilter)
-  std::size_t rebuilds_ = 0;
-  std::size_t reuses_ = 0;
 };
 
 }  // namespace decloud::auction

@@ -5,26 +5,6 @@
 
 namespace decloud::auction {
 
-/// How unmatched residue interacts with the matching structures across
-/// rounds.  The residue itself (bids carried into the next round) is
-/// governed by the orchestration layer's retry budget
-/// (ledger::MarketConfig::max_resubmissions bounds a bid's carry age);
-/// this policy tunes how the CandidateIndex follows the slowly-evolving
-/// offer book those carries produce (candidate_index.hpp,
-/// CandidateIndexCache).  Every knob is data-deterministic: the
-/// rebuild-or-carry decision depends only on the snapshot sequence, never
-/// on the host, so it is safe inside consensus configuration.
-struct ResiduePolicy {
-  /// Flat delta allowance: a cached index is rebuilt only when the number
-  /// of offers that changed since it was built (expired + newly arrived)
-  /// exceeds index_min_rebuild + offers / index_rebuild_divisor.  The flat
-  /// term keeps tiny markets from rebuilding over a handful of changes.
-  std::size_t index_min_rebuild = 256;
-  /// Proportional term of the rebuild threshold (see above); 0 disables
-  /// the proportional allowance (the divisor is clamped to >= 1).
-  std::size_t index_rebuild_divisor = 4;
-};
-
 /// Configuration for one allocation round.  Defaults reproduce the paper's
 /// evaluation setup; the ablation benches sweep these.
 struct AuctionConfig {
@@ -65,12 +45,6 @@ struct AuctionConfig {
   /// reduction — quantifying how much the mini-auction grouping saves
   /// (bench/ablation_miniauction).
   bool group_mini_auctions = true;
-
-  /// Cross-round index-reuse thresholds (see ResiduePolicy).  Only read
-  /// when a CandidateIndexCache is attached; it never changes results
-  /// (cache hits are bit-identical to fresh builds), only when the index
-  /// is reconstructed.
-  ResiduePolicy residue;
 };
 
 }  // namespace decloud::auction

@@ -79,14 +79,16 @@ void finalize_match(RoundResult& result, const MarketSnapshot& snapshot, std::si
   result.matches.push_back(m);
 }
 
-/// Round-level telemetry, recorded once per run at every exit point.  All
+/// Round-level telemetry, recorded once per run at every exit point.  Only
+/// the producer passes a sink, so `auction.runs` counts producer mechanism
+/// runs, re-mines and rejected blocks included — not accepted rounds.  All
 /// values are deterministic functions of the (deterministic) result, so an
 /// instrumented run exports the same bytes regardless of thread count.
 void record_round(obs::MetricsSink* sink, const MarketSnapshot& snapshot,
                   const RoundResult& result) {
   if (sink == nullptr) return;
   obs::MetricsRegistry& m = sink->metrics();
-  m.counter("auction.rounds").add(1);
+  m.counter("auction.runs").add(1);
   m.counter("auction.requests").add(snapshot.requests.size());
   m.counter("auction.offers").add(snapshot.offers.size());
   m.counter("auction.matches").add(result.matches.size());
@@ -102,7 +104,7 @@ void record_round(obs::MetricsSink* sink, const MarketSnapshot& snapshot,
 }  // namespace
 
 RoundResult DeCloudAuction::run(const MarketSnapshot& snapshot, std::uint64_t seed,
-                                obs::MetricsSink* sink, CandidateIndexCache* cache) const {
+                                obs::MetricsSink* sink) const {
   for (const auto& r : snapshot.requests) validate(r);
   for (const auto& o : snapshot.offers) validate(o);
 
@@ -148,33 +150,14 @@ RoundResult DeCloudAuction::run(const MarketSnapshot& snapshot, std::uint64_t se
     // Candidates scored per request, summed serially below so the span's
     // work stays thread-invariant.
     std::vector<std::size_t> scored(snapshot.requests.size(), 0);
-    const auto rank_all = [&](const auto& index) {
-      run_chunked(pool ? &*pool : nullptr, 0, snapshot.requests.size(), [&](std::size_t ri) {
-        // One scratch per worker thread: the hot loop never allocates after
-        // its first few requests, and workers share no mutable state.
-        thread_local CandidateIndex::Scratch scratch;
-        best_sets[ri] = index.best_offers(ri, snapshot, scores, config_, scratch);
-        scored[ri] = scratch.scored;
-      });
-    };
-    if (cache != nullptr) {
-      // Cross-round reuse: prepare() carries the previous round's index
-      // when the offer book evolved slowly, rebuilding otherwise.  Either
-      // way the queries are bit-identical to a fresh build, so verifiers
-      // (which never see the cache) replay the same allocation.
-      const CandidateIndexCache::PrepareStats st =
-          cache->prepare(snapshot, scale, scores, config_);
-      if (sink != nullptr) {
-        obs::MetricsRegistry& m = sink->metrics();
-        m.counter(st.rebuilt ? "auction.index_rebuilds" : "auction.index_reuses").add(1);
-        m.counter("auction.index_carried").add(st.carried);
-        m.counter("auction.index_expired").add(st.expired);
-        m.counter("auction.index_inserted").add(st.inserted);
-      }
-      rank_all(*cache);
-    } else {
-      rank_all(CandidateIndex(snapshot, scale, scores));
-    }
+    const CandidateIndex index(snapshot, scale, scores);
+    run_chunked(pool ? &*pool : nullptr, 0, snapshot.requests.size(), [&](std::size_t ri) {
+      // One scratch per worker thread: the hot loop never allocates after
+      // its first few requests, and workers share no mutable state.
+      thread_local CandidateIndex::Scratch scratch;
+      best_sets[ri] = index.best_offers(ri, snapshot, scores, config_, scratch);
+      scored[ri] = scratch.scored;
+    });
     span.add_work(std::accumulate(scored.begin(), scored.end(), std::uint64_t{0}));
   }
 

@@ -30,8 +30,6 @@ class MetricsSink;
 
 namespace decloud::auction {
 
-class CandidateIndexCache;
-
 /// Markets below this many requests always rank serially: spinning the
 /// pool up costs more than the fan-out saves, and the result is identical
 /// either way.
@@ -62,16 +60,12 @@ class DeCloudAuction {
   /// miniauction, trade_reduction) and round counters; a null sink makes
   /// every hook a single pointer test (DESIGN.md §3e).  The sink NEVER
   /// influences the result — instrumented and bare runs are byte-identical.
-  /// Best offers are ranked through a fresh CandidateIndex, or through
-  /// `cache` when non-null, which carries its index across rounds instead
-  /// of rebuilding (DESIGN.md §3h).  Like the sink, the cache never
-  /// changes the result — cached and fresh runs are byte-identical
-  /// (tests/auction/incremental_index_test) — so a producer running with a
-  /// cache agrees with verifiers building fresh.  The score span's work is
-  /// the number of candidates the index scored.
+  /// Best offers are ranked through a CandidateIndex built fresh for this
+  /// snapshot, so a producer and every verifier re-executing the block run
+  /// the same path.  The score span's work is the number of candidates the
+  /// index scored.
   [[nodiscard]] RoundResult run(const MarketSnapshot& snapshot, std::uint64_t seed,
-                                obs::MetricsSink* sink = nullptr,
-                                CandidateIndexCache* cache = nullptr) const;
+                                obs::MetricsSink* sink = nullptr) const;
 
   [[nodiscard]] const AuctionConfig& config() const { return config_; }
 

@@ -32,13 +32,6 @@ class BlockScale {
   /// width of a dense per-bidder layout (see ScoreMatrix).
   [[nodiscard]] std::size_t dimension() const { return max_.size(); }
 
-  /// The raw per-type maxima, indexed by ResourceId.  CandidateIndexCache
-  /// compares these bitwise across rounds: equal maxima (and equal raw
-  /// resources) make the normalized rows of a carried offer bit-identical,
-  /// which is what lets an index built in an earlier round answer queries
-  /// for the current one exactly.
-  [[nodiscard]] const std::vector<double>& maxima() const { return max_; }
-
  private:
   std::vector<double> max_;  // indexed by ResourceId
 };

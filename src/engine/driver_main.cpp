@@ -57,12 +57,15 @@
 // them).
 //
 // The engine report summary always goes to stdout (unless "-" routed an
-// export there), so existing report-diff tooling keeps working.
+// export there), so existing report-diff tooling keeps working.  A write
+// that fails, to a file or to stdout (a full disk, /dev/full), prints
+// "engine_driver: cannot write PATH" and exits 1.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "auction/config.hpp"
@@ -80,38 +83,21 @@ namespace {
 
 using namespace decloud;
 
-bool write_out(const char* path, const std::string& content) {
-  if (std::strcmp(path, "-") == 0) {
-    std::fwrite(content.data(), 1, content.size(), stdout);
-    std::fputc('\n', stdout);
-    return true;
-  }
-  std::FILE* f = std::fopen(path, "wb");
+/// Writes `bytes`, plus a trailing newline when `newline`, to `path`, or
+/// to stdout for "-".  False, with a diagnostic, when the file cannot be
+/// opened or written in full; main() checks stdout once, when it flushes.
+bool write_out(const char* path, std::string_view bytes, bool newline = true) {
+  const bool to_stdout = std::strcmp(path, "-") == 0;
+  std::FILE* f = to_stdout ? stdout : std::fopen(path, "wb");
   if (f == nullptr) {
     std::fprintf(stderr, "engine_driver: cannot open %s for writing\n", path);
     return false;
   }
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  return true;
-}
-
-/// Raw bytes, no trailing newline: journal files are byte-compared with
-/// cmp(1), so the file must be exactly Journal::encode().
-bool write_binary(const char* path, const std::vector<std::uint8_t>& bytes) {
-  if (std::strcmp(path, "-") == 0) {
-    std::fwrite(bytes.data(), 1, bytes.size(), stdout);
-    return true;
-  }
-  std::FILE* f = std::fopen(path, "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "engine_driver: cannot open %s for writing\n", path);
-    return false;
-  }
-  std::fwrite(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  return true;
+  bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+  if (newline) ok = std::fputc('\n', f) != EOF && ok;
+  if (!to_stdout) ok = std::fclose(f) == 0 && ok;
+  if (!ok) std::fprintf(stderr, "engine_driver: cannot write %s\n", to_stdout ? "stdout" : path);
+  return ok;
 }
 
 }  // namespace
@@ -302,15 +288,21 @@ int main(int argc, char** argv) {
     engine::MarketEngine& eng = market.market_engine();
     if (metrics_out != nullptr && !write_out(metrics_out, eng.metrics_json(extras))) return 1;
     if (prom_out != nullptr && !write_out(prom_out, eng.metrics_prometheus(extras))) return 1;
-    if (!write_binary(journal_out, journal->encode())) return 1;
+    // Raw bytes, no trailing newline: journal files are byte-compared
+    // with cmp(1), so the file must be exactly Journal::encode().
+    const std::vector<std::uint8_t> bytes = journal->encode();
+    const std::string_view raw(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+    if (!write_out(journal_out, raw, /*newline=*/false)) return 1;
   } else {
     if (metrics_out != nullptr && !write_out(metrics_out, market.metrics_json())) return 1;
     if (prom_out != nullptr && !write_out(prom_out, market.metrics_prometheus())) return 1;
   }
   if (trace_out != nullptr && !write_out(trace_out, market.trace_json())) return 1;
 
-  const std::string summary = outcome.drive.report.summary_json();
-  std::fwrite(summary.data(), 1, summary.size(), stdout);
-  std::fputc('\n', stdout);
+  if (!write_out("-", outcome.drive.report.summary_json())) return 1;
+  if (std::fflush(stdout) != 0 || std::ferror(stdout) != 0) {
+    std::fprintf(stderr, "engine_driver: cannot write stdout\n");
+    return 1;
+  }
   return 0;
 }

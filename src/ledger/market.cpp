@@ -10,9 +10,7 @@ namespace decloud::ledger {
 MarketOrchestrator::MarketOrchestrator(MarketConfig config)
     : config_(std::move(config)),
       protocol_(config_.consensus, config_.reputation),
-      wallet_(rng_) {
-  if (config_.reuse_candidate_index) protocol_.set_index_cache(&index_cache_);
-}
+      wallet_(rng_) {}
 
 void MarketOrchestrator::submit(const auction::Request& request) {
   auction::validate(request);

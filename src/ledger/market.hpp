@@ -17,7 +17,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "auction/candidate_index.hpp"
 #include "ledger/protocol.hpp"
 
 namespace decloud::ledger {
@@ -30,11 +29,11 @@ struct MarketConfig {
   std::size_t max_resubmissions = 3;
   /// Verifier miners participating each round.
   std::size_t num_verifiers = 2;
-  /// When true the producer miner carries its CandidateIndex across rounds
-  /// (auction::CandidateIndexCache) instead of rebuilding each block — the
-  /// streaming path's hot-loop saver, safe because cache hits are
-  /// bit-identical to fresh builds and verifiers always build fresh.
-  /// Thresholds live in consensus.auction.residue.
+  /// Ignored.  Every miner, producer and verifiers alike, ranks best
+  /// offers through a CandidateIndex built fresh for each block; the
+  /// cross-round index cache this switched on is gone.  The field stays
+  /// only because the gated benchmark (marketbench) still assigns it, and
+  /// its next revision drops the assignment.
   bool reuse_candidate_index = true;
   ConsensusParams consensus;
   ReputationConfig reputation;
@@ -160,9 +159,6 @@ class MarketOrchestrator {
 
   MarketConfig config_;
   LedgerProtocol protocol_;
-  /// Cross-round index reuse for the producer (see MarketConfig); owned
-  /// here so its lifetime covers every round the protocol runs.
-  auction::CandidateIndexCache index_cache_;
   Rng rng_{0x6d61726b6574ULL};
   Participant wallet_;  // one custodial wallet signs for the whole market
   std::deque<PendingRequest> pending_requests_;

@@ -84,7 +84,7 @@ BlockBody Miner::compute_body(const BlockPreamble& preamble,
   }
   const auction::DeCloudAuction mechanism(params_.auction);
   const auction::RoundResult result =
-      mechanism.run(opened.snapshot, allocation_seed(preamble), sink, index_cache_);
+      mechanism.run(opened.snapshot, allocation_seed(preamble), sink);
 
   BlockBody body;
   body.revealed_keys = reveals;

@@ -11,10 +11,6 @@
 #include "auction/mechanism.hpp"
 #include "ledger/block.hpp"
 
-namespace decloud::auction {
-class CandidateIndexCache;
-}
-
 namespace decloud::ledger {
 
 /// Shared consensus parameters every miner must agree on.
@@ -88,16 +84,8 @@ class Miner {
   /// The verifiable-randomization seed derived from the block hash.
   [[nodiscard]] static std::uint64_t allocation_seed(const BlockPreamble& preamble);
 
-  /// Attaches a cross-round CandidateIndexCache (not owned, may be null)
-  /// used ONLY by compute_body's producer run.  verify_body never touches
-  /// it: verification must reproduce the allocation from scratch, so the
-  /// cache-vs-fresh bit-identity contract (candidate_index.hpp) is
-  /// exercised by consensus itself on every accepted block.
-  void set_index_cache(auction::CandidateIndexCache* cache) { index_cache_ = cache; }
-
  private:
   ConsensusParams params_;
-  auction::CandidateIndexCache* index_cache_ = nullptr;
 };
 
 }  // namespace decloud::ledger

@@ -157,15 +157,6 @@ class LedgerProtocol {
   /// of an engine sees an independent slice of the same plan.
   void attach(const Hooks& hooks) { hooks_ = hooks; }
 
-  /// Attaches a cross-round CandidateIndexCache (not owned, may be null)
-  /// to the PRODUCER miner only.  Verifiers always rebuild from scratch,
-  /// so every accepted block proves the cached index answered exactly
-  /// like a fresh one (Miner::set_index_cache).
-  void set_index_cache(auction::CandidateIndexCache* cache) {
-    producer_.set_index_cache(cache);
-  }
-
-
  private:
   ConsensusParams params_;
   Miner producer_;

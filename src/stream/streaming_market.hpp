@@ -23,8 +23,7 @@
 // Unmatched bids are residue: they stay queued inside the shard markets
 // and re-enter the next micro-epoch's round automatically, with age
 // bounded by MarketConfig::max_resubmissions (EngineReport counts them in
-// total.bids_carried).  The producer-side CandidateIndexCache makes those
-// slowly-evolving offer books cheap to rescore (candidate_index.hpp).
+// total.bids_carried).
 //
 // Threading: submit()/flush()/drain() must come from ONE thread (the
 // stream owner); the scheduler fans shard work out underneath, and the

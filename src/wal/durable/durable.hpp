@@ -24,9 +24,6 @@
 //      fingerprints;
 //   4. re-attach the writer in append mode (truncating torn tails) and
 //      hand the loop its resume position.
-//
-// Replay rebuilds the producer's cross-round index cache exactly as the
-// live run built it, so durable mode runs with the cache on or off.
 #pragma once
 
 #include <cstddef>

@@ -1,10 +1,10 @@
 // The scoring contract (DESIGN.md §3g): CandidateIndex is the one
 // production best-offer path, and best_offers_reference — the full-sort
 // implementation — is its oracle.  The per-pair scorers (quality_of_match,
-// ScoreMatrix::score_sparse) and the index's fresh and cached queries are
-// BIT-identical to that oracle: same doubles, same best-offer sets.  Miners
-// replay allocations on arbitrary hardware, so any divergence is a
-// consensus break, not a tolerance question.  Every comparison below is
+// ScoreMatrix::score_sparse) and the index query are BIT-identical to
+// that oracle: same doubles, same best-offer sets.  Miners replay
+// allocations on arbitrary hardware, so any divergence is a consensus
+// break, not a tolerance question.  Every comparison below is
 // exact; there are no epsilons anywhere in this file.
 #include <gtest/gtest.h>
 
@@ -85,14 +85,12 @@ MarketSnapshot random_snapshot(std::uint64_t seed, std::size_t num_requests,
   return s;
 }
 
-/// Every scorer and both index queries against the oracle, exactly.
+/// Every scorer and the index query against the oracle, exactly.
 void expect_paths_identical(const MarketSnapshot& s, const std::string& label) {
   const AuctionConfig cfg;
   const BlockScale scale(s.requests, s.offers);
   const ScoreMatrix scores(s, scale);
   const CandidateIndex index(s, scale, scores);
-  CandidateIndexCache cache;
-  cache.prepare(s, scale, scores, cfg);
   CandidateIndex::Scratch scratch;
 
   for (std::size_t r = 0; r < s.requests.size(); ++r) {
@@ -107,8 +105,6 @@ void expect_paths_identical(const MarketSnapshot& s, const std::string& label) {
     const auto reference = best_offers_reference(s.requests[r], s, scale, cfg);
     ASSERT_EQ(reference, index.best_offers(r, s, scores, cfg, scratch))
         << label << " index r=" << r;
-    ASSERT_EQ(reference, cache.best_offers(r, s, scores, cfg, scratch))
-        << label << " cache r=" << r;
   }
 }
 
@@ -345,7 +341,7 @@ TEST(BestOfferTieBreak, EqualQualityFallsBackToSubmittedThenId) {
 TEST(BestOfferTieBreak, SelectorIsInsertionOrderIndependent) {
   // The selection is a function of the SET of (offer, q) pairs, not of the
   // order they are considered in — the index feeds candidates in cell
-  // bound order, the cache its loose list first, and both must agree.
+  // bound order, and the result must equal the oracle's full sort.
   std::vector<Offer> offers;
   const Time submitted[] = {4, 4, 1, 3, 3, 2};
   for (std::size_t i = 0; i < 6; ++i) {

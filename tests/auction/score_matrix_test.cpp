@@ -109,8 +109,8 @@ TEST(ScoreMatrixTest, WidthCoversLargestObservedId) {
   EXPECT_EQ(m.width(), std::size_t{ResourceSchema::kDisk} + 1);
 }
 
-// Both best-offer queries over a ScoreMatrix — a fresh CandidateIndex and
-// a prepared CandidateIndexCache — return the full-sort oracle's set.
+// The best-offer query over a ScoreMatrix — a fresh CandidateIndex —
+// returns the full-sort oracle's set.
 TEST(ScoreMatrixTest, BestOffersOverloadsAgree) {
   for (const std::uint64_t seed : {11u, 12u, 13u}) {
     trace::WorkloadConfig wc;
@@ -122,13 +122,10 @@ TEST(ScoreMatrixTest, BestOffersOverloadsAgree) {
     const ScoreMatrix m(s, scale);
     const AuctionConfig cfg;
     const CandidateIndex index(s, scale, m);
-    CandidateIndexCache cache;
-    cache.prepare(s, scale, m, cfg);
     CandidateIndex::Scratch scratch;
     for (std::size_t r = 0; r < s.requests.size(); ++r) {
       const auto want = best_offers_reference(s.requests[r], s, scale, cfg);
       EXPECT_EQ(want, index.best_offers(r, s, m, cfg, scratch)) << "request " << r;
-      EXPECT_EQ(want, cache.best_offers(r, s, m, cfg, scratch)) << "request " << r;
     }
   }
 }

@@ -1,8 +1,9 @@
 // One counter per fact (DESIGN.md §3e counter catalogue): every engine
 // counter in the merged metrics export equals the EngineReport field it
 // restates, under the CI chaos plan with retries and the journal on, the
-// journal's allocation rate equals the report's, and none of the retired
-// duplicate counters comes back.
+// journal's allocation rate equals the report's, auction.runs counts every
+// producer mechanism run, and none of the retired duplicate counters comes
+// back.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -94,6 +95,14 @@ TEST(EngineMetrics, CountersReconcileWithReport) {
   for (const auto& [name, expected] : twins) {
     EXPECT_EQ(counter(json, name), std::optional<std::size_t>(expected)) << name;
   }
+
+  // The producer runs the mechanism once per shard round plus once per
+  // re-mine, so auction.runs counts runs, not accepted rounds.
+  const std::optional<std::size_t> remined = counter(json, "fault.blocks_remined");
+  ASSERT_TRUE(remined.has_value());
+  ASSERT_GT(*remined, 0u) << "the plan must exercise re-mines";
+  EXPECT_EQ(counter(json, "auction.runs"),
+            std::optional<std::size_t>(report.total.rounds + *remined));
 
   // The journal's rate counts standing trades: a denied trade is taken
   // back, as in the report's requests_allocated / requests_submitted.

@@ -67,7 +67,7 @@ TEST(ExportDeterminism, ByteIdenticalAcrossThreadCounts) {
       baseline = e;
       // Sanity: the export reflects real work, not an empty registry.
       ASSERT_NE(e.metrics.find("engine.shard_epochs"), std::string::npos) << e.metrics;
-      ASSERT_NE(e.metrics.find("auction.rounds"), std::string::npos) << e.metrics;
+      ASSERT_NE(e.metrics.find("auction.runs"), std::string::npos) << e.metrics;
       ASSERT_NE(e.trace.find("\"traceEvents\""), std::string::npos);
     } else {
       EXPECT_EQ(e.metrics, baseline.metrics) << "metrics diverge at threads=" << threads;
@@ -126,7 +126,7 @@ TEST(ExportDeterminism, ObservabilityOffExportsOnlyTheSummarySink) {
   EXPECT_EQ(scheduler.sink(), nullptr);
   const std::string metrics = scheduler.metrics_json();
   EXPECT_NE(metrics.find("engine.num_shards"), std::string::npos) << metrics;
-  EXPECT_EQ(metrics.find("auction.rounds"), std::string::npos) << metrics;
+  EXPECT_EQ(metrics.find("auction.runs"), std::string::npos) << metrics;
 }
 
 }  // namespace

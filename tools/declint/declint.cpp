@@ -113,8 +113,6 @@ constexpr EntryPoint kEntryPoints[] = {
     {"src/auction/mechanism.cpp", "DeCloudAuction::run"},
     {"src/auction/candidate_index.cpp", "CandidateIndex::CandidateIndex"},
     {"src/auction/candidate_index.cpp", "CandidateIndex::best_offers"},
-    {"src/auction/candidate_index.cpp", "CandidateIndexCache::prepare"},
-    {"src/auction/candidate_index.cpp", "CandidateIndexCache::best_offers"},
     {"src/auction/pricing.cpp", "price_cluster"},
     {"src/auction/trade_reduction.cpp", "determine_price"},
     {"src/auction/miniauction.cpp", "select_roots"},
