@@ -7,7 +7,6 @@
 #include "auction/cluster.hpp"
 #include "auction/mechanism.hpp"
 #include "auction/qom.hpp"
-#include "auction/score_matrix.hpp"
 #include "common/thread_pool.hpp"
 #include "trace/workload.hpp"
 
@@ -36,24 +35,22 @@ void BM_QualityOfMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_QualityOfMatch);
 
-// The whole matching stage as DeCloudAuction::run executes it: ScoreMatrix
-// and CandidateIndex build plus the best-offer fan-out for every request, at
-// a given thread count (range(1)).
+// The whole matching stage as DeCloudAuction::run executes it: the
+// CandidateIndex build (scale, score matrix, cells) plus the best-offer
+// fan-out for every request, at a given thread count (range(1)).
 void BM_MatchingStage(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto threads = static_cast<std::size_t>(state.range(1));
   const auto snapshot = make_market(n, 2);
-  const auction::BlockScale scale(snapshot.requests, snapshot.offers);
   const auction::AuctionConfig cfg;
   ThreadPool pool(threads);
   ThreadPool* p = threads > 1 ? &pool : nullptr;
   std::vector<std::vector<std::size_t>> best(n);
   for (auto _ : state) {
-    const auction::ScoreMatrix scores(snapshot, scale);
-    const auction::CandidateIndex index(snapshot, scale, scores);
+    const auction::CandidateIndex index(snapshot);
     run_chunked(p, 0, n, [&](std::size_t r) {
       thread_local auction::CandidateIndex::Scratch scratch;
-      best[r] = index.best_offers(r, snapshot, scores, cfg, scratch);
+      best[r] = index.best_offers(r, cfg, scratch);
     });
     benchmark::DoNotOptimize(best);
   }
@@ -64,15 +61,13 @@ BENCHMARK(BM_MatchingStage)->Args({256, 1})->Args({256, 2})->Args({256, 4});
 void BM_ClusterFormation(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto snapshot = make_market(n, 3);
-  const auction::BlockScale scale(snapshot.requests, snapshot.offers);
   const auction::AuctionConfig cfg;
   // Precompute best sets; the benchmark isolates Algorithm 2 itself.
-  const auction::ScoreMatrix scores(snapshot, scale);
-  const auction::CandidateIndex index(snapshot, scale, scores);
+  const auction::CandidateIndex index(snapshot);
   auction::CandidateIndex::Scratch scratch;
   std::vector<std::vector<std::size_t>> best(n);
   for (std::size_t r = 0; r < n; ++r) {
-    best[r] = index.best_offers(r, snapshot, scores, cfg, scratch);
+    best[r] = index.best_offers(r, cfg, scratch);
   }
   for (auto _ : state) {
     auction::ClusterSet cs;

@@ -91,10 +91,9 @@ void BM_FullProtocolRound(benchmark::State& state) {
     for (const auto& o : snapshot.offers) {
       protocol.mempool().submit(wallet.submit_offer(o, rng));
     }
-    const std::vector<ledger::Miner> verifiers(2, ledger::Miner(params));
     state.ResumeTiming();
 
-    benchmark::DoNotOptimize(protocol.run_round({&wallet}, verifiers, 0));
+    benchmark::DoNotOptimize(protocol.run_round({&wallet}, /*verifiers=*/2, 0));
   }
 }
 BENCHMARK(BM_FullProtocolRound)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);

@@ -4,8 +4,8 @@
 // document so successive PRs can record a benchmark *trajectory* (see
 // bench/trajectory/) and compare runs mechanically.  It times:
 //
-//   * matching_pruned  — ScoreMatrix + CandidateIndex build + the
-//     best-offer queries at 1..N threads, the matching stage as
+//   * matching_pruned  — CandidateIndex build (BlockScale, ScoreMatrix,
+//     cells) + the best-offer queries at 1..N threads, the matching stage as
 //     DeCloudAuction::run executes it;
 //   * full_mechanism   — DeCloudAuction::run end to end at 1..N threads;
 //   * engine_drive     — the sharded engine end to end (the trace drive
@@ -64,7 +64,6 @@
 
 #include "auction/candidate_index.hpp"
 #include "auction/mechanism.hpp"
-#include "auction/score_matrix.hpp"
 #include "common/thread_pool.hpp"
 #include "dsched/sync.hpp"
 #include "engine/driver.hpp"
@@ -228,7 +227,6 @@ int main(int argc, char** argv) {
   {
     const auto s = make_market(matching_requests, matching_offers, 2);
     const auction::AuctionConfig cfg;
-    const auction::BlockScale scale(s.requests, s.offers);
 
     for (const std::size_t t : thread_counts) {
       ThreadPool pool(t);
@@ -236,11 +234,10 @@ int main(int argc, char** argv) {
       // Index build + queries, timed end to end so the entry charges the
       // index its construction cost.
       const double pruned_ms = time_min_ms(rounds, [&] {
-        const auction::ScoreMatrix scores(s, scale);
-        const auction::CandidateIndex index(s, scale, scores);
+        const auction::CandidateIndex index(s);
         run_chunked(p, 0, s.requests.size(), [&](std::size_t r) {
           thread_local auction::CandidateIndex::Scratch scratch;
-          volatile auto sink = index.best_offers(r, s, scores, cfg, scratch).size();
+          volatile auto sink = index.best_offers(r, cfg, scratch).size();
           (void)sink;
         });
       });

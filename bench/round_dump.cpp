@@ -15,6 +15,9 @@
 //   --seed N          workload seed (default 7)
 //   --round-seed N    verifiable-randomization seed (default 1)
 //   --threads N       ranking fan-out threads; 0 = hardware (default 1)
+//
+// A failed write to stdout prints "round_dump: cannot write stdout" and
+// exits 1, so a cmp never compares a truncated file.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -74,7 +77,10 @@ int main(int argc, char** argv) {
   const auction::RoundResult result = auction::DeCloudAuction(cfg).run(snapshot, round_seed);
 
   const std::string json = auction::round_result_json(result);
-  std::fwrite(json.data(), 1, json.size(), stdout);
-  std::fputc('\n', stdout);
+  if (std::fwrite(json.data(), 1, json.size(), stdout) != json.size() ||
+      std::fputc('\n', stdout) == EOF || std::fflush(stdout) != 0) {
+    std::fprintf(stderr, "round_dump: cannot write stdout\n");
+    return 1;
+  }
   return 0;
 }

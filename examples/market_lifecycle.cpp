@@ -67,9 +67,8 @@ int main() {
   // Bonus: audit the last block with the TrueBit-style challenge game
   // instead of full collective verification.
   if (tip) {
-    const std::vector<ledger::Miner> pool(5, ledger::Miner(mc.consensus));
-    const auto outcome =
-        ledger::run_challenge_game(tip->preamble, tip->body, pool, ledger::ChallengeConfig{});
+    const auto outcome = ledger::run_challenge_game(tip->preamble, tip->body, mc.consensus,
+                                                    /*pool_size=*/5, ledger::ChallengeConfig{});
     std::printf("\nchallenge game on the tip block: %zu challengers sampled, %s\n",
                 outcome.challengers.size(),
                 outcome.fraud_proven ? "FRAUD PROVEN (producer slashed)"

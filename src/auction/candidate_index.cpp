@@ -63,11 +63,15 @@ double peak_term(double cell_max, double rp) {
 
 }  // namespace
 
-CandidateIndex::CandidateIndex(const MarketSnapshot& snapshot, const BlockScale& scale,
-                               const ScoreMatrix& scores)
-    : width_(scale.dimension()) {
-  DECLOUD_EXPECTS_MSG(scores.offers() == snapshot.offers.size() && scores.width() == width_,
-                      "ScoreMatrix/BlockScale must come from the same snapshot");
+CandidateIndex::CandidateIndex(const MarketSnapshot& snapshot)
+    : snapshot_(snapshot),
+      scores_(snapshot, BlockScale(snapshot.requests, snapshot.offers)) {
+  // Structural fact 3's bound holds only over valid bids (σ ∈ (0, 1],
+  // ordered windows), so the build refuses anything else at its boundary.
+  for (const Request& r : snapshot.requests) validate(r);
+  for (const Offer& o : snapshot.offers) validate(o);
+  const ScoreMatrix& scores = scores_;
+  const std::size_t width = scores.width();
   const std::size_t no = snapshot.offers.size();
   ub_.resize(no);
   mask_.resize(no);
@@ -78,7 +82,7 @@ CandidateIndex::CandidateIndex(const MarketSnapshot& snapshot, const BlockScale&
     // rounding is monotone, so the computed ub dominates every computed q.
     double ub = 0.0;
     std::uint64_t mask = 0;
-    for (std::size_t k = 0; k < width_; ++k) {
+    for (std::size_t k = 0; k < width; ++k) {
       ub += row[k];
       if (row[k] > 0.0) mask |= std::uint64_t{1} << (k % 64);
     }
@@ -102,7 +106,7 @@ CandidateIndex::CandidateIndex(const MarketSnapshot& snapshot, const BlockScale&
     if (oa.min_reputation != ob.min_reputation) return false;
     const double* ra = scores.offer_norm_row(a);
     const double* rb = scores.offer_norm_row(b);
-    for (std::size_t k = 0; k < width_; ++k) {
+    for (std::size_t k = 0; k < width; ++k) {
       if (ra[k] != rb[k]) return false;
     }
     return true;
@@ -117,7 +121,7 @@ CandidateIndex::CandidateIndex(const MarketSnapshot& snapshot, const BlockScale&
     if (oa.min_reputation != ob.min_reputation) return oa.min_reputation < ob.min_reputation;
     const double* ra = scores.offer_norm_row(a);
     const double* rb = scores.offer_norm_row(b);
-    for (std::size_t k = 0; k < width_; ++k) {
+    for (std::size_t k = 0; k < width; ++k) {
       if (ra[k] != rb[k]) return ra[k] < rb[k];
     }
     // Within a group: the selector's tie-break order, verbatim.
@@ -150,14 +154,14 @@ CandidateIndex::CandidateIndex(const MarketSnapshot& snapshot, const BlockScale&
     if (cell.offers.empty()) {
       cell.ws_min = starts[o];
       cell.we_max = ends[o];
-      cell.dim_max.assign(width_, 0.0);
+      cell.dim_max.assign(width, 0.0);
     } else {
       cell.ws_min = std::min(cell.ws_min, starts[o]);
       cell.we_max = std::max(cell.we_max, ends[o]);
     }
     cell.mask |= mask_[o];
     const double* row = scores.offer_norm_row(o);
-    for (std::size_t k = 0; k < width_; ++k) {
+    for (std::size_t k = 0; k < width; ++k) {
       cell.dim_max[k] = std::max(cell.dim_max[k], row[k]);
     }
     cell.offers.push_back(o);
@@ -173,19 +177,19 @@ CandidateIndex::CandidateIndex(const MarketSnapshot& snapshot, const BlockScale&
       return a < b;
     });
     const std::size_t m = cell.offers.size();
-    cell.col.assign(width_ * m, 0.0);
+    cell.col.assign(width * m, 0.0);
     for (std::size_t i = 0; i < m; ++i) {
       const double* row = scores.offer_norm_row(cell.offers[i]);
-      for (std::size_t k = 0; k < width_; ++k) cell.col[k * m + i] = row[k];
+      for (std::size_t k = 0; k < width; ++k) cell.col[k * m + i] = row[k];
     }
   }
 }
 
 std::vector<std::size_t> CandidateIndex::best_offers(std::size_t request,
-                                                     const MarketSnapshot& snapshot,
-                                                     const ScoreMatrix& scores,
                                                      const AuctionConfig& config,
                                                      Scratch& scratch) const {
+  const MarketSnapshot& snapshot = snapshot_;
+  const ScoreMatrix& scores = scores_;
   DECLOUD_EXPECTS(request < snapshot.requests.size());
   scratch.scored = 0;
   if (config.max_best_offers == 0) return {};  // selector would be vacuously full

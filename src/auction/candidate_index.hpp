@@ -86,10 +86,10 @@ class CandidateIndex {
   /// overflow list too.
   static constexpr std::size_t kGroupCap = 16;
 
-  /// Builds the index for one snapshot.  `scale` and `scores` must have
-  /// been built from the same snapshot.
-  CandidateIndex(const MarketSnapshot& snapshot, const BlockScale& scale,
-                 const ScoreMatrix& scores);
+  /// Builds the index for one snapshot: its BlockScale and ScoreMatrix,
+  /// then the bounds, masks and cells over them.  The snapshot must
+  /// outlive the index; queries read its bids.
+  explicit CandidateIndex(const MarketSnapshot& snapshot);
 
   /// Per-query mutable state, reusable across requests (and owned per
   /// worker thread in the fan-out) so the hot loop never allocates.
@@ -106,13 +106,14 @@ class CandidateIndex {
     std::size_t scored = 0;
   };
 
-  /// The best-offer query: bit-identical to best_offers_reference for
-  /// every input.
+  /// The best-offer query for snapshot request `request`: bit-identical
+  /// to best_offers_reference for every input.
   [[nodiscard]] std::vector<std::size_t> best_offers(std::size_t request,
-                                                     const MarketSnapshot& snapshot,
-                                                     const ScoreMatrix& scores,
                                                      const AuctionConfig& config,
                                                      Scratch& scratch) const;
+
+  /// The snapshot's dense QoM rows (score_sparse is the exact q).
+  [[nodiscard]] const ScoreMatrix& scores() const { return scores_; }
 
   /// Static QoM upper bound of one offer (tests/bench introspection).
   [[nodiscard]] double upper_bound(std::size_t offer) const { return ub_[offer]; }
@@ -132,7 +133,8 @@ class CandidateIndex {
     std::vector<double> col;
   };
 
-  std::size_t width_ = 0;
+  const MarketSnapshot& snapshot_;
+  ScoreMatrix scores_;
   std::vector<double> ub_;            // per offer: Σ_k ρ'_(o,k), ascending-k fold
   std::vector<std::uint64_t> mask_;   // per offer: bit (k mod 64) per ρ'_(o,k) > 0
   std::vector<Cell> cells_;

@@ -12,7 +12,6 @@
 #include "auction/feasibility.hpp"
 #include "auction/miniauction.hpp"
 #include "auction/pricing.hpp"
-#include "auction/score_matrix.hpp"
 #include "auction/trade_reduction.hpp"
 #include "common/ensure.hpp"
 #include "common/rng.hpp"
@@ -132,8 +131,6 @@ RoundResult DeCloudAuction::run(const MarketSnapshot& snapshot, std::uint64_t se
     // parallel section is race-free by construction.
     obs::SpanScope span(sink, "score");
 
-    const BlockScale scale(snapshot.requests, snapshot.offers);
-    const ScoreMatrix scores(snapshot, scale);
     std::iota(request_order.begin(), request_order.end(), std::size_t{0});
     std::sort(request_order.begin(), request_order.end(), [&](std::size_t a, std::size_t b) {
       const Request& ra = snapshot.requests[a];
@@ -150,12 +147,12 @@ RoundResult DeCloudAuction::run(const MarketSnapshot& snapshot, std::uint64_t se
     // Candidates scored per request, summed serially below so the span's
     // work stays thread-invariant.
     std::vector<std::size_t> scored(snapshot.requests.size(), 0);
-    const CandidateIndex index(snapshot, scale, scores);
+    const CandidateIndex index(snapshot);
     run_chunked(pool ? &*pool : nullptr, 0, snapshot.requests.size(), [&](std::size_t ri) {
       // One scratch per worker thread: the hot loop never allocates after
       // its first few requests, and workers share no mutable state.
       thread_local CandidateIndex::Scratch scratch;
-      best_sets[ri] = index.best_offers(ri, snapshot, scores, config_, scratch);
+      best_sets[ri] = index.best_offers(ri, config_, scratch);
       scored[ri] = scratch.scored;
     });
     span.add_work(std::accumulate(scored.begin(), scored.end(), std::uint64_t{0}));

@@ -15,11 +15,9 @@ void fill_row(std::vector<double>& matrix, std::size_t row, std::size_t width,
 }  // namespace
 
 ScoreMatrix::ScoreMatrix(const MarketSnapshot& snapshot, const BlockScale& scale)
-    : width_(scale.dimension()),
-      num_requests_(snapshot.requests.size()),
-      num_offers_(snapshot.offers.size()) {
-  const std::size_t nr = num_requests_;
-  const std::size_t no = num_offers_;
+    : width_(scale.dimension()) {
+  const std::size_t nr = snapshot.requests.size();
+  const std::size_t no = snapshot.offers.size();
   req_norm_.assign(nr * width_, 0.0);
   req_sig_.assign(nr * width_, 0.0);
   off_norm_.assign(no * width_, 0.0);

@@ -27,9 +27,9 @@ namespace decloud::auction {
 
 class ScoreMatrix {
  public:
-  /// Flattens the snapshot under the given block scale.  `scale` must have
-  /// been built from the same snapshot (it defines the normalization and
-  /// the row width).
+  /// Flattens the snapshot under the given block scale, which defines the
+  /// normalization and the row width (CandidateIndex builds both from one
+  /// snapshot).
   ScoreMatrix(const MarketSnapshot& snapshot, const BlockScale& scale);
 
   /// q_(r,o) computed by walking the request's declared types (ascending)
@@ -39,9 +39,6 @@ class ScoreMatrix {
 
   /// Row width: one column per resource id observed in the block.
   [[nodiscard]] std::size_t width() const { return width_; }
-
-  [[nodiscard]] std::size_t requests() const { return num_requests_; }
-  [[nodiscard]] std::size_t offers() const { return num_offers_; }
 
   /// Dense per-bidder rows (length width()): ρ'_r, σmask_r, ρ'_o.  The
   /// candidate index reads these to build its bounds and masks.
@@ -64,8 +61,6 @@ class ScoreMatrix {
 
  private:
   std::size_t width_ = 0;
-  std::size_t num_requests_ = 0;
-  std::size_t num_offers_ = 0;
   std::vector<double> req_norm_;    // R×W: ρ'_r, 0 for undeclared types
   std::vector<double> req_sig_;     // R×W: σ_r masked by declaration
   std::vector<double> off_norm_;    // O×W: ρ'_o, 0 for undeclared types

@@ -54,13 +54,20 @@ class Sha256 {
 /// Hex string of a digest (convenience for logs/tests).
 [[nodiscard]] std::string digest_hex(const Digest& d);
 
+/// The first 8 bytes of a digest folded big-endian into one word: the
+/// block-hash lottery seed, a key's ledger address and DigestHash all use
+/// this one fold.
+[[nodiscard]] inline std::uint64_t fold_digest(const Digest& d) noexcept {
+  std::uint64_t folded = 0;
+  for (std::size_t i = 0; i < 8; ++i) folded = (folded << 8) | d[i];
+  return folded;
+}
+
 /// Hash functor so digests can key unordered containers.  Uses the first 8
 /// bytes — already uniformly distributed for a cryptographic digest.
 struct DigestHash {
   std::size_t operator()(const Digest& d) const noexcept {
-    std::size_t h = 0;
-    for (int i = 0; i < 8; ++i) h = (h << 8) | d[static_cast<std::size_t>(i)];
-    return h;
+    return static_cast<std::size_t>(fold_digest(d));
   }
 };
 

@@ -22,17 +22,17 @@ std::vector<std::size_t> sample_challengers(const BlockPreamble& preamble, std::
 }
 
 ChallengeOutcome run_challenge_game(const BlockPreamble& preamble, const BlockBody& body,
-                                    const std::vector<Miner>& verifier_pool,
+                                    const ConsensusParams& params, std::size_t pool_size,
                                     const ChallengeConfig& config) {
   DECLOUD_EXPECTS(config.challenger_reward_share >= 0.0 &&
                   config.challenger_reward_share <= 1.0);
   ChallengeOutcome outcome;
-  outcome.challengers =
-      sample_challengers(preamble, verifier_pool.size(), config.num_challengers);
+  outcome.challengers = sample_challengers(preamble, pool_size, config.num_challengers);
   outcome.challenger_deltas.assign(outcome.challengers.size(), 0.0);
 
+  const Miner challenger(params);
   for (std::size_t i = 0; i < outcome.challengers.size(); ++i) {
-    const Miner& challenger = verifier_pool[outcome.challengers[i]];
+    // Each sampled challenger re-executes the allocation on its own.
     const bool body_ok = challenger.verify_body(preamble, body);
     if (!body_ok && !outcome.fraud_proven) {
       // First proven mismatch wins the reward; the proof is the replay

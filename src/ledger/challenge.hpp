@@ -33,7 +33,8 @@ struct ChallengeConfig {
 
 /// Outcome of the game for one block.
 struct ChallengeOutcome {
-  /// Indices (into the verifier pool) of the sampled challengers.
+  /// Indices (into the verifier pool, 0 … pool_size − 1) of the sampled
+  /// challengers.
   std::vector<std::size_t> challengers;
   /// True when some challenger proved the body wrong.
   bool fraud_proven = false;
@@ -47,12 +48,14 @@ struct ChallengeOutcome {
   [[nodiscard]] bool block_accepted() const { return !fraud_proven; }
 };
 
-/// Runs the challenge game: samples challengers from the block evidence,
-/// has each re-verify the body, and settles deposits.  `verifier_pool`
-/// are the non-producer miners willing to stake.
+/// Runs the challenge game: samples challengers from a pool of
+/// `pool_size` non-producer miners willing to stake, has each re-verify
+/// the body under the deployment's consensus `params`, and settles
+/// deposits.
 [[nodiscard]] ChallengeOutcome run_challenge_game(const BlockPreamble& preamble,
                                                   const BlockBody& body,
-                                                  const std::vector<Miner>& verifier_pool,
+                                                  const ConsensusParams& params,
+                                                  std::size_t pool_size,
                                                   const ChallengeConfig& config);
 
 /// Samples `k` distinct pool indices pseudo-randomly from the block hash

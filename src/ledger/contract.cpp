@@ -7,30 +7,40 @@
 
 namespace decloud::ledger {
 
+namespace {
+
+// The reputation system's factors (Section III-B).  Every miner stamps
+// requests from the registry, so these are consensus constants.
+constexpr double kInitialScore = 1.0;
+constexpr double kMaxScore = 1.0;
+constexpr double kDenialFactor = 0.8;
+constexpr double kRecovery = 0.05;
+constexpr double kWithholdFactor = 0.5;
+
+}  // namespace
+
 void ReputationRegistry::record_accept(ClientId client) {
-  auto& e = entries_.try_emplace(client, Entry{config_.initial}).first->second;
+  auto& e = entries_.try_emplace(client, Entry{kInitialScore}).first->second;
   e.denial_streak = 0;
-  e.score = std::min(config_.max_score, e.score + config_.recovery);
+  e.score = std::min(kMaxScore, e.score + kRecovery);
 }
 
 void ReputationRegistry::record_deny(ClientId client) {
-  auto& e = entries_.try_emplace(client, Entry{config_.initial}).first->second;
+  auto& e = entries_.try_emplace(client, Entry{kInitialScore}).first->second;
   ++e.denial_streak;
   // Successive rejections bite harder: the factor applies once per streak
   // step, so two denials in a row cost factor², three cost factor³, …
-  for (std::size_t i = 0; i < e.denial_streak; ++i) e.score *= config_.denial_factor;
-  if (e.score < 0.0) e.score = 0.0;
+  for (std::size_t i = 0; i < e.denial_streak; ++i) e.score *= kDenialFactor;
 }
 
 void ReputationRegistry::record_withhold(ClientId client) {
-  auto& e = entries_.try_emplace(client, Entry{config_.initial}).first->second;
-  e.score *= config_.withhold_factor;
-  if (e.score < 0.0) e.score = 0.0;
+  auto& e = entries_.try_emplace(client, Entry{kInitialScore}).first->second;
+  e.score *= kWithholdFactor;
 }
 
 double ReputationRegistry::score(ClientId client) const {
   const auto it = entries_.find(client);
-  return it == entries_.end() ? config_.initial : it->second.score;
+  return it == entries_.end() ? kInitialScore : it->second.score;
 }
 
 std::size_t ReputationRegistry::consecutive_denials(ClientId client) const {

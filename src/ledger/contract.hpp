@@ -40,34 +40,20 @@ struct Agreement {
   AgreementState state = AgreementState::kProposed;
 };
 
-/// Tracks client reputation.  Scores start at `initial`; each denial
-/// multiplies the score by `denial_factor` *per consecutive denial streak
-/// length* (successive rejections hurt progressively), and an accepted
-/// agreement resets the streak and recovers `recovery` additively up to
-/// the cap.
-/// Reputation parameters (top-level so brace-init defaults work as a
-/// default argument).
-struct ReputationConfig {
-  double initial = 1.0;
-  double denial_factor = 0.8;
-  double recovery = 0.05;
-  double max_score = 1.0;
-  /// Multiplicative penalty for withholding a key reveal (the bid was
-  /// included in a preamble but its keys never came — wasted miner work).
-  /// Harsher than one denial: withholding sabotages the whole round.
-  double withhold_factor = 0.5;
-};
-
+/// Tracks client reputation.  Scores start at 1.0; each denial multiplies
+/// the score by 0.8 *per consecutive denial streak length* (successive
+/// rejections hurt progressively), an accepted agreement resets the streak
+/// and recovers 0.05 additively up to 1.0, and a withheld key reveal
+/// halves the score.  The factors are constants of the deployment
+/// (contract.cpp): every miner stamps requests from this registry, so the
+/// factors are consensus state like ConsensusParams.
 class ReputationRegistry {
  public:
-  using Config = ReputationConfig;
-
-  explicit ReputationRegistry(Config config = {}) : config_(config) {}
-
   void record_accept(ClientId client);
   void record_deny(ClientId client);
-  /// Withholding penalty: one multiplicative `withhold_factor` hit, no
-  /// streak escalation (each round charges at most once per sender).
+  /// Withholding penalty: one multiplicative hit, no streak escalation
+  /// (each round charges at most once per sender).  Harsher than one
+  /// denial: withholding sabotages the whole round.
   void record_withhold(ClientId client);
 
   [[nodiscard]] double score(ClientId client) const;
@@ -80,15 +66,14 @@ class ReputationRegistry {
     std::size_t denial_streak = 0;
   };
 
-  Config config_;
   std::unordered_map<ClientId, Entry> entries_;
 };
 
 /// Stamps every request in the snapshot with its client's current
-/// reputation score (Section III-B).  The miner computing a block's
-/// allocation applies this against the on-chain registry, so reputations
-/// are consensus state rather than self-reported fields; offers may then
-/// gate admission via Offer::min_reputation.
+/// reputation score (Section III-B).  Miner::open_block applies it with
+/// the protocol's registry for the producer and every verifier alike, so
+/// Offer::min_reputation gates consensus state rather than the value a
+/// client sealed into its own bid.
 void stamp_reputation(auction::MarketSnapshot& snapshot, const ReputationRegistry& registry);
 
 /// The DeCloud agreement contract.  One instance per deployment; holds the
@@ -99,9 +84,6 @@ void stamp_reputation(auction::MarketSnapshot& snapshot, const ReputationRegistr
 /// particular provider".
 class AgreementContract {
  public:
-  explicit AgreementContract(ReputationRegistry::Config reputation = {})
-      : reputation_(reputation) {}
-
   /// Registers the allocation of a freshly accepted block, creating one
   /// Proposed agreement per match.  Returns the new contract ids, aligned
   /// with the matches.  `tee_resource` names the market's "sgx"/TEE

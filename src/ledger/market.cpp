@@ -9,7 +9,7 @@ namespace decloud::ledger {
 
 MarketOrchestrator::MarketOrchestrator(MarketConfig config)
     : config_(std::move(config)),
-      protocol_(config_.consensus, config_.reputation),
+      protocol_(config_.consensus),
       wallet_(rng_) {}
 
 void MarketOrchestrator::submit(const auction::Request& request) {
@@ -72,8 +72,7 @@ RoundOutcome MarketOrchestrator::run_round(Time now) {
     span.add_work(in_flight_requests.size() + in_flight_offers.size());
   }
 
-  const std::vector<Miner> verifiers(config_.num_verifiers, Miner(config_.consensus));
-  RoundOutcome outcome = protocol_.run_round({&wallet_}, verifiers, now);
+  RoundOutcome outcome = protocol_.run_round({&wallet_}, config_.num_verifiers, now);
   ++stats_.rounds;
   if (!outcome.block_accepted) {
     // A rejected block consumes nobody's bids: re-queue everything as-is.

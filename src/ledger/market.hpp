@@ -36,7 +36,6 @@ struct MarketConfig {
   /// its next revision drops the assignment.
   bool reuse_candidate_index = true;
   ConsensusParams consensus;
-  ReputationConfig reputation;
 };
 
 /// Lifetime statistics of the orchestrated market.

@@ -4,14 +4,14 @@
 
 #include "common/ensure.hpp"
 #include "ledger/codec.hpp"
+#include "ledger/contract.hpp"
 #include "obs/sink.hpp"
 
 namespace decloud::ledger {
 
-std::optional<BlockPreamble> Miner::mine_preamble(std::vector<SealedBid> bids,
-                                                  const crypto::Digest& prev_hash,
-                                                  std::uint64_t height, Time timestamp,
-                                                  obs::MetricsSink* sink) const {
+BlockPreamble Miner::mine_preamble(std::vector<SealedBid> bids, const crypto::Digest& prev_hash,
+                                   std::uint64_t height, Time timestamp,
+                                   obs::MetricsSink* sink) const {
   obs::SpanScope span(sink, "pow");
   BlockPreamble preamble;
   preamble.header.height = height;
@@ -20,17 +20,16 @@ std::optional<BlockPreamble> Miner::mine_preamble(std::vector<SealedBid> bids,
   preamble.header.bids_root = bids_merkle_root(bids);
   preamble.sealed_bids = std::move(bids);
 
-  const auto solution = crypto::solve_pow(preamble.header.bytes(), params_.difficulty_bits,
-                                          /*start_nonce=*/0, params_.max_pow_attempts);
-  if (!solution) return std::nullopt;
+  const auto solution = crypto::solve_pow(preamble.header.bytes(), params_.difficulty_bits);
+  DECLOUD_ENSURES_MSG(solution.has_value(), "PoW search exhausted the nonce space");
   preamble.pow = *solution;
   span.add_work(solution->nonce + 1);  // attempts, not the winning nonce
   if (sink != nullptr) sink->metrics().counter("ledger.pow_attempts").add(solution->nonce + 1);
   return preamble;
 }
 
-OpenedBlock Miner::open_block(const BlockPreamble& preamble,
-                              const std::vector<KeyReveal>& reveals) {
+OpenedBlock Miner::open_block(const BlockPreamble& preamble, const std::vector<KeyReveal>& reveals,
+                              const ReputationRegistry* reputation) {
   std::unordered_map<crypto::Digest, crypto::SymmetricKey, crypto::DigestHash> keys;
   for (const auto& kr : reveals) keys.emplace(kr.bid_digest, kr.key);
 
@@ -61,22 +60,20 @@ OpenedBlock Miner::open_block(const BlockPreamble& preamble,
       opened.unopened.push_back(i);
     }
   }
+  if (reputation != nullptr) stamp_reputation(opened.snapshot, *reputation);
   return opened;
 }
 
 std::uint64_t Miner::allocation_seed(const BlockPreamble& preamble) {
   // Fold the block hash into the RNG seed; the hash is PoW-constrained and
   // fixed before keys are revealed, so no one can grind the randomization.
-  const crypto::Digest& h = preamble.hash();
-  std::uint64_t seed = 0;
-  for (int i = 0; i < 8; ++i) seed = (seed << 8) | h[static_cast<std::size_t>(i)];
-  return seed;
+  return crypto::fold_digest(preamble.hash());
 }
 
 BlockBody Miner::compute_body(const BlockPreamble& preamble,
-                              const std::vector<KeyReveal>& reveals,
-                              obs::MetricsSink* sink) const {
-  const OpenedBlock opened = open_block(preamble, reveals);
+                              const std::vector<KeyReveal>& reveals, obs::MetricsSink* sink,
+                              const ReputationRegistry* reputation) const {
+  const OpenedBlock opened = open_block(preamble, reveals, reputation);
   if (sink != nullptr) {
     sink->metrics().counter("ledger.bids_opened")
         .add(opened.request_source.size() + opened.offer_source.size());
@@ -93,9 +90,10 @@ BlockBody Miner::compute_body(const BlockPreamble& preamble,
 }
 
 bool Miner::verify_body(const BlockPreamble& preamble, const BlockBody& body,
-                        const VerifiedBids* verified) const {
+                        const VerifiedBids* verified,
+                        const ReputationRegistry* reputation) const {
   if (!validate_preamble(preamble, params_.difficulty_bits, verified)) return false;
-  const OpenedBlock opened = open_block(preamble, body.revealed_keys);
+  const OpenedBlock opened = open_block(preamble, body.revealed_keys, reputation);
   const auction::DeCloudAuction mechanism(params_.auction);
   const auction::RoundResult replay = mechanism.run(opened.snapshot, allocation_seed(preamble));
   // Byte-exact comparison: the mechanism is deterministic, so any honest

@@ -4,7 +4,6 @@
 // compare against the suggested allocation).
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "auction/config.hpp"
@@ -13,6 +12,8 @@
 
 namespace decloud::ledger {
 
+class ReputationRegistry;
+
 /// Shared consensus parameters every miner must agree on.
 struct ConsensusParams {
   /// Leading zero bits required of the block hash.  Simulation-scale.
@@ -20,9 +21,6 @@ struct ConsensusParams {
   /// The auction configuration is part of consensus: a divergent config
   /// yields divergent allocations and the block is rejected.
   auction::AuctionConfig auction;
-  /// Upper bound on PoW attempts before the miner gives up (simulation
-  /// safety valve; never hit at sane difficulties).
-  std::uint64_t max_pow_attempts = UINT64_MAX;
   /// Fraction of verifier votes required to accept a block, in (0, 1].
   /// 1.0 keeps the historical unanimity rule; 2.0/3.0 tolerates a
   /// dishonest minority (LedgerProtocol::required_accepts rounds up).
@@ -52,36 +50,46 @@ class Miner {
   [[nodiscard]] const ConsensusParams& params() const { return params_; }
 
   /// Phase 1: assembles a preamble over the given sealed bids on top of the
-  /// current tip and solves PoW.  Returns nullopt only if max_pow_attempts
-  /// is exhausted.  A non-null `sink` records a "pow" span whose work
-  /// counter is the number of PoW attempts; the sink never affects mining.
-  [[nodiscard]] std::optional<BlockPreamble> mine_preamble(std::vector<SealedBid> bids,
-                                                           const crypto::Digest& prev_hash,
-                                                           std::uint64_t height, Time timestamp,
-                                                           obs::MetricsSink* sink = nullptr) const;
+  /// current tip and solves PoW (the nonce search spans the whole 64-bit
+  /// space; exhausting it is a broken invariant, not a result).  A
+  /// non-null `sink` records a "pow" span whose work counter is the number
+  /// of PoW attempts; the sink never affects mining.
+  [[nodiscard]] BlockPreamble mine_preamble(std::vector<SealedBid> bids,
+                                            const crypto::Digest& prev_hash, std::uint64_t height,
+                                            Time timestamp,
+                                            obs::MetricsSink* sink = nullptr) const;
 
   /// Phase 2 (producer): decrypts the bids with the revealed keys and runs
   /// the auction seeded by the block hash, producing the body.  `sink` is
-  /// forwarded to the mechanism (stage spans + round counters).
+  /// forwarded to the mechanism (stage spans + round counters) and
+  /// `reputation` to open_block.
   [[nodiscard]] BlockBody compute_body(const BlockPreamble& preamble,
                                        const std::vector<KeyReveal>& reveals,
-                                       obs::MetricsSink* sink = nullptr) const;
+                                       obs::MetricsSink* sink = nullptr,
+                                       const ReputationRegistry* reputation = nullptr) const;
 
   /// Phase 2 (verifier): re-derives the allocation from the preamble and
   /// revealed keys and accepts the body iff it matches byte-for-byte
   /// ("miners verify the accuracy of the allocation algorithm execution").
-  /// `verified` is forwarded to validate_preamble; the bids are opened and
-  /// the auction re-run either way.
+  /// `verified` is forwarded to validate_preamble and `reputation` to
+  /// open_block; the bids are opened and the auction re-run either way.
   [[nodiscard]] bool verify_body(const BlockPreamble& preamble, const BlockBody& body,
-                                 const VerifiedBids* verified = nullptr) const;
+                                 const VerifiedBids* verified = nullptr,
+                                 const ReputationRegistry* reputation = nullptr) const;
 
   /// Decrypts a preamble's bids with a key set (shared by producer and
   /// verifier paths).  Bids with missing/wrong keys or malformed plaintext
-  /// are skipped and reported in `unopened`.
+  /// are skipped and reported in `unopened`.  With a `reputation`
+  /// registry every opened request is stamped with its client's on-chain
+  /// score (stamp_reputation), so Offer::min_reputation gates consensus
+  /// state, not the value a client sealed into its own bid; without one
+  /// (the latency simulation has no contract) the decoded value stands.
   [[nodiscard]] static OpenedBlock open_block(const BlockPreamble& preamble,
-                                              const std::vector<KeyReveal>& reveals);
+                                              const std::vector<KeyReveal>& reveals,
+                                              const ReputationRegistry* reputation = nullptr);
 
-  /// The verifiable-randomization seed derived from the block hash.
+  /// The verifiable-randomization seed derived from the block hash
+  /// (fold_digest of it).
   [[nodiscard]] static std::uint64_t allocation_seed(const BlockPreamble& preamble);
 
  private:

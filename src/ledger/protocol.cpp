@@ -21,12 +21,8 @@ void append_json_sizet(std::string& out, const char* key, std::size_t value) {
 }  // namespace
 
 ClientId ledger_address(const crypto::PublicKey& sender) {
-  // Same fold as Miner::allocation_seed: the first 8 fingerprint bytes,
-  // big-endian.  "The fingerprint is the ledger address" (sealed_bid.hpp).
-  const crypto::Digest fp = sender.fingerprint();
-  std::uint64_t address = 0;
-  for (int i = 0; i < 8; ++i) address = (address << 8) | fp[static_cast<std::size_t>(i)];
-  return ClientId(address);
+  // "The fingerprint is the ledger address" (sealed_bid.hpp).
+  return ClientId(crypto::fold_digest(sender.fingerprint()));
 }
 
 std::string outcome_json(const RoundOutcome& o) {
@@ -79,15 +75,9 @@ Mempool::Admission Mempool::submit(SealedBid bid) {
   return Admission::kAccepted;
 }
 
-std::vector<SealedBid> Mempool::drain(std::size_t max_bids) {
-  if (max_bids >= pool_.size()) {
-    digests_.clear();
-    return std::exchange(pool_, {});
-  }
-  std::vector<SealedBid> out(pool_.begin(), pool_.begin() + static_cast<std::ptrdiff_t>(max_bids));
-  pool_.erase(pool_.begin(), pool_.begin() + static_cast<std::ptrdiff_t>(max_bids));
-  for (const SealedBid& bid : out) digests_.erase(bid.digest());
-  return out;
+std::vector<SealedBid> Mempool::drain() {
+  digests_.clear();
+  return std::exchange(pool_, {});
 }
 
 std::size_t LedgerProtocol::required_accepts(double quorum, std::size_t verifiers) {
@@ -101,11 +91,14 @@ std::size_t LedgerProtocol::required_accepts(double quorum, std::size_t verifier
 }
 
 RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participants,
-                                       const std::vector<Miner>& verifiers, Time now) {
+                                       std::size_t verifiers, Time now) {
   for (const Participant* p : participants) {
     DECLOUD_EXPECTS_MSG(p != nullptr, "run_round: null participant");
   }
-  const std::size_t required = required_accepts(params_.quorum, verifiers.size());
+  const std::size_t required = required_accepts(params_.quorum, verifiers);
+  // Every miner opens the block against the same registry state: the
+  // contract changes only after the votes (penalties, registration).
+  const ReputationRegistry* reputation = &contract_.reputation();
 
   RoundOutcome outcome;
   const std::uint64_t round = chain_.height();
@@ -153,9 +146,8 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
     // Phase 1: assemble + PoW over the sealed bids.  The "pow" span is
     // opened by mine_preamble itself (it knows the attempt count).  The
     // bids are passed by copy: a rejected attempt re-mines from them.
-    auto preamble =
+    BlockPreamble preamble =
         producer_.mine_preamble(bids, chain_.tip_hash(), chain_.height(), now, hooks_.sink);
-    DECLOUD_ENSURES_MSG(preamble.has_value(), "PoW search exhausted (raise max_pow_attempts)");
 
     // Participants validate the preamble and reveal keys for their bids.
     // A withhold fault silences one participant: its keys stay secret,
@@ -163,14 +155,14 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
     {
       obs::SpanScope span(hooks_.sink, "key_reveal");
       std::size_t fresh = 0;
-      if (validate_preamble(*preamble, params_.difficulty_bits, &verified)) {
+      if (validate_preamble(preamble, params_.difficulty_bits, &verified)) {
         for (std::size_t i = 0; i < participants.size(); ++i) {
           if (hooks_.fire(fault::FaultKind::kWithholdReveal, {round, hooks_.shard, i, attempt},
                           round)) {
             ++outcome.fault.reveals_withheld;
             continue;
           }
-          for (auto& kr : participants[i]->on_preamble(*preamble)) {
+          for (auto& kr : participants[i]->on_preamble(preamble)) {
             if (revealed.insert(kr.bid_digest).second) {
               reveals.push_back(std::move(kr));
               ++fresh;
@@ -186,7 +178,7 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
     BlockBody body;
     {
       obs::SpanScope span(hooks_.sink, "allocation");
-      body = producer_.compute_body(*preamble, reveals, hooks_.sink);
+      body = producer_.compute_body(preamble, reveals, hooks_.sink, reputation);
     }
     if (hooks_.fire(fault::FaultKind::kCorruptAllocation, {round, hooks_.shard, 0, attempt},
                     round)) {
@@ -199,14 +191,16 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
       hooks_.count("fault.allocations_corrupted");
     }
 
-    // Collective verification: every verifier re-runs the auction; the
-    // block stands iff the accepting votes reach the quorum.
+    // Collective verification: every verifier re-runs the auction under
+    // the protocol's params; the block stands iff the accepting votes
+    // reach the quorum.
     std::size_t accepts = 0;
     {
       obs::SpanScope span(hooks_.sink, "verify");
-      span.add_work(verifiers.size());
-      for (std::size_t v = 0; v < verifiers.size(); ++v) {
-        bool ok = verifiers[v].verify_body(*preamble, body, &verified);
+      span.add_work(verifiers);
+      const Miner verifier(params_);
+      for (std::size_t v = 0; v < verifiers; ++v) {
+        bool ok = verifier.verify_body(preamble, body, &verified, reputation);
         if (hooks_.fire(fault::FaultKind::kDishonestVote, {round, hooks_.shard, v, attempt},
                         round)) {
           ok = !ok;
@@ -219,14 +213,14 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
     }
     const bool quorum_reached = accepts >= required;
 
-    OpenedBlock opened = Miner::open_block(*preamble, body.revealed_keys);
+    OpenedBlock opened = Miner::open_block(preamble, body.revealed_keys, reputation);
 
     // Withholding penalty: every distinct sender of a bid that never
     // opened is debited BEFORE any allocation registers — exclusion from
     // this round is not enough, or withholding would be free (Section
     // III-B's reputational stick, extended to key withholding).
     for (const std::size_t u : opened.unopened) {
-      const ClientId address = ledger_address(preamble->sealed_bids[u].sender);
+      const ClientId address = ledger_address(preamble.sealed_bids[u].sender);
       if (charged.insert(address.value()).second) {
         contract_.penalize_withhold(address);
         outcome.fault.penalized.push_back(address);
@@ -254,7 +248,7 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
     if (quorum_reached && decodable) {
       {
         obs::SpanScope span(hooks_.sink, "append");
-        outcome.block = Block{.preamble = std::move(*preamble), .body = std::move(body)};
+        outcome.block = Block{.preamble = std::move(preamble), .body = std::move(body)};
         outcome.block_accepted = chain_.append(outcome.block, params_.difficulty_bits, &verified);
         if (outcome.block_accepted) {
           outcome.agreements =

@@ -60,8 +60,8 @@ struct RoundFaultReport {
 /// The outcome of one protocol round.
 struct RoundOutcome {
   bool block_accepted = false;
-  /// Votes of the verifier miners (true = accept), aligned with the
-  /// verifier list given to run_round; from the LAST attempt of the round.
+  /// Votes of the verifier miners (true = accept), verifier v at index v
+  /// of run_round's count; from the LAST attempt of the round.
   std::vector<bool> verifier_votes;
   /// The mined block (valid only when block_accepted).
   Block block;
@@ -80,8 +80,8 @@ struct RoundOutcome {
 /// same way — the string the chaos determinism tests compare.
 [[nodiscard]] std::string outcome_json(const RoundOutcome& outcome);
 
-/// The on-ledger address of a long-term key: the first 8 bytes of its
-/// fingerprint folded into a ClientId.  Lets the contract penalize the
+/// The on-ledger address of a long-term key: its fingerprint folded into a
+/// ClientId (crypto::fold_digest).  Lets the contract penalize the
 /// sender of a bid that never opened (its plaintext identity is unknown by
 /// construction — the ciphertext never decrypted).
 [[nodiscard]] ClientId ledger_address(const crypto::PublicKey& sender);
@@ -98,8 +98,8 @@ class Mempool {
   /// round, it just cannot appear twice in one preamble.
   Admission submit(SealedBid bid);
   [[nodiscard]] std::size_t size() const { return pool_.size(); }
-  /// Drains up to `max_bids` bids in submission order.
-  [[nodiscard]] std::vector<SealedBid> drain(std::size_t max_bids = SIZE_MAX);
+  /// Drains every pooled bid, in submission order.
+  [[nodiscard]] std::vector<SealedBid> drain();
 
  private:
   std::vector<SealedBid> pool_;
@@ -109,12 +109,13 @@ class Mempool {
 };
 
 /// Reference protocol driver: one producer miner, any number of verifier
-/// miners, a shared blockchain and agreement contract.
+/// miners, a shared blockchain and agreement contract.  Every miner runs
+/// under the protocol's one ConsensusParams (Section III), so a verifier
+/// is just a count: each one re-executes the allocation on its own.
 class LedgerProtocol {
  public:
-  explicit LedgerProtocol(ConsensusParams params,
-                          ReputationRegistry::Config reputation = {})
-      : params_(std::move(params)), producer_(params_), contract_(reputation) {}
+  explicit LedgerProtocol(ConsensusParams params)
+      : params_(std::move(params)), producer_(params_) {}
 
   [[nodiscard]] Mempool& mempool() { return mempool_; }
   [[nodiscard]] const Blockchain& chain() const { return chain_; }
@@ -124,17 +125,18 @@ class LedgerProtocol {
   /// Runs one full round: drains the mempool, drops invalid-signature
   /// bids, mines, collects key reveals from `participants` (non-revealing
   /// senders are penalized and their bids excluded), computes the
-  /// allocation, has every verifier in `verifiers` vote, and appends the
-  /// block iff at least ⌈quorum · verifiers⌉ votes accept.  On rejection
-  /// the producer is penalized and the round re-mines up to
+  /// allocation over requests stamped from the contract's reputation
+  /// registry, has each of `verifiers` miners re-execute it and vote, and
+  /// appends the block iff at least ⌈quorum · verifiers⌉ votes accept.
+  /// On rejection the producer is penalized and the round re-mines up to
   /// ConsensusParams::max_remine_attempts times with the faulty inputs
   /// excluded.  Registration with the agreement contract happens on
   /// acceptance.  Every entry of `participants` must be non-null.
-  RoundOutcome run_round(std::span<Participant* const> participants,
-                         const std::vector<Miner>& verifiers, Time now);
+  RoundOutcome run_round(std::span<Participant* const> participants, std::size_t verifiers,
+                         Time now);
   /// Brace-list convenience: run_round({&alice, &bob}, …).
   RoundOutcome run_round(std::initializer_list<Participant*> participants,
-                         const std::vector<Miner>& verifiers, Time now) {
+                         std::size_t verifiers, Time now) {
     return run_round(std::span<Participant* const>(participants.begin(), participants.size()),
                      verifiers, now);
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/ensure.hpp"
+#include "ledger/protocol.hpp"
 
 namespace decloud::sim {
 
@@ -29,6 +30,14 @@ void ParticipantNode::on_message(NodeId /*from*/, const Message& message) {
   }
 }
 
+MinerNode::MinerNode(NodeId id, Network& network, ledger::ConsensusParams params, Timing timing,
+                     std::size_t miners)
+    : id_(id),
+      network_(network),
+      miner_(std::move(params)),
+      timing_(timing),
+      required_accepts_(ledger::LedgerProtocol::required_accepts(miner_.params().quorum, miners)) {}
+
 void MinerNode::produce_block(Time wall_time) {
   DECLOUD_EXPECTS_MSG(!producing_, "round already in flight");
   producing_ = true;
@@ -40,19 +49,21 @@ void MinerNode::produce_block(Time wall_time) {
 
   auto bids = std::move(mempool_);
   mempool_.clear();
-  auto preamble = miner_.mine_preamble(std::move(bids), chain_.tip_hash(), chain_.height(),
-                                       wall_time);
-  DECLOUD_ENSURES_MSG(preamble.has_value(), "PoW exhausted at simulation difficulty");
+  ledger::BlockPreamble preamble =
+      miner_.mine_preamble(std::move(bids), chain_.tip_hash(), chain_.height(), wall_time);
 
   // Simulated mining delay: (nonce + 1) attempts at ms_per_hash each.
   const auto mine_ms =
-      static_cast<SimTime>(static_cast<double>(preamble->pow.nonce + 1) * timing_.ms_per_hash);
-  pending_preamble_ = std::move(*preamble);
+      static_cast<SimTime>(static_cast<double>(preamble.pow.nonce + 1) * timing_.ms_per_hash);
+  pending_preamble_ = std::move(preamble);
 
   network_.queue().schedule_in(mine_ms, [this] {
     network_.broadcast(id_, PreambleMsg{*pending_preamble_});
     // Allow reveal_wait for the key disclosures, then compute the body.
     network_.queue().schedule_in(timing_.reveal_wait_ms, [this] {
+      // The overlay has no agreement contract, so no reputation registry:
+      // producer and verifiers alike rank requests by the reputation
+      // decoded from the sealed bid (LedgerProtocol stamps the registry's).
       pending_body_ = miner_.compute_body(*pending_preamble_, collected_reveals_);
       // The producer trivially accepts its own block (and says so).
       const VoteMsg self{.height = pending_preamble_->header.height, .accept = true, .voter = id_};
@@ -109,12 +120,13 @@ void MinerNode::on_message(NodeId /*from*/, const Message& message) {
 
 void MinerNode::finalize_if_decided() {
   if (!pending_preamble_ || !pending_body_ || last_block_) return;
-  // Finalize once the quorum of accept votes is in and nobody rejected.
-  // The driver additionally checks cross-node chain agreement after the
-  // queue drains, which is the authoritative tally.
-  const bool any_reject = std::any_of(votes_.begin(), votes_.end(),
-                                      [](const VoteMsg& v) { return !v.accept; });
-  if (any_reject || votes_.size() < timing_.vote_quorum) return;
+  // Finalize once the quorum of accept votes is in (at the default quorum
+  // 1.0: every miner, so one reject sinks the block).  The driver
+  // additionally checks cross-node chain agreement after the queue
+  // drains, which is the authoritative tally.
+  const auto accepts = static_cast<std::size_t>(
+      std::count_if(votes_.begin(), votes_.end(), [](const VoteMsg& v) { return v.accept; }));
+  if (accepts < required_accepts_) return;
   ledger::Block block{.preamble = *pending_preamble_, .body = *pending_body_};
   if (chain_.append(block, miner_.params().difficulty_bits)) {
     last_block_ = std::move(block);

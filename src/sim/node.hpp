@@ -53,13 +53,13 @@ class MinerNode {
     /// How long the producer waits after the preamble for key reveals
     /// before computing the allocation.
     SimTime reveal_wait_ms = 500;
-    /// Accept votes (including one's own) required before a node appends
-    /// the block.  The driver sets this to the miner count.
-    std::size_t vote_quorum = 1;
   };
 
-  MinerNode(NodeId id, Network& network, ledger::ConsensusParams params, Timing timing)
-      : id_(id), network_(network), miner_(std::move(params)), timing_(timing) {}
+  /// `miners` is the deployment's miner count, producer included: a node
+  /// appends a block once LedgerProtocol::required_accepts(params.quorum,
+  /// miners) accept votes (its own among them) are in.
+  MinerNode(NodeId id, Network& network, ledger::ConsensusParams params, Timing timing,
+            std::size_t miners);
 
   [[nodiscard]] NodeId id() const { return id_; }
   [[nodiscard]] const ledger::Blockchain& chain() const { return chain_; }
@@ -84,6 +84,7 @@ class MinerNode {
   Network& network_;
   ledger::Miner miner_;
   Timing timing_;
+  std::size_t required_accepts_;
 
   ledger::Blockchain chain_;
   std::vector<ledger::SealedBid> mempool_;

@@ -13,12 +13,9 @@ Simulation::Simulation(SimulationConfig config)
   DECLOUD_EXPECTS(config_.num_miners > 0);
   network_.set_fault_injector(config_.fault);
 
-  MinerNode::Timing timing = config_.timing;
-  timing.vote_quorum = config_.num_miners;
-
   for (std::size_t i = 0; i < config_.num_miners; ++i) {
-    miners_.push_back(
-        std::make_unique<MinerNode>(NodeId(i), network_, config_.consensus, timing));
+    miners_.push_back(std::make_unique<MinerNode>(NodeId(i), network_, config_.consensus,
+                                                  config_.timing, config_.num_miners));
     network_.attach(NodeId(i), [m = miners_.back().get()](NodeId from, const Message& msg) {
       m->on_message(from, msg);
     });

@@ -24,6 +24,9 @@ struct SimulationConfig {
   std::size_t num_participants = 8;
   LatencyConfig latency;
   MinerNode::Timing timing;
+  /// Shared by every miner.  A node appends a block once
+  /// ⌈consensus.quorum · num_miners⌉ accept votes are in, the producer's
+  /// own included: unanimity at the default quorum.
   ledger::ConsensusParams consensus;
   std::uint64_t seed = 1;
   /// Optional deterministic fault injector (not owned, may be null);

@@ -18,10 +18,9 @@ void StreamingMarket::close_micro_epoch(CloseReason reason) {
   DECLOUD_EXPECTS_MSG(scheduler_.epochs() < static_cast<std::size_t>(INT64_MAX),
                       "micro-epoch count overflows the simulated clock");
   // Simulated timestamps are a pure function of the close COUNT — the
-  // scheduler run loop's start + n·interval sequence — never of wall time,
-  // so every run over the same stream closes at identical timestamps.
-  const Time now =
-      config_.start_time + static_cast<Time>(scheduler_.epochs()) * config_.epoch_interval;
+  // scheduler run loop's n·interval sequence — never of wall time, so
+  // every run over the same stream closes at identical timestamps.
+  const Time now = static_cast<Time>(scheduler_.epochs()) * config_.epoch_interval;
   {
     obs::SpanScope span(sink_.get(), "micro_epoch");
     span.add_work(submitted_ - closed_submitted_);
@@ -87,8 +86,7 @@ std::size_t StreamingMarket::drain() {
   // The drain tail reuses the scheduler's own loop — identical stopping
   // rule (idle or budget exhausted) and timestamp sequence as a bare
   // scheduler.run(drain_epochs, …) call.
-  const Time now =
-      config_.start_time + static_cast<Time>(scheduler_.epochs()) * config_.epoch_interval;
+  const Time now = static_cast<Time>(scheduler_.epochs()) * config_.epoch_interval;
   const std::size_t ran = scheduler_.run(config_.drain_epochs, now, config_.epoch_interval);
   closed_submitted_ = submitted_;
   if (sink_ != nullptr && ran > 0) sink_->metrics().counter("stream.close_drain").add(ran);

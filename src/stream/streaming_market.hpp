@@ -55,9 +55,8 @@ struct StreamConfig {
   MicroEpochTriggers triggers;
   /// Scheduler worker threads for the shard fan-out (0 = hardware).
   std::size_t threads = 1;
-  /// Simulated time of the first micro-epoch; subsequent closes advance
-  /// by epoch_interval — the scheduler's run-loop timestamp sequence.
-  Time start_time = 0;
+  /// Simulated seconds between micro-epochs: close n (from 0) is stamped
+  /// n·epoch_interval — the scheduler's run-loop timestamp sequence.
   Seconds epoch_interval = 600;
   /// Ticks drain() may spend clearing residue after the stream ends.
   std::size_t drain_epochs = 32;

@@ -5,9 +5,6 @@
 
 #include "auction/allocation.hpp"
 #include "auction/candidate_index.hpp"
-#include "auction/feasibility.hpp"
-#include "auction/qom.hpp"
-#include "auction/score_matrix.hpp"
 #include "common/ensure.hpp"
 
 namespace decloud::trace {
@@ -15,7 +12,6 @@ namespace decloud::trace {
 void assign_valuations(auction::MarketSnapshot& snapshot, const auction::AuctionConfig& config,
                        const ValuationConfig& valuation, Rng& rng) {
   DECLOUD_EXPECTS(valuation.coeff_lo > 0.0 && valuation.coeff_hi >= valuation.coeff_lo);
-  const auction::BlockScale scale(snapshot.requests, snapshot.offers);
 
   const auto base_cost_of = [&](const auction::Request& r, const auction::Offer& o) {
     switch (valuation.base) {
@@ -35,21 +31,20 @@ void assign_valuations(auction::MarketSnapshot& snapshot, const auction::Auction
   // 100k-request workload prices in seconds; the best sets are
   // bit-identical to the full-sort oracle (best_offers_reference), so every
   // priced workload and golden trace is unchanged.
-  const auction::ScoreMatrix scores(snapshot, scale);
-  const auction::CandidateIndex index(snapshot, scale, scores);
+  const auction::CandidateIndex index(snapshot);
   auction::CandidateIndex::Scratch scratch;
   for (std::size_t ri = 0; ri < snapshot.requests.size(); ++ri) {
     auto& r = snapshot.requests[ri];
     if (r.bid != 0.0) continue;  // caller already priced it
 
-    const auto best = index.best_offers(ri, snapshot, scores, config, scratch);
+    const auto best = index.best_offers(ri, config, scratch);
     double base_cost = 0.0;
     if (!best.empty()) {
       // best_offers sorts by offer index; re-rank by QoM to find o*.
       double best_q = -1.0;
       std::size_t best_o = best.front();
       for (const std::size_t o : best) {
-        const double q = scores.score_sparse(ri, o);
+        const double q = index.scores().score_sparse(ri, o);
         if (q > best_q) {
           best_q = q;
           best_o = o;

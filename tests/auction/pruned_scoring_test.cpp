@@ -89,21 +89,20 @@ MarketSnapshot random_snapshot(std::uint64_t seed, std::size_t num_requests,
 void expect_paths_identical(const MarketSnapshot& s, const std::string& label) {
   const AuctionConfig cfg;
   const BlockScale scale(s.requests, s.offers);
-  const ScoreMatrix scores(s, scale);
-  const CandidateIndex index(s, scale, scores);
+  const CandidateIndex index(s);
   CandidateIndex::Scratch scratch;
 
   for (std::size_t r = 0; r < s.requests.size(); ++r) {
     for (std::size_t o = 0; o < s.offers.size(); ++o) {
       const double q = quality_of_match(s.requests[r], s.offers[o], scale);
-      ASSERT_EQ(q, scores.score_sparse(r, o)) << label << " r=" << r << " o=" << o;
+      ASSERT_EQ(q, index.scores().score_sparse(r, o)) << label << " r=" << r << " o=" << o;
       // The static bound must dominate the computed q (the pruning
       // soundness condition, including its floating-point rounding).
       ASSERT_LE(q, index.upper_bound(o)) << label << " ub r=" << r << " o=" << o;
     }
 
     const auto reference = best_offers_reference(s.requests[r], s, scale, cfg);
-    ASSERT_EQ(reference, index.best_offers(r, s, scores, cfg, scratch))
+    ASSERT_EQ(reference, index.best_offers(r, cfg, scratch))
         << label << " index r=" << r;
   }
 }
@@ -201,13 +200,11 @@ TEST(PrunedScoringTest, ScoreSpanCountsScoredCandidates) {
     return std::uint64_t{0};
   };
 
-  const BlockScale scale(snapshot.requests, snapshot.offers);
-  const ScoreMatrix scores(snapshot, scale);
-  const CandidateIndex index(snapshot, scale, scores);
+  const CandidateIndex index(snapshot);
   CandidateIndex::Scratch scratch;
   std::uint64_t want = 0;
   for (std::size_t r = 0; r < snapshot.requests.size(); ++r) {
-    (void)index.best_offers(r, snapshot, scores, AuctionConfig{}, scratch);
+    (void)index.best_offers(r, AuctionConfig{}, scratch);
     want += scratch.scored;
   }
 
@@ -255,8 +252,7 @@ TEST(PrunedScoringTest, TieGroupDedupIsExact) {
   }
 
   const BlockScale scale(s.requests, s.offers);
-  const ScoreMatrix scores(s, scale);
-  const CandidateIndex index(s, scale, scores);
+  const CandidateIndex index(s);
   CandidateIndex::Scratch scratch;
   for (const std::size_t cap : {std::size_t{1}, std::size_t{4},
                                 CandidateIndex::kGroupCap,
@@ -265,7 +261,7 @@ TEST(PrunedScoringTest, TieGroupDedupIsExact) {
     cfg.max_best_offers = cap;
     for (std::size_t r = 0; r < s.requests.size(); ++r) {
       ASSERT_EQ(best_offers_reference(s.requests[r], s, scale, cfg),
-                index.best_offers(r, s, scores, cfg, scratch))
+                index.best_offers(r, cfg, scratch))
           << "cap=" << cap << " r=" << r;
     }
   }
@@ -295,8 +291,7 @@ TEST(PrunedScoringTest, TieGroupKeyIncludesMinReputation) {
   }
 
   const BlockScale scale(s.requests, s.offers);
-  const ScoreMatrix scores(s, scale);
-  const CandidateIndex index(s, scale, scores);
+  const CandidateIndex index(s);
   CandidateIndex::Scratch scratch;
   for (const std::size_t cap : {std::size_t{1}, std::size_t{4},
                                 CandidateIndex::kGroupCap + 2}) {
@@ -304,7 +299,7 @@ TEST(PrunedScoringTest, TieGroupKeyIncludesMinReputation) {
     cfg.max_best_offers = cap;
     for (std::size_t r = 0; r < s.requests.size(); ++r) {
       ASSERT_EQ(best_offers_reference(s.requests[r], s, scale, cfg),
-                index.best_offers(r, s, scores, cfg, scratch))
+                index.best_offers(r, cfg, scratch))
           << "cap=" << cap << " r=" << r;
     }
   }
@@ -313,7 +308,7 @@ TEST(PrunedScoringTest, TieGroupKeyIncludesMinReputation) {
   // the high-threshold catalog entries.
   const AuctionConfig cfg;
   EXPECT_EQ((std::vector<std::size_t>{20, 21, 22, 23}),
-            index.best_offers(0, s, scores, cfg, scratch));
+            index.best_offers(0, cfg, scratch));
 }
 
 // --- Bounded top-k tie-break regression (the (q, submitted, id) order the

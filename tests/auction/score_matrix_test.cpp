@@ -109,7 +109,7 @@ TEST(ScoreMatrixTest, WidthCoversLargestObservedId) {
   EXPECT_EQ(m.width(), std::size_t{ResourceSchema::kDisk} + 1);
 }
 
-// The best-offer query over a ScoreMatrix — a fresh CandidateIndex —
+// The best-offer query — a fresh CandidateIndex over its own ScoreMatrix —
 // returns the full-sort oracle's set.
 TEST(ScoreMatrixTest, BestOffersOverloadsAgree) {
   for (const std::uint64_t seed : {11u, 12u, 13u}) {
@@ -119,13 +119,12 @@ TEST(ScoreMatrixTest, BestOffersOverloadsAgree) {
     Rng rng(seed);
     const auto s = trace::make_workload(wc, AuctionConfig{}, rng);
     const BlockScale scale(s.requests, s.offers);
-    const ScoreMatrix m(s, scale);
     const AuctionConfig cfg;
-    const CandidateIndex index(s, scale, m);
+    const CandidateIndex index(s);
     CandidateIndex::Scratch scratch;
     for (std::size_t r = 0; r < s.requests.size(); ++r) {
       const auto want = best_offers_reference(s.requests[r], s, scale, cfg);
-      EXPECT_EQ(want, index.best_offers(r, s, m, cfg, scratch)) << "request " << r;
+      EXPECT_EQ(want, index.best_offers(r, cfg, scratch)) << "request " << r;
     }
   }
 }

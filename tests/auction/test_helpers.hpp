@@ -85,10 +85,8 @@ class OfferBuilder {
 /// built fresh over `s`.
 inline std::vector<std::size_t> index_best_offers(const MarketSnapshot& s, std::size_t r,
                                                   const AuctionConfig& cfg) {
-  const BlockScale scale(s.requests, s.offers);
-  const ScoreMatrix scores(s, scale);
   CandidateIndex::Scratch scratch;
-  return CandidateIndex(s, scale, scores).best_offers(r, s, scores, cfg, scratch);
+  return CandidateIndex(s).best_offers(r, cfg, scratch);
 }
 
 }  // namespace decloud::auction::test

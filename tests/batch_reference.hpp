@@ -30,7 +30,7 @@ inline engine::DriveOutcome drive_batch(
   const stream::StreamConfig timing;
   engine::DriveOutcome outcome;
   outcome.bids_generated = trace.order.size();
-  Time now = timing.start_time;
+  Time now = 0;  // close n is stamped n·epoch_interval, as in the stream
   for (std::size_t done = 0; done < trace.order.size(); now += timing.epoch_interval) {
     const std::size_t stop = std::min(trace.order.size(), done + batch);
     const std::uint64_t submitted = stop - done;

@@ -67,7 +67,7 @@ TEST(ProtocolFault, WithheldRevealExcludesOnlyThatSenderAndDebitsReputation) {
   protocol.mempool().submit(online.submit_offer(simple_offer(2, 0.2), rng));
 
   const RoundOutcome outcome =
-      protocol.run_round({&online, &withholder}, {Miner(params())}, 0);
+      protocol.run_round({&online, &withholder}, 1, 0);
 
   ASSERT_TRUE(outcome.block_accepted);
   EXPECT_EQ(outcome.snapshot.requests.size(), 1u);  // withholder's request gone
@@ -75,10 +75,8 @@ TEST(ProtocolFault, WithheldRevealExcludesOnlyThatSenderAndDebitsReputation) {
   EXPECT_EQ(outcome.fault.reveals_withheld, 1u);
   EXPECT_EQ(outcome.fault.bids_unopened, 1u);
   ASSERT_EQ(outcome.fault.penalized.size(), 1u);
-  // One multiplicative withhold_factor hit off the initial score.
-  const ReputationConfig reputation;
-  EXPECT_DOUBLE_EQ(protocol.contract().reputation().score(outcome.fault.penalized[0]),
-                   reputation.initial * reputation.withhold_factor);
+  // One multiplicative withhold hit (×0.5) off the initial score 1.0.
+  EXPECT_DOUBLE_EQ(protocol.contract().reputation().score(outcome.fault.penalized[0]), 0.5);
   // The withholder never saw a reveal request honored: its wallet still
   // holds the bid for a later round.
   EXPECT_EQ(withholder.pending_bids(), 1u);
@@ -100,8 +98,7 @@ TEST(ProtocolFault, QuorumToleratesADishonestMinority) {
   protocol.mempool().submit(wallet.submit_request(simple_request(1, 5.0), rng));
   protocol.mempool().submit(wallet.submit_offer(simple_offer(1, 0.1), rng));
 
-  const std::vector<Miner> verifiers(3, Miner(p));
-  const RoundOutcome outcome = protocol.run_round({&wallet}, verifiers, 0);
+  const RoundOutcome outcome = protocol.run_round({&wallet}, 3, 0);
 
   EXPECT_TRUE(outcome.block_accepted);  // 2 of 3 honest accepts reach quorum
   EXPECT_EQ(outcome.verifier_votes, (std::vector<bool>{true, false, true}));
@@ -121,8 +118,7 @@ TEST(ProtocolFault, UnanimityRejectsOnOneDishonestVote) {
   Participant wallet(rng);
   protocol.mempool().submit(wallet.submit_request(simple_request(1, 5.0), rng));
 
-  const std::vector<Miner> verifiers(2, Miner(params()));
-  const RoundOutcome outcome = protocol.run_round({&wallet}, verifiers, 0);
+  const RoundOutcome outcome = protocol.run_round({&wallet}, 2, 0);
 
   EXPECT_FALSE(outcome.block_accepted);
   EXPECT_EQ(outcome.verifier_votes, (std::vector<bool>{false, true}));
@@ -149,7 +145,7 @@ TEST(ProtocolFault, CorruptedAllocationIsReminedWithinBudget) {
   protocol.mempool().submit(wallet.submit_offer(simple_offer(1, 0.1), rng));
   protocol.mempool().submit(wallet.submit_offer(simple_offer(2, 0.2), rng));
 
-  const RoundOutcome outcome = protocol.run_round({&wallet}, {Miner(p)}, 0);
+  const RoundOutcome outcome = protocol.run_round({&wallet}, 1, 0);
 
   EXPECT_TRUE(outcome.block_accepted);
   EXPECT_TRUE(outcome.fault.allocation_corrupted);
@@ -180,7 +176,7 @@ TEST(ProtocolFault, RemineExcludesTheWithheldBids) {
   protocol.mempool().submit(online.submit_offer(simple_offer(1, 0.1), rng));
 
   const RoundOutcome outcome =
-      protocol.run_round({&online, &withholder}, {Miner(p)}, 0);
+      protocol.run_round({&online, &withholder}, 1, 0);
 
   ASSERT_TRUE(outcome.block_accepted);
   EXPECT_EQ(outcome.fault.remine_attempts, 1u);
@@ -201,7 +197,7 @@ TEST(ProtocolFault, TamperedSealedBidIsDroppedBeforeMining) {
   protocol.mempool().submit(wallet.submit_request(simple_request(2, 5.0), rng));
   protocol.mempool().submit(wallet.submit_offer(simple_offer(1, 0.1), rng));
 
-  const RoundOutcome outcome = protocol.run_round({&wallet}, {Miner(params())}, 0);
+  const RoundOutcome outcome = protocol.run_round({&wallet}, 1, 0);
 
   ASSERT_TRUE(outcome.block_accepted);
   EXPECT_EQ(outcome.fault.bids_invalid_dropped, 1u);
@@ -232,7 +228,7 @@ TEST(ProtocolFault, ChaosRoundReplaysByteIdentically) {
       protocol.mempool().submit(
           providers.submit_offer(simple_offer(round * 10 + 1, 0.2), rng));
       const RoundOutcome outcome = protocol.run_round(
-          {&clients, &providers}, std::vector<Miner>(3, Miner(p)), Time(round * 100));
+          {&clients, &providers}, 3, Time(round * 100));
       transcript += outcome_json(outcome);
       transcript += '\n';
     }

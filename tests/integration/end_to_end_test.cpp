@@ -31,8 +31,7 @@ TEST(EndToEnd, TraceWorkloadThroughInProcessProtocol) {
     protocol.mempool().submit(providers.submit_offer(o, rng));
   }
 
-  const std::vector<ledger::Miner> verifiers(3, ledger::Miner(params));
-  const auto outcome = protocol.run_round({&clients, &providers}, verifiers, 1000);
+  const auto outcome = protocol.run_round({&clients, &providers}, /*verifiers=*/3, 1000);
 
   ASSERT_TRUE(outcome.block_accepted);
   EXPECT_EQ(outcome.snapshot.requests.size(), 40u);

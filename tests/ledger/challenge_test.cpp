@@ -9,7 +9,7 @@
 namespace decloud::ledger {
 namespace {
 
-/// A mined block with a valid body, plus the verifier pool.
+/// A mined block with a valid body, plus the verifier pool size.
 struct Game {
   Rng rng{5};
   ConsensusParams params{.difficulty_bits = 8};
@@ -17,7 +17,7 @@ struct Game {
   Participant wallet{rng};
   BlockPreamble preamble;
   BlockBody body;
-  std::vector<Miner> pool;
+  std::size_t pool = 5;
 
   Game() {
     std::vector<SealedBid> bids;
@@ -37,10 +37,9 @@ struct Game {
     o.bid = 0.1;
     bids.push_back(wallet.submit_offer(o, rng));
 
-    preamble = *producer.mine_preamble(std::move(bids), crypto::Digest{}, 0, 0);
+    preamble = producer.mine_preamble(std::move(bids), crypto::Digest{}, 0, 0);
     const auto reveals = wallet.on_preamble(preamble);
     body = producer.compute_body(preamble, reveals);
-    pool.assign(5, Miner(params));
   }
 };
 
@@ -72,7 +71,7 @@ TEST(SampleChallengers, IndependentOfAllocationLottery) {
 TEST(ChallengeGame, HonestBlockSurvives) {
   Game g;
   const ChallengeConfig cfg;
-  const auto outcome = run_challenge_game(g.preamble, g.body, g.pool, cfg);
+  const auto outcome = run_challenge_game(g.preamble, g.body, g.params, g.pool, cfg);
   EXPECT_FALSE(outcome.fraud_proven);
   EXPECT_TRUE(outcome.block_accepted());
   EXPECT_DOUBLE_EQ(outcome.producer_delta, 0.0);
@@ -87,7 +86,7 @@ TEST(ChallengeGame, TamperedBodyIsSlashed) {
   ChallengeConfig cfg;
   cfg.producer_deposit = 10.0;
   cfg.challenger_reward_share = 0.5;
-  const auto outcome = run_challenge_game(g.preamble, forged, g.pool, cfg);
+  const auto outcome = run_challenge_game(g.preamble, forged, g.params, g.pool, cfg);
   ASSERT_TRUE(outcome.fraud_proven);
   EXPECT_FALSE(outcome.block_accepted());
   EXPECT_DOUBLE_EQ(outcome.producer_delta, -10.0);
@@ -106,7 +105,7 @@ TEST(ChallengeGame, NoChallengersMeansNoDetection) {
   forged.allocation.back() ^= 0x55;
   ChallengeConfig cfg;
   cfg.num_challengers = 0;
-  const auto outcome = run_challenge_game(g.preamble, forged, g.pool, cfg);
+  const auto outcome = run_challenge_game(g.preamble, forged, g.params, g.pool, cfg);
   EXPECT_FALSE(outcome.fraud_proven);
   EXPECT_TRUE(outcome.block_accepted());  // fraud slips through, by design
 }
@@ -115,7 +114,7 @@ TEST(ChallengeGame, RewardShareValidated) {
   Game g;
   ChallengeConfig cfg;
   cfg.challenger_reward_share = 1.5;
-  EXPECT_THROW(run_challenge_game(g.preamble, g.body, g.pool, cfg), precondition_error);
+  EXPECT_THROW(run_challenge_game(g.preamble, g.body, g.params, g.pool, cfg), precondition_error);
 }
 
 }  // namespace

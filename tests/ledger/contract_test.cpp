@@ -177,61 +177,38 @@ TEST(Reputation, ScoreIsClampedToZeroUnderAnyPenaltyBarrage) {
 }
 
 TEST(Reputation, RepeatedDenialsInOneRoundCompoundByStreakLength) {
-  ReputationConfig config;
-  config.initial = 1.0;
-  config.denial_factor = 0.5;
-  ReputationRegistry registry(config);
+  ReputationRegistry registry;
   const ClientId flake(2);
   // Streak arithmetic: the k-th consecutive denial multiplies by
-  // factor^k, so three denials in one round cost factor^(1+2+3).
+  // 0.8^k, so three denials in one round cost 0.8^(1+2+3).
   registry.record_deny(flake);
-  EXPECT_DOUBLE_EQ(registry.score(flake), 0.5);
+  EXPECT_DOUBLE_EQ(registry.score(flake), 0.8);
   registry.record_deny(flake);
-  EXPECT_DOUBLE_EQ(registry.score(flake), 0.5 * 0.25);
+  EXPECT_DOUBLE_EQ(registry.score(flake), 0.8 * 0.8 * 0.8);
   registry.record_deny(flake);
-  EXPECT_DOUBLE_EQ(registry.score(flake), 0.5 * 0.25 * 0.125);
+  EXPECT_DOUBLE_EQ(registry.score(flake), 0.8 * 0.8 * 0.8 * 0.8 * 0.8 * 0.8);
   EXPECT_EQ(registry.consecutive_denials(flake), 3u);
 }
 
-TEST(Reputation, ZeroRecoveryConfigNeverHeals) {
-  ReputationConfig config;
-  config.recovery = 0.0;
-  ReputationRegistry registry(config);
-  const ClientId client(3);
-  registry.record_deny(client);
-  const double after_deny = registry.score(client);
-  for (int i = 0; i < 50; ++i) registry.record_accept(client);
-  // Accepts still reset the streak, but with zero recovery the score is
-  // stuck where the denial left it.
-  EXPECT_DOUBLE_EQ(registry.score(client), after_deny);
-  EXPECT_EQ(registry.consecutive_denials(client), 0u);
-  registry.record_deny(client);
-  EXPECT_DOUBLE_EQ(registry.score(client), after_deny * config.denial_factor);
-}
-
 TEST(Reputation, WithholdPenaltyHasNoStreakEscalation) {
-  ReputationConfig config;
-  config.withhold_factor = 0.5;
-  ReputationRegistry registry(config);
+  ReputationRegistry registry;
   const ClientId client(4);
   registry.record_withhold(client);
   registry.record_withhold(client);
   registry.record_withhold(client);
-  // Flat multiplicative hits: factor^3, not factor^(1+2+3).
+  // Flat multiplicative hits: 0.5^3, not 0.5^(1+2+3).
   EXPECT_DOUBLE_EQ(registry.score(client), 0.125);
   EXPECT_EQ(registry.consecutive_denials(client), 0u);  // not a denial
   // A later denial starts its streak from one.
   registry.record_deny(client);
-  EXPECT_DOUBLE_EQ(registry.score(client), 0.125 * config.denial_factor);
+  EXPECT_DOUBLE_EQ(registry.score(client), 0.125 * 0.8);
 }
 
 TEST(Reputation, WithholdFlowsThroughTheContract) {
   AgreementContract contract;
   const ClientId address(99);
   contract.penalize_withhold(address);
-  const ReputationConfig config;
-  EXPECT_DOUBLE_EQ(contract.reputation().score(address),
-                   config.initial * config.withhold_factor);
+  EXPECT_DOUBLE_EQ(contract.reputation().score(address), 0.5);
 }
 
 TEST(Reputation, ContractRecordsThroughAcceptDeny) {

@@ -43,7 +43,7 @@ struct Round {
       o.bid = 0.1 + 0.1 * static_cast<double>(i);
       bids.push_back(bob.submit_offer(o, rng));
     }
-    preamble = *miner.mine_preamble(std::move(bids), crypto::Digest{}, 0, 1000);
+    preamble = miner.mine_preamble(std::move(bids), crypto::Digest{}, 0, 1000);
     auto ra = alice.on_preamble(preamble);
     auto rb = bob.on_preamble(preamble);
     reveals = ra;
@@ -159,13 +159,6 @@ TEST(Miner, VerifyRejectsDivergentConsensusConfig) {
   // produce the same bytes; for this workload the clustering differs.
   EXPECT_FALSE(dissenter.verify_body(round.preamble, body) &&
                !round.miner.verify_body(round.preamble, body));
-}
-
-TEST(Miner, PowExhaustionReturnsNullopt) {
-  ConsensusParams params{.difficulty_bits = 40};
-  params.max_pow_attempts = 10;
-  const Miner miner(params);
-  EXPECT_FALSE(miner.mine_preamble({}, crypto::Digest{}, 0, 0).has_value());
 }
 
 }  // namespace

@@ -39,15 +39,16 @@ TEST(Mempool, DrainsInSubmissionOrder) {
   Mempool pool;
   Rng rng(1);
   Participant wallet(rng);
-  pool.submit(wallet.submit_request(simple_request(1, 1.0), rng));
-  pool.submit(wallet.submit_request(simple_request(2, 2.0), rng));
-  pool.submit(wallet.submit_request(simple_request(3, 3.0), rng));
+  std::vector<crypto::Digest> submitted;
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    SealedBid bid = wallet.submit_request(simple_request(id, static_cast<double>(id)), rng);
+    submitted.push_back(bid.digest());
+    pool.submit(std::move(bid));
+  }
   EXPECT_EQ(pool.size(), 3u);
-  const auto two = pool.drain(2);
-  EXPECT_EQ(two.size(), 2u);
-  EXPECT_EQ(pool.size(), 1u);
-  const auto rest = pool.drain();
-  EXPECT_EQ(rest.size(), 1u);
+  const auto all = pool.drain();
+  ASSERT_EQ(all.size(), 3u);
+  for (std::size_t i = 0; i < all.size(); ++i) EXPECT_EQ(all[i].digest(), submitted[i]);
   EXPECT_EQ(pool.size(), 0u);
 }
 
@@ -65,17 +66,6 @@ TEST(Mempool, RejectsDuplicateSealedBids) {
   (void)pool.drain();
   EXPECT_EQ(pool.submit(copy), Mempool::Admission::kAccepted);
   EXPECT_EQ(pool.size(), 1u);
-
-  // A partial drain only forgets what left the pool.
-  Mempool partial;
-  SealedBid first = wallet.submit_request(simple_request(2, 1.0), rng);
-  const SealedBid second = wallet.submit_request(simple_request(3, 1.0), rng);
-  const SealedBid first_copy = first;
-  partial.submit(std::move(first));
-  partial.submit(second);
-  EXPECT_EQ(partial.drain(1).size(), 1u);
-  EXPECT_EQ(partial.submit(first_copy), Mempool::Admission::kAccepted);  // left with the drain
-  EXPECT_EQ(partial.submit(second), Mempool::Admission::kDuplicate);     // still pooled
 }
 
 TEST(Protocol, FullRoundProducesAcceptedBlock) {
@@ -92,8 +82,7 @@ TEST(Protocol, FullRoundProducesAcceptedBlock) {
         providers.submit_offer(simple_offer(i, 0.1 + 0.05 * static_cast<double>(i)), rng));
   }
 
-  const std::vector<Miner> verifiers(3, Miner(params()));
-  const RoundOutcome outcome = protocol.run_round({&clients, &providers}, verifiers, 1000);
+  const RoundOutcome outcome = protocol.run_round({&clients, &providers}, 3, 1000);
 
   EXPECT_TRUE(outcome.block_accepted);
   EXPECT_EQ(outcome.verifier_votes, (std::vector<bool>{true, true, true}));
@@ -110,7 +99,7 @@ TEST(Protocol, FullRoundProducesAcceptedBlock) {
 
 TEST(Protocol, EmptyRoundStillExtendsChain) {
   LedgerProtocol protocol(params());
-  const RoundOutcome outcome = protocol.run_round({}, {Miner(params())}, 0);
+  const RoundOutcome outcome = protocol.run_round({}, 1, 0);
   EXPECT_TRUE(outcome.block_accepted);
   EXPECT_TRUE(outcome.result.matches.empty());
   EXPECT_EQ(protocol.chain().height(), 1u);
@@ -120,7 +109,7 @@ TEST(Protocol, SuccessiveRoundsLinkBlocks) {
   LedgerProtocol protocol(params());
   Rng rng(3);
   Participant wallet(rng);
-  const std::vector<Miner> verifiers(2, Miner(params()));
+  const std::size_t verifiers = 2;
 
   protocol.mempool().submit(wallet.submit_request(simple_request(1, 2.0), rng));
   protocol.mempool().submit(wallet.submit_offer(simple_offer(1, 0.1), rng));
@@ -144,7 +133,7 @@ TEST(Protocol, AgreementsFlowThroughContract) {
   protocol.mempool().submit(wallet.submit_request(simple_request(1, 5.0), rng));
   protocol.mempool().submit(wallet.submit_offer(simple_offer(1, 0.1), rng));
   protocol.mempool().submit(wallet.submit_offer(simple_offer(2, 0.2), rng));
-  const RoundOutcome outcome = protocol.run_round({&wallet}, {Miner(params())}, 0);
+  const RoundOutcome outcome = protocol.run_round({&wallet}, 1, 0);
   ASSERT_TRUE(outcome.block_accepted);
   ASSERT_EQ(outcome.agreements.size(), 1u);
 
@@ -166,10 +155,49 @@ TEST(Protocol, AbsentParticipantsBidsStaySealed) {
   protocol.mempool().submit(online.submit_offer(simple_offer(2, 0.2), rng));
 
   // Only `online` participates in the reveal phase.
-  const RoundOutcome outcome = protocol.run_round({&online}, {Miner(params())}, 0);
+  const RoundOutcome outcome = protocol.run_round({&online}, 1, 0);
   ASSERT_TRUE(outcome.block_accepted);
   EXPECT_EQ(outcome.snapshot.requests.size(), 1u);  // offline's request missing
   EXPECT_EQ(offline.pending_bids(), 1u);            // still awaiting a preamble
+}
+
+TEST(Protocol, ReputationGateReadsTheRegistryNotTheBid) {
+  // Offer::min_reputation gates the client's on-chain score (Section
+  // III-B), not the reputation the client sealed into its own bid.
+  LedgerProtocol protocol(params());
+  Rng rng(6);
+  Participant wallet(rng);
+  const ClientId flake(7);
+
+  // Round 1: the client is matched, then denies the agreement through the
+  // contract, which costs it one denial (score 1.0 → 0.8).
+  auction::Request first = simple_request(1, 5.0);
+  first.client = flake;
+  protocol.mempool().submit(wallet.submit_request(first, rng));
+  protocol.mempool().submit(wallet.submit_offer(simple_offer(1, 0.1), rng));
+  protocol.mempool().submit(wallet.submit_offer(simple_offer(2, 0.2), rng));
+  const RoundOutcome matched = protocol.run_round({&wallet}, 1, 0);
+  ASSERT_TRUE(matched.block_accepted);
+  ASSERT_EQ(matched.agreements.size(), 1u);
+  ASSERT_TRUE(protocol.contract().deny(matched.agreements[0], flake));
+  ASSERT_DOUBLE_EQ(protocol.contract().reputation().score(flake), 0.8);
+
+  // Round 2: the same client self-reports 1.0 against offers that demand
+  // 0.9.  The registry's 0.8 is what every miner stamps, so no trade.
+  auction::Request second = simple_request(2, 5.0);
+  second.client = flake;
+  second.reputation = 1.0;
+  protocol.mempool().submit(wallet.submit_request(second, rng));
+  for (std::uint64_t id = 3; id <= 4; ++id) {
+    auction::Offer gated = simple_offer(id, 0.1);
+    gated.min_reputation = 0.9;
+    protocol.mempool().submit(wallet.submit_offer(gated, rng));
+  }
+  const RoundOutcome refused = protocol.run_round({&wallet}, 1, 600);
+  ASSERT_TRUE(refused.block_accepted);  // producer and verifier stamped alike
+  ASSERT_EQ(refused.snapshot.requests.size(), 1u);
+  EXPECT_DOUBLE_EQ(refused.snapshot.requests[0].reputation, 0.8);
+  EXPECT_TRUE(refused.result.matches.empty());
 }
 
 }  // namespace

@@ -59,19 +59,18 @@ TEST_P(LedgerSweep, FullRoundVerifiesAndTamperingIsCaught) {
   for (const auto& r : market.requests) bids.push_back(wallet.submit_request(r, rng));
   for (const auto& o : market.offers) bids.push_back(wallet.submit_offer(o, rng));
 
-  auto preamble = producer.mine_preamble(std::move(bids), crypto::Digest{}, 0, 1);
-  ASSERT_TRUE(preamble.has_value());
-  const auto reveals = wallet.on_preamble(*preamble);
+  const BlockPreamble preamble = producer.mine_preamble(std::move(bids), crypto::Digest{}, 0, 1);
+  const auto reveals = wallet.on_preamble(preamble);
   ASSERT_EQ(reveals.size(), market.requests.size() + market.offers.size());
 
-  const BlockBody body = producer.compute_body(*preamble, reveals);
-  EXPECT_TRUE(producer.verify_body(*preamble, body));
+  const BlockBody body = producer.compute_body(preamble, reveals);
+  EXPECT_TRUE(producer.verify_body(preamble, body));
 
   // Any single-byte tamper in the allocation is caught.
   BlockBody tampered = body;
   if (!tampered.allocation.empty()) {
     tampered.allocation[tampered.allocation.size() / 2] ^= 0x40;
-    EXPECT_FALSE(producer.verify_body(*preamble, tampered));
+    EXPECT_FALSE(producer.verify_body(preamble, tampered));
   }
 }
 

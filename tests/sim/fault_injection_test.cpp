@@ -128,7 +128,7 @@ TEST(FaultInjection, LostRevealsExcludeOnlyTheirOwners) {
   }
 
   // Only `lucky` reveals (unlucky's reveal messages all "got lost").
-  const auto outcome = protocol.run_round({&lucky}, {ledger::Miner(params)}, 0);
+  const auto outcome = protocol.run_round({&lucky}, /*verifiers=*/1, 0);
   ASSERT_TRUE(outcome.block_accepted);
   EXPECT_EQ(outcome.snapshot.requests.size(), 3u);   // only lucky's requests
   EXPECT_EQ(outcome.snapshot.offers.size(), 4u);

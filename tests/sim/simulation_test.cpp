@@ -112,12 +112,12 @@ TEST(Simulation, ByzantineBodyIsRejectedByVerifiers) {
   // Assemble a preamble over everything miner 0 would have pooled; mine it.
   // (We cannot reach into MinerNode's mempool, so mine over an empty set
   // and forge the body — verifiers must still reject the bad bytes.)
-  auto preamble = producer.mine_preamble({}, sim.miner(0).chain().tip_hash(), 0, 0);
-  ASSERT_TRUE(preamble.has_value());
-  ledger::BlockBody body = producer.compute_body(*preamble, {});
+  const ledger::BlockPreamble preamble =
+      producer.mine_preamble({}, sim.miner(0).chain().tip_hash(), 0, 0);
+  ledger::BlockBody body = producer.compute_body(preamble, {});
   body.allocation.push_back(0xde);  // forged trailing bytes
 
-  sim.network().broadcast(NodeId(0), PreambleMsg{*preamble});
+  sim.network().broadcast(NodeId(0), PreambleMsg{preamble});
   sim.queue().run();
   sim.network().broadcast(NodeId(0), BodyMsg{0, body});
   sim.queue().run();

@@ -19,6 +19,9 @@
 //                  the kill-and-recover oracle ROADMAP item 5's WAL
 //                  replay will assert with.
 //
+// A failed write of the summary or the --jsonl export prints
+// "journal_query: cannot write stdout" and exits 1.
+//
 // Filters compose (AND).  The summary of a filtered view recomputes the
 // aggregates over the surviving events only.
 #include <cinttypes>
@@ -158,7 +161,7 @@ void print_jsonl(const journal::Journal& journal, const Filter& filter) {
       filter.ring == SIZE_MAX && filter.kind < 0 && filter.epoch == UINT64_MAX;
   if (unfiltered) {
     const std::string out = journal.export_jsonl();
-    std::fwrite(out.data(), 1, out.size(), stdout);
+    std::fwrite(out.data(), 1, out.size(), stdout);  // main checks ferror(stdout)
     return;
   }
   for (std::size_t ring = 0; ring < journal.num_rings(); ++ring) {
@@ -240,6 +243,12 @@ int main(int argc, char** argv) {
   } catch (const std::exception& e) {
     std::fprintf(stderr, "journal_query: malformed journal %s: %s\n", journal_path, e.what());
     return 2;
+  }
+  // stdio keeps a failed write's error on the stream, so one flush and
+  // ferror check covers every write of the summary or the export.
+  if (std::fflush(stdout) != 0 || std::ferror(stdout) != 0) {
+    std::fprintf(stderr, "journal_query: cannot write stdout\n");
+    return 1;
   }
   return 0;
 }
