@@ -12,13 +12,17 @@
 //         request's reported valuation (Theorem: IR, Section IV);
 //       - the excluded price-setter (and every same-client/provider bid in
 //         the auction) is never allocated (trade reduction, Theorem: DSIC);
-//   * check_round — after the full round:
+//   * check_round — after the full round, the one round checker:
+//       - every verify_invariants check (constraints (5), (7), (8), (10),
+//         (11), IR and strong budget balance within 1e-6), failing on the
+//         first violation; payment checks follow config.truthful, so the
+//         non-truthful benchmark path is checked for feasibility only;
 //       - strong budget balance: Σ client payments == Σ provider revenues
 //         EXACTLY (bitwise — revenues are sums of the same payment terms
-//         in the same order, so fp rounding cannot diverge);
-//       - per-participant settlement vectors reconcile with the match
-//         list; every request trades at most once (constraint 5);
-//       - counter sanity (reduced ≤ tentative, fractions in [0, 1]).
+//         in the same order, so fp rounding cannot diverge), and the
+//         per-participant settlement vectors reconcile exactly with the
+//         match list;
+//       - every payment is finite, and reduced ≤ tentative trades.
 //
 // See common/audit.hpp for the enable story (`audit::kEnabled`).
 #pragma once
@@ -27,6 +31,7 @@
 #include <vector>
 
 #include "auction/allocation.hpp"
+#include "auction/config.hpp"
 #include "auction/miniauction.hpp"
 #include "auction/trade_reduction.hpp"
 #include "common/audit.hpp"
@@ -49,7 +54,9 @@ void check_mini_auction(const MarketSnapshot& snapshot,
                         const std::vector<char>& tradeable_before, const RoundResult& result,
                         std::size_t first_match);
 
-/// Audits the completed round result against its snapshot.
-void check_round(const MarketSnapshot& snapshot, const RoundResult& result);
+/// Audits the completed round result against its snapshot under the
+/// configuration that produced it.
+void check_round(const MarketSnapshot& snapshot, const RoundResult& result,
+                 const AuctionConfig& config);
 
 }  // namespace decloud::auction::audit

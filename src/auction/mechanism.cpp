@@ -111,7 +111,7 @@ RoundResult DeCloudAuction::run(const MarketSnapshot& snapshot, std::uint64_t se
   result.payment_by_request.assign(snapshot.requests.size(), 0.0);
   result.revenue_by_offer.assign(snapshot.offers.size(), 0.0);
   if (snapshot.requests.empty() || snapshot.offers.empty()) {
-    if constexpr (audit::kEnabled) audit::check_round(snapshot, result);
+    if constexpr (audit::kEnabled) audit::check_round(snapshot, result, config_);
     record_round(sink, snapshot, result);
     return result;
   }
@@ -192,7 +192,7 @@ RoundResult DeCloudAuction::run(const MarketSnapshot& snapshot, std::uint64_t se
                          m.consumed);
         }
       }
-      if constexpr (audit::kEnabled) audit::check_round(snapshot, result);
+      if constexpr (audit::kEnabled) audit::check_round(snapshot, result, config_);
       record_round(sink, snapshot, result);
       return result;
     }
@@ -405,7 +405,7 @@ RoundResult DeCloudAuction::run(const MarketSnapshot& snapshot, std::uint64_t se
   // lost to the price-setter exclusion and the price filter (the paper's
   // Fig. 5c metric).  Welfare lost to the verifiable lottery shows up in
   // the welfare figures instead.
-  if constexpr (audit::kEnabled) audit::check_round(snapshot, result);
+  if constexpr (audit::kEnabled) audit::check_round(snapshot, result, config_);
   record_round(sink, snapshot, result);
   return result;
 }

@@ -5,7 +5,6 @@
 #include <map>
 
 #include "auction/feasibility.hpp"
-#include "auction/mechanism.hpp"
 #include "common/ensure.hpp"
 
 namespace decloud::auction {
@@ -32,6 +31,16 @@ VerificationReport verify_invariants(const MarketSnapshot& snapshot, const Round
                       "flexibility must lie in (0, 1]");
   VerificationReport report;
   auto fail = [&](std::string msg) { report.violations.push_back(std::move(msg)); };
+
+  // The settlement vectors must align with the snapshot before anything
+  // below indexes them.
+  if (result.payment_by_request.size() != snapshot.requests.size() ||
+      result.revenue_by_offer.size() != snapshot.offers.size()) {
+    fail(cat("settlement vectors hold ", result.payment_by_request.size(), " payments and ",
+             result.revenue_by_offer.size(), " revenues for ", snapshot.requests.size(),
+             " requests and ", snapshot.offers.size(), " offers"));
+    return report;
+  }
 
   // Constraint (5): each request matched at most once.
   std::vector<std::size_t> match_count(snapshot.requests.size(), 0);
@@ -84,9 +93,9 @@ VerificationReport verify_invariants(const MarketSnapshot& snapshot, const Round
   for (const auto& [offer, acc] : load) {
     const Offer& o = snapshot.offers[offer];
     for (const auto& e : acc.entries()) {
-      // Aggregate granted demand may not exceed capacity except for the
-      // bounded overshoot flexibility allows on the *last* co-located
-      // container; tolerate the flexibility slack.
+      // Aggregate granted demand may not exceed capacity: flexibility
+      // lowers what a request is granted, never what an offer holds, so
+      // the only slack is kMoneyTolerance (1e-6) of fp rounding.
       const double cap = o.resources.get(e.type);
       if (e.amount > cap + kMoneyTolerance) {
         fail(cat("offer ", offer, " oversubscribed on resource ", e.type, " (", e.amount, " > ", cap, ") (constraint 7)"));
@@ -96,9 +105,7 @@ VerificationReport verify_invariants(const MarketSnapshot& snapshot, const Round
 
   if (check_payments) {
     // Individual rationality: winners pay at most their bid; losers pay 0.
-    std::vector<char> matched(snapshot.requests.size(), 0);
     for (const Match& m : result.matches) {
-      matched[m.request] = 1;
       const Request& r = snapshot.requests[m.request];
       if (m.payment > r.bid + kMoneyTolerance) {
         fail(cat("request ", m.request, " pays ", m.payment, " above its bid ", r.bid, " (IR)"));
@@ -108,7 +115,7 @@ VerificationReport verify_invariants(const MarketSnapshot& snapshot, const Round
       }
     }
     for (std::size_t r = 0; r < snapshot.requests.size(); ++r) {
-      if (!matched[r] && std::abs(result.payment_by_request[r]) > kMoneyTolerance) {
+      if (match_count[r] == 0 && std::abs(result.payment_by_request[r]) > kMoneyTolerance) {
         fail(cat("unallocated request ", r, " has nonzero payment (IR)"));
       }
     }
@@ -127,32 +134,6 @@ VerificationReport verify_invariants(const MarketSnapshot& snapshot, const Round
     }
   }
 
-  return report;
-}
-
-VerificationReport verify_replay(const MarketSnapshot& snapshot, const RoundResult& claimed,
-                                 const AuctionConfig& config, std::uint64_t seed) {
-  DECLOUD_EXPECTS_MSG(config.flexibility > 0.0 && config.flexibility <= 1.0,
-                      "flexibility must lie in (0, 1]");
-  VerificationReport report;
-  const RoundResult replay = DeCloudAuction(config).run(snapshot, seed);
-
-  if (replay.matches.size() != claimed.matches.size()) {
-    report.violations.push_back(cat("replay produced ", replay.matches.size(), " matches, block claims ", claimed.matches.size()));
-    return report;
-  }
-  for (std::size_t i = 0; i < replay.matches.size(); ++i) {
-    const Match& a = replay.matches[i];
-    const Match& b = claimed.matches[i];
-    if (a.request != b.request || a.offer != b.offer ||
-        std::abs(a.payment - b.payment) > kMoneyTolerance) {
-      report.violations.push_back(
-          cat("match ", i, " differs from replay (claimed r=", b.request, ",o=", b.offer, ",pay=", b.payment, "; replay r=", a.request, ",o=", a.offer, ",pay=", a.payment, ")"));
-    }
-  }
-  if (std::abs(replay.total_payments - claimed.total_payments) > kMoneyTolerance) {
-    report.violations.push_back("total payments differ from replay");
-  }
   return report;
 }
 

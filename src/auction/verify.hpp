@@ -1,14 +1,13 @@
-// Allocation verification — the checks every miner runs before accepting a
-// block body (Section III-B: "They also verify the accuracy of the
-// allocation algorithm execution").
+// Allocation invariants — the structural and economic checks of Section
+// III-B ("They also verify the accuracy of the allocation algorithm
+// execution") that hold for any sound RoundResult against its snapshot.
 //
-// Two layers:
-//   * verify_invariants — structural/economic soundness of any RoundResult
-//     against its snapshot: constraints (5), (7), (8), (10), (11),
-//     individual rationality and strong budget balance;
-//   * verify_replay — bit-exact re-execution of the mechanism from the
-//     block evidence and comparison with the claimed result (possible
-//     because the whole pipeline is deterministic).
+// Miners accept a block by re-running the mechanism and comparing bytes
+// (ledger::Miner::verify_body), the one replay.  verify_invariants checks,
+// without any replay, that a result is economically sound: constraints
+// (5), (7), (8), (10), (11), individual rationality and strong budget
+// balance.  The DECLOUD_AUDIT build runs it on every mechanism round
+// (audit::check_round).
 #pragma once
 
 #include <string>
@@ -34,11 +33,5 @@ struct VerificationReport {
                                                    const RoundResult& result,
                                                    const AuctionConfig& config,
                                                    bool check_payments = true);
-
-/// Re-runs the mechanism with (config, seed) and checks the claimed result
-/// matches the replay exactly (same matches, same payments).
-[[nodiscard]] VerificationReport verify_replay(const MarketSnapshot& snapshot,
-                                               const RoundResult& claimed,
-                                               const AuctionConfig& config, std::uint64_t seed);
 
 }  // namespace decloud::auction

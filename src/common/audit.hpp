@@ -1,10 +1,11 @@
 // Compiled-in mechanism-invariant audits — the DECLOUD_AUDIT build option.
 //
-// verify.cpp gives miners a *post-hoc* check of a claimed RoundResult; the
-// audit layer is different: it fires *inside* the mechanism while the
-// internal state (cluster economics, price quotes, per-auction match
-// ranges) is still in scope, so it can check properties the public result
-// alone cannot express — e.g. that the clearing price really is
+// verify.cpp checks a RoundResult *post hoc*, from the public result and
+// its snapshot; the audit layer runs those checks on every round
+// (auction::audit::check_round) and also fires *inside* the mechanism
+// while the internal state (cluster economics, price quotes, per-auction
+// match ranges) is still in scope, so it can check properties the public
+// result alone cannot express — e.g. that the clearing price really is
 // min(v̂_z, ĉ_{z'+1}) over the live clusters of the mini-auction.
 //
 // The audit functions are ALWAYS compiled (tests call them directly, and

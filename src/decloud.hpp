@@ -32,7 +32,6 @@
 
 // The distributed ledger and the two-phase bid exposure protocol
 #include "ledger/block.hpp"
-#include "ledger/challenge.hpp"
 #include "ledger/codec.hpp"
 #include "ledger/contract.hpp"
 #include "ledger/market.hpp"

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "auction/mechanism.hpp"
 #include "common/rng.hpp"
 #include "test_helpers.hpp"
@@ -32,7 +35,7 @@ TEST(AuditRound, PassesOnRealMechanismOutput) {
   const MarketSnapshot s = trading_market();
   const RoundResult r = DeCloudAuction{}.run(s, 1);
   ASSERT_FALSE(r.matches.empty());
-  EXPECT_NO_THROW(audit::check_round(s, r));
+  EXPECT_NO_THROW(audit::check_round(s, r, AuctionConfig{}));
 }
 
 TEST(AuditRound, PassesOnLargeRandomMarket) {
@@ -51,21 +54,21 @@ TEST(AuditRound, PassesOnLargeRandomMarket) {
     s.offers.push_back(OfferBuilder(i).provider(i / 2).bid(rng.uniform(0.01, 0.5)).build());
   }
   const RoundResult r = DeCloudAuction{}.run(s, 99);
-  EXPECT_NO_THROW(audit::check_round(s, r));
+  EXPECT_NO_THROW(audit::check_round(s, r, AuctionConfig{}));
 }
 
 TEST(AuditRound, CatchesBudgetImbalance) {
   const MarketSnapshot s = trading_market();
   RoundResult r = DeCloudAuction{}.run(s, 1);
   r.total_revenue += 0.25;  // providers claim more than clients paid
-  EXPECT_THROW(audit::check_round(s, r), audit::audit_error);
+  EXPECT_THROW(audit::check_round(s, r, AuctionConfig{}), audit::audit_error);
 }
 
 TEST(AuditRound, CatchesTotalPaymentsDrift) {
   const MarketSnapshot s = trading_market();
   RoundResult r = DeCloudAuction{}.run(s, 1);
   r.total_payments += 1e-9;  // even one ulp-scale drift must be caught
-  EXPECT_THROW(audit::check_round(s, r), audit::audit_error);
+  EXPECT_THROW(audit::check_round(s, r, AuctionConfig{}), audit::audit_error);
 }
 
 TEST(AuditRound, CatchesSettlementTampering) {
@@ -73,7 +76,7 @@ TEST(AuditRound, CatchesSettlementTampering) {
   RoundResult r = DeCloudAuction{}.run(s, 1);
   ASSERT_FALSE(r.payment_by_request.empty());
   r.payment_by_request[0] += 0.5;
-  EXPECT_THROW(audit::check_round(s, r), audit::audit_error);
+  EXPECT_THROW(audit::check_round(s, r, AuctionConfig{}), audit::audit_error);
 }
 
 TEST(AuditRound, CatchesDoubleAllocation) {
@@ -81,7 +84,7 @@ TEST(AuditRound, CatchesDoubleAllocation) {
   RoundResult r = DeCloudAuction{}.run(s, 1);
   ASSERT_FALSE(r.matches.empty());
   r.matches.push_back(r.matches[0]);  // same request trades twice
-  EXPECT_THROW(audit::check_round(s, r), audit::audit_error);
+  EXPECT_THROW(audit::check_round(s, r, AuctionConfig{}), audit::audit_error);
 }
 
 TEST(AuditRound, CatchesFractionOutOfRange) {
@@ -89,21 +92,21 @@ TEST(AuditRound, CatchesFractionOutOfRange) {
   RoundResult r = DeCloudAuction{}.run(s, 1);
   ASSERT_FALSE(r.matches.empty());
   r.matches[0].fraction = 1.5;
-  EXPECT_THROW(audit::check_round(s, r), audit::audit_error);
+  EXPECT_THROW(audit::check_round(s, r, AuctionConfig{}), audit::audit_error);
 }
 
 TEST(AuditRound, CatchesCounterInversion) {
   const MarketSnapshot s = trading_market();
   RoundResult r = DeCloudAuction{}.run(s, 1);
   r.reduced_trades = r.tentative_trades + 1;
-  EXPECT_THROW(audit::check_round(s, r), audit::audit_error);
+  EXPECT_THROW(audit::check_round(s, r, AuctionConfig{}), audit::audit_error);
 }
 
 TEST(AuditRound, CatchesMisalignedSettlementVectors) {
   const MarketSnapshot s = trading_market();
   RoundResult r = DeCloudAuction{}.run(s, 1);
   r.payment_by_request.pop_back();
-  EXPECT_THROW(audit::check_round(s, r), audit::audit_error);
+  EXPECT_THROW(audit::check_round(s, r, AuctionConfig{}), audit::audit_error);
 }
 
 TEST(AuditRound, AuditErrorIsAnInvariantError) {
@@ -112,8 +115,59 @@ TEST(AuditRound, AuditErrorIsAnInvariantError) {
   const MarketSnapshot s = trading_market();
   RoundResult r = DeCloudAuction{}.run(s, 1);
   r.total_revenue += 1.0;
-  EXPECT_THROW(audit::check_round(s, r), invariant_error);
+  EXPECT_THROW(audit::check_round(s, r, AuctionConfig{}), invariant_error);
 }
+
+// Tampered results that only the verify_invariants half of check_round
+// catches (the settlement still reconciles exactly), plus a NaN payment,
+// which passes every tolerance comparison there and is caught by
+// check_round's own checks.
+struct RoundTamper {
+  const char* name;
+  void (*apply)(MarketSnapshot&, RoundResult&);
+};
+
+class AuditRoundRejects : public ::testing::TestWithParam<RoundTamper> {};
+
+TEST_P(AuditRoundRejects, Tamper) {
+  MarketSnapshot s = trading_market();
+  RoundResult r = DeCloudAuction{}.run(s, 1);
+  ASSERT_EQ(r.matches.size(), 1u);
+  GetParam().apply(s, r);
+  EXPECT_THROW(audit::check_round(s, r, AuctionConfig{}), audit::audit_error);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AuditRound, AuditRoundRejects,
+    ::testing::Values(
+        RoundTamper{"OversubscribedOffer",
+                    [](MarketSnapshot& s, RoundResult& r) {
+                      // A second, unpaid request on the same offer fits
+                      // alone but not next to the first (constraint 7).
+                      s.requests.push_back(RequestBuilder(1).cpu(4.0).build());
+                      r.payment_by_request.push_back(0.0);
+                      r.matches.push_back({.request = 1,
+                                           .offer = r.matches[0].offer,
+                                           .fraction = 1.0,
+                                           .granted = s.requests[1].resources});
+                    }},
+        RoundTamper{"WindowViolation",
+                    [](MarketSnapshot& s, RoundResult& r) {
+                      // Constraints (10)/(11).
+                      const Match& m = r.matches[0];
+                      s.offers[m.offer].window_end = s.requests[m.request].window_end - 1;
+                    }},
+        RoundTamper{"OverGrant",
+                    [](MarketSnapshot& s, RoundResult& r) {
+                      Match& m = r.matches[0];
+                      m.granted.set(ResourceSchema::kCpu,
+                                    s.requests[m.request].resources.get(ResourceSchema::kCpu) + 1.0);
+                    }},
+        RoundTamper{"NaNPayment",
+                    [](MarketSnapshot&, RoundResult& r) {
+                      r.matches[0].payment = std::numeric_limits<Money>::quiet_NaN();
+                    }}),
+    [](const ::testing::TestParamInfo<RoundTamper>& info) { return std::string(info.param.name); });
 
 // --- check_mini_auction ----------------------------------------------------
 

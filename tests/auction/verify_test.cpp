@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "auction/mechanism.hpp"
-#include "common/rng.hpp"
 #include "test_helpers.hpp"
 
 namespace decloud::auction {
@@ -100,61 +99,28 @@ TEST(VerifyInvariants, BenchmarkModeSkipsPaymentChecks) {
   EXPECT_TRUE(verify_invariants(s, r, bench, /*check_payments=*/false).ok());
 }
 
-TEST(VerifyReplay, HonestResultMatchesReplay) {
-  const MarketSnapshot s = tradeable_market();
-  const RoundResult r = DeCloudAuction{}.run(s, 23);
-  EXPECT_TRUE(verify_replay(s, r, AuctionConfig{}, 23).ok());
-}
+TEST(VerifyInvariants, ReportsTruncatedSettlementVectors) {
+  // A short vector is a violation, found before anything indexes it.  The
+  // last request loses, and the IR check reads a loser's payment entry.
+  MarketSnapshot s = tradeable_market();
+  s.requests.push_back(RequestBuilder(2).client(9).bid(1e-9).build());
+  const RoundResult honest = DeCloudAuction{}.run(s, 11);
+  for (const Match& m : honest.matches) ASSERT_NE(m.request, 2u);
 
-TEST(VerifyReplay, DetectsDroppedMatch) {
-  const MarketSnapshot s = tradeable_market();
-  RoundResult r = DeCloudAuction{}.run(s, 23);
-  ASSERT_FALSE(r.matches.empty());
-  r.matches.pop_back();
-  EXPECT_FALSE(verify_replay(s, r, AuctionConfig{}, 23).ok());
-}
+  RoundResult r = honest;
+  // A fresh, exactly sized buffer, so a read past its end leaves the
+  // allocation (and ASan sees it).
+  r.payment_by_request = std::vector<Money>(honest.payment_by_request.begin(),
+                                            honest.payment_by_request.end() - 1);
+  auto report = verify_invariants(s, r, AuctionConfig{});
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.violations[0].find("settlement vectors"), std::string::npos);
 
-TEST(VerifyReplay, DetectsAlteredPayment) {
-  const MarketSnapshot s = tradeable_market();
-  RoundResult r = DeCloudAuction{}.run(s, 23);
-  ASSERT_FALSE(r.matches.empty());
-  r.matches[0].payment *= 0.5;  // miner undercharging an accomplice
-  EXPECT_FALSE(verify_replay(s, r, AuctionConfig{}, 23).ok());
-}
-
-TEST(VerifyReplay, DetectsWrongSeed) {
-  // A miner claiming different randomization evidence must be caught
-  // whenever the allocation actually differs; at minimum the replay with
-  // the true seed must still match the true result.
-  const MarketSnapshot s = tradeable_market();
-  const RoundResult r = DeCloudAuction{}.run(s, 23);
-  const RoundResult other = DeCloudAuction{}.run(s, 24);
-  if (other.matches.size() != r.matches.size()) {
-    EXPECT_FALSE(verify_replay(s, other, AuctionConfig{}, 23).ok());
-  }
-  EXPECT_TRUE(verify_replay(s, r, AuctionConfig{}, 23).ok());
-}
-
-TEST(VerifyReplay, DetectsDivergentConfig) {
-  // Consensus requires the same auction config; a different flexibility
-  // changes feasibility and must fail replay when allocations differ.
-  MarketSnapshot s;
-  s.requests.push_back(RequestBuilder(0)
-                           .cpu(5.0)
-                           .significance(ResourceSchema::kCpu, 0.5)
-                           .bid(5.0)
-                           .build());
-  s.requests.push_back(RequestBuilder(1).client(1).cpu(1.0).bid(3.0).build());
-  s.offers.push_back(OfferBuilder(0).cpu(4).bid(0.1).build());
-  s.offers.push_back(OfferBuilder(1).provider(1).cpu(4).bid(0.2).build());
-  AuctionConfig flexible;
-  flexible.flexibility = 0.8;
-  const RoundResult r = DeCloudAuction(flexible).run(s, 9);
-  AuctionConfig inflexible;  // default f = 1
-  const RoundResult r2 = DeCloudAuction(inflexible).run(s, 9);
-  if (r.matches.size() != r2.matches.size()) {
-    EXPECT_FALSE(verify_replay(s, r, inflexible, 9).ok());
-  }
+  r = honest;
+  r.revenue_by_offer.clear();
+  report = verify_invariants(s, r, AuctionConfig{});
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.violations[0].find("settlement vectors"), std::string::npos);
 }
 
 }  // namespace

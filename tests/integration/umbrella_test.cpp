@@ -12,8 +12,8 @@ TEST(Umbrella, ExposesTheFullApi) {
   EXPECT_TRUE(cfg.truthful);
   EXPECT_EQ(auction::ResourceSchema::kCpu, 0u);
   EXPECT_EQ(trace::m5_family().size(), 4u);
-  const ledger::ChallengeConfig challenge;
-  EXPECT_EQ(challenge.num_challengers, 2u);
+  const ledger::ConsensusParams consensus;
+  EXPECT_EQ(consensus.quorum, 1.0);
   const sim::LatencyConfig latency;
   EXPECT_EQ(latency.base_ms, 20);
   Rng rng(1);

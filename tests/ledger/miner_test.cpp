@@ -20,14 +20,19 @@ struct Round {
   BlockPreamble preamble;
   std::vector<KeyReveal> reveals;
 
-  Round() {
+  /// `num_requests` requests of `request_cpu` cores each, from two clients,
+  /// against three 4-core offers.  A `cpu_significance` below 1 makes the
+  /// requests' CPU non-strict.
+  explicit Round(std::uint64_t num_requests = 4, double request_cpu = 1.0,
+                 double cpu_significance = 1.0) {
     std::vector<SealedBid> bids;
-    for (std::uint64_t i = 0; i < 4; ++i) {
+    for (std::uint64_t i = 0; i < num_requests; ++i) {
       auction::Request r;
       r.id = RequestId(i);
       r.client = ClientId(i % 2);
       r.submitted = static_cast<Time>(i);
-      r.resources.set(auction::ResourceSchema::kCpu, 1.0);
+      r.resources.set(auction::ResourceSchema::kCpu, request_cpu);
+      if (cpu_significance < 1.0) r.significance.set(auction::ResourceSchema::kCpu, cpu_significance);
       r.window_end = 7200;
       r.duration = 3600;
       r.bid = 1.0 + static_cast<double>(i);
@@ -119,6 +124,59 @@ TEST(Miner, VerifyRejectsTamperedAllocation) {
   EXPECT_FALSE(round.miner.verify_body(round.preamble, body));
 }
 
+/// The honest body with its allocation decoded, changed by `tamper` and
+/// re-encoded: what a producer claiming a different result would publish.
+template <typename Tamper>
+BlockBody forge_allocation(const Round& round, const BlockBody& honest, Tamper tamper) {
+  const OpenedBlock opened = Miner::open_block(round.preamble, honest.revealed_keys);
+  auction::RoundResult result =
+      decode_allocation({honest.allocation.data(), honest.allocation.size()},
+                        opened.snapshot.requests.size(), opened.snapshot.offers.size());
+  tamper(result);
+  BlockBody forged = honest;
+  forged.allocation = encode_allocation(result);
+  return forged;
+}
+
+TEST(Miner, VerifyRejectsDroppedMatch) {
+  Round round;
+  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals);
+  const BlockBody forged = forge_allocation(round, body, [](auction::RoundResult& r) {
+    ASSERT_FALSE(r.matches.empty());
+    r.matches.pop_back();
+  });
+  EXPECT_FALSE(round.miner.verify_body(round.preamble, forged));
+}
+
+TEST(Miner, VerifyRejectsAlteredPayment) {
+  Round round;
+  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals);
+  const BlockBody forged = forge_allocation(round, body, [](auction::RoundResult& r) {
+    ASSERT_FALSE(r.matches.empty());
+    r.matches[0].payment *= 0.5;  // a producer undercharging an accomplice
+  });
+  EXPECT_FALSE(round.miner.verify_body(round.preamble, forged));
+}
+
+TEST(Miner, VerifyRejectsWrongSeed) {
+  // The lottery seed is the block hash, not a body field: an allocation
+  // drawn under any other seed fails replay whenever it differs.  Eight
+  // 3-core requests for three 4-core offers leave a demand surplus, so
+  // the verifiable lottery draws the allocation.
+  Round round(8, 3.0);
+  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals);
+  const auction::MarketSnapshot snapshot = Miner::open_block(round.preamble, round.reveals).snapshot;
+  const auction::DeCloudAuction mechanism(round.params.auction);
+  const std::uint64_t seed = Miner::allocation_seed(round.preamble);
+  BlockBody forged = body;
+  for (std::uint64_t other = seed + 1; forged.allocation == body.allocation && other != seed + 64;
+       ++other) {
+    forged.allocation = encode_allocation(mechanism.run(snapshot, other));
+  }
+  ASSERT_NE(forged.allocation, body.allocation) << "no other seed moved the lottery";
+  EXPECT_FALSE(round.miner.verify_body(round.preamble, forged));
+}
+
 TEST(Miner, VerifyRejectsDroppedKeys) {
   // The producer excluding participants (by "losing" their keys) changes
   // the replayed snapshot: the claimed allocation — computed with all keys
@@ -152,13 +210,43 @@ TEST(Miner, VerifyRejectsDivergentConsensusConfig) {
   Round round;
   const BlockBody body = round.miner.compute_body(round.preamble, round.reveals);
   ConsensusParams other = round.params;
-  other.auction.best_offer_ratio = 0.1;  // different clustering
-  other.auction.max_best_offers = 16;
+  other.auction.truthful = false;  // the greedy benchmark: no reduction, no payments
   const Miner dissenter(other);
-  // A dissenting miner either rejects (different allocation) or happens to
-  // produce the same bytes; for this workload the clustering differs.
-  EXPECT_FALSE(dissenter.verify_body(round.preamble, body) &&
-               !round.miner.verify_body(round.preamble, body));
+  // The dissenter's replay yields other bytes, so it rejects the honest
+  // body that the consensus config accepts.
+  ASSERT_NE(dissenter.compute_body(round.preamble, round.reveals).allocation, body.allocation);
+  EXPECT_FALSE(dissenter.verify_body(round.preamble, body));
+  EXPECT_TRUE(round.miner.verify_body(round.preamble, body));
+}
+
+// Miner::verify_body is the one replay of a round; these cases pin what
+// that replay is and that a divergent auction setting breaks it.
+
+TEST(VerifyReplay, HonestResultMatchesReplay) {
+  // The honest body's allocation is byte for byte the mechanism re-run
+  // over the opened snapshot with the block-hash seed.
+  Round round;
+  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals);
+  const auction::MarketSnapshot snapshot = Miner::open_block(round.preamble, round.reveals).snapshot;
+  const auction::RoundResult replay = auction::DeCloudAuction(round.params.auction)
+                                          .run(snapshot, Miner::allocation_seed(round.preamble));
+  ASSERT_FALSE(replay.matches.empty());
+  EXPECT_EQ(encode_allocation(replay), body.allocation);
+  EXPECT_TRUE(round.miner.verify_body(round.preamble, body));
+}
+
+TEST(VerifyReplay, DetectsDivergentConfig) {
+  // 5-core requests with a non-strict CPU (σ = 0.5) fit the 4-core offers
+  // only under flexibility 0.8.  A producer clearing with f = 0.8 publishes
+  // trades that a verifier with the default f = 1 cannot reproduce.
+  Round round(4, 5.0, 0.5);
+  ConsensusParams flexible = round.params;
+  flexible.auction.flexibility = 0.8;
+  const Miner producer(flexible);
+  const BlockBody body = producer.compute_body(round.preamble, round.reveals);
+  ASSERT_NE(round.miner.compute_body(round.preamble, round.reveals).allocation, body.allocation);
+  EXPECT_FALSE(round.miner.verify_body(round.preamble, body));
+  EXPECT_TRUE(producer.verify_body(round.preamble, body));
 }
 
 }  // namespace

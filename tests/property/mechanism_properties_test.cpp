@@ -5,6 +5,7 @@
 
 #include "auction/mechanism.hpp"
 #include "auction/verify.hpp"
+#include "ledger/codec.hpp"
 #include "market_fixtures.hpp"
 
 namespace decloud::auction {
@@ -50,7 +51,8 @@ TEST_P(MechanismSweep, ReplayIsExact) {
   const MarketSnapshot s = market();
   const std::uint64_t seed = GetParam().seed * 31;
   const RoundResult r = DeCloudAuction(config()).run(s, seed);
-  EXPECT_TRUE(verify_replay(s, r, config(), seed).ok());
+  const RoundResult replay = DeCloudAuction(config()).run(s, seed);
+  EXPECT_EQ(ledger::encode_allocation(replay), ledger::encode_allocation(r));
 }
 
 TEST_P(MechanismSweep, TruthfulStaysNearOrBelowBenchmarkWelfare) {

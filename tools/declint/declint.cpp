@@ -121,7 +121,6 @@ constexpr EntryPoint kEntryPoints[] = {
     {"src/auction/mcafee.cpp", "mcafee_auction"},
     {"src/auction/mcafee.cpp", "sbba_auction"},
     {"src/auction/verify.cpp", "verify_invariants"},
-    {"src/auction/verify.cpp", "verify_replay"},
     {"src/engine/engine.cpp", "MarketEngine::submit_bid"},
     {"src/engine/engine.cpp", "MarketEngine::run_shard_epoch"},
     {"src/engine/engine.cpp", "MarketEngine::report"},
