@@ -1,71 +1,71 @@
-// Full decentralized round over the simulated P2P overlay: sealed bids,
-// proof-of-work preamble, temporary-key disclosure, allocation suggestion,
-// collective verification and smart-contract agreements — the complete
-// two-phase bid exposure protocol of Fig. 2.
+// Full decentralized rounds through LedgerProtocol: sealed bids in the
+// mempool, proof-of-work preamble, temporary-key disclosure, allocation
+// suggestion, collective verification and smart-contract agreements — the
+// complete two-phase bid exposure protocol of Fig. 2.
 #include <cstdio>
+#include <vector>
 
 #include "common/hex.hpp"
 #include "ledger/protocol.hpp"
-#include "sim/simulation.hpp"
 #include "trace/workload.hpp"
 
 using namespace decloud;
 
 int main() {
-  sim::SimulationConfig sc;
-  sc.num_miners = 4;
-  sc.num_participants = 8;
-  sc.consensus.difficulty_bits = 12;  // ≈4k hash attempts per block
-  sc.latency.base_ms = 20;
-  sc.latency.jitter_ms = 60;
-  sc.seed = 7;
-  sim::Simulation simulation(sc);
+  constexpr std::size_t kParticipants = 8;
+  constexpr std::size_t kVerifiers = 3;
+  const ledger::ConsensusParams params;  // 12-bit PoW: ≈4k hash attempts per block
+  ledger::LedgerProtocol protocol(params);
 
-  std::printf("DeCloud ledger round — %zu miners, %zu participants, difficulty %u bits\n\n",
-              sc.num_miners, sc.num_participants, sc.consensus.difficulty_bits);
+  Rng wallet_rng(7);
+  std::vector<ledger::Participant> wallets;
+  for (std::size_t i = 0; i < kParticipants; ++i) wallets.emplace_back(wallet_rng);
+  std::vector<ledger::Participant*> participants;
+  for (auto& w : wallets) participants.push_back(&w);
+
+  std::printf("DeCloud ledger round — %zu participants, %zu verifiers, difficulty %u bits\n\n",
+              kParticipants, kVerifiers, params.difficulty_bits);
 
   for (std::size_t round = 0; round < 3; ++round) {
-    // Queue a fresh trace-driven workload on the participants.
+    // Each participant seals its share of a fresh trace-driven workload
+    // into the mempool.
     trace::WorkloadConfig wc;
     wc.num_requests = 16;
     wc.num_offers = 8;
     Rng rng(1000 + round);
-    const auto snap = trace::make_workload(wc, sc.consensus.auction, rng);
+    const auto snap = trace::make_workload(wc, params.auction, rng);
     for (std::size_t i = 0; i < snap.requests.size(); ++i) {
-      simulation.participant(i % simulation.num_participants()).enqueue_request(snap.requests[i]);
+      protocol.mempool().submit(wallets[i % kParticipants].submit_request(snap.requests[i], rng));
     }
     for (std::size_t i = 0; i < snap.offers.size(); ++i) {
-      simulation.participant(i % simulation.num_participants()).enqueue_offer(snap.offers[i]);
+      protocol.mempool().submit(wallets[i % kParticipants].submit_offer(snap.offers[i], rng));
     }
 
-    const std::size_t producer = round % sc.num_miners;
-    const sim::RoundStats stats = simulation.run_round(producer);
+    const ledger::RoundOutcome outcome =
+        protocol.run_round(participants, kVerifiers, static_cast<Time>(600 * round));
 
-    std::printf("round %zu (producer: miner %zu)\n", round, producer);
+    std::size_t accepts = 0;
+    for (const bool vote : outcome.verifier_votes) accepts += vote ? 1 : 0;
+    std::printf("round %zu\n", round);
     std::printf("  consensus     : %s (%zu accept / %zu reject votes)\n",
-                stats.accepted ? "block accepted" : "block REJECTED", stats.accept_votes,
-                stats.reject_votes);
-    std::printf("  latency       : %lld ms simulated, %zu overlay messages\n",
-                static_cast<long long>(stats.round_ms), stats.messages);
-    if (stats.accepted) {
-      const auto& block = *simulation.miner(producer).last_block();
-      std::printf("  block hash    : %s…\n",
-                  to_hex({block.preamble.hash().data(), 8}).c_str());
+                outcome.block_accepted ? "block accepted" : "block REJECTED", accepts,
+                outcome.verifier_votes.size() - accepts);
+    if (outcome.block_accepted) {
+      const auto& block = outcome.block;
+      std::printf("  block hash    : %s…\n", to_hex({block.preamble.hash().data(), 8}).c_str());
       std::printf("  sealed bids   : %zu (merkle-committed in the preamble)\n",
                   block.preamble.sealed_bids.size());
       std::printf("  allocation    : %zu matches, welfare %.4f, %zu trades reduced\n",
-                  stats.result.matches.size(), stats.result.welfare,
-                  stats.result.reduced_trades);
+                  outcome.result.matches.size(), outcome.result.welfare,
+                  outcome.result.reduced_trades);
       std::printf("  settlement    : %.4f paid == %.4f received\n",
-                  stats.result.total_payments, stats.result.total_revenue);
+                  outcome.result.total_payments, outcome.result.total_revenue);
+      std::printf("  agreements    : %zu registered on the contract\n",
+                  outcome.agreements.size());
     }
     std::printf("\n");
   }
 
-  std::printf("chain height on every miner:");
-  for (std::size_t m = 0; m < sc.num_miners; ++m) {
-    std::printf(" %llu", static_cast<unsigned long long>(simulation.miner(m).chain().height()));
-  }
-  std::printf("\n");
+  std::printf("chain height: %llu\n", static_cast<unsigned long long>(protocol.chain().height()));
   return 0;
 }

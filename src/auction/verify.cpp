@@ -86,8 +86,12 @@ VerificationReport verify_invariants(const MarketSnapshot& snapshot, const Round
         fail(cat("match (r=", m.request, ", o=", m.offer, ") under-grants resource ", need.type));
       }
     }
-    if (m.fraction < 0.0 || m.fraction > 1.0 + 1e-9) {
+    // Written so that NaN fails: every comparison with NaN is false.
+    if (!(m.fraction >= 0.0 && m.fraction <= 1.0 + 1e-9)) {
       fail(cat("match (r=", m.request, ", o=", m.offer, ") has fraction ", m.fraction, " outside [0,1]"));
+    }
+    if (!std::isfinite(m.payment)) {
+      fail(cat("match (r=", m.request, ", o=", m.offer, ") has non-finite payment ", m.payment));
     }
   }
   for (const auto& [offer, acc] : load) {
@@ -114,8 +118,10 @@ VerificationReport verify_invariants(const MarketSnapshot& snapshot, const Round
         fail(cat("request ", m.request, " has negative payment ", m.payment));
       }
     }
+    // The comparisons below are negated so that a NaN ledger entry or
+    // total fails them.
     for (std::size_t r = 0; r < snapshot.requests.size(); ++r) {
-      if (match_count[r] == 0 && std::abs(result.payment_by_request[r]) > kMoneyTolerance) {
+      if (match_count[r] == 0 && !(std::abs(result.payment_by_request[r]) <= kMoneyTolerance)) {
         fail(cat("unallocated request ", r, " has nonzero payment (IR)"));
       }
     }
@@ -125,11 +131,11 @@ VerificationReport verify_invariants(const MarketSnapshot& snapshot, const Round
     for (const double p : result.payment_by_request) payments += p;
     double revenues = 0.0;
     for (const double v : result.revenue_by_offer) revenues += v;
-    if (std::abs(payments - revenues) > kMoneyTolerance) {
+    if (!(std::abs(payments - revenues) <= kMoneyTolerance)) {
       fail(cat("budget imbalance: payments ", payments, " != revenues ", revenues, " (strong BB)"));
     }
-    if (std::abs(payments - result.total_payments) > kMoneyTolerance ||
-        std::abs(revenues - result.total_revenue) > kMoneyTolerance) {
+    if (!(std::abs(payments - result.total_payments) <= kMoneyTolerance &&
+          std::abs(revenues - result.total_revenue) <= kMoneyTolerance)) {
       fail("settlement totals disagree with per-participant ledgers");
     }
   }

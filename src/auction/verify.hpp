@@ -28,7 +28,8 @@ struct VerificationReport {
 
 /// Checks the structural and economic invariants of a result.
 /// `check_payments` disables the IR/BB checks for benchmark-mode results
-/// (which carry no payments).
+/// (which carry no payments); a non-finite payment or fraction is a
+/// violation either way.
 [[nodiscard]] VerificationReport verify_invariants(const MarketSnapshot& snapshot,
                                                    const RoundResult& result,
                                                    const AuctionConfig& config,

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "common/ensure.hpp"
 
@@ -34,9 +35,10 @@ class audit_error : public invariant_error {
   using invariant_error::invariant_error;
 };
 
-/// Throws audit_error with a uniform prefix when `cond` is false.
-inline void check(bool cond, const std::string& what) {
-  if (!cond) throw audit_error("mechanism audit failed: " + what);
+/// Throws audit_error with a uniform prefix when `cond` is false.  The
+/// message is built only on failure, so a passing check never allocates.
+inline void check(bool cond, std::string_view what) {
+  if (!cond) throw audit_error(std::string("mechanism audit failed: ").append(what));
 }
 
 }  // namespace decloud::audit

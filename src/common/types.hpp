@@ -15,7 +15,6 @@ struct ClientTag {};
 struct ProviderTag {};
 struct RequestTag {};
 struct OfferTag {};
-struct NodeTag {};
 struct BlockTag {};
 struct ContractTag {};
 
@@ -27,8 +26,6 @@ using ProviderId = StrongId<ProviderTag>;
 using RequestId = StrongId<RequestTag>;
 /// Identifies a single offer o (one computational device).
 using OfferId = StrongId<OfferTag>;
-/// Identifies a node (miner or participant) in the P2P simulation.
-using NodeId = StrongId<NodeTag>;
 /// Identifies a block β ∈ B.
 using BlockId = StrongId<BlockTag>;
 /// Identifies a smart-contract agreement instance.

@@ -39,9 +39,3 @@
 #include "ledger/participant.hpp"
 #include "ledger/protocol.hpp"
 #include "ledger/sealed_bid.hpp"
-
-// Network simulation
-#include "sim/event_queue.hpp"
-#include "sim/network.hpp"
-#include "sim/node.hpp"
-#include "sim/simulation.hpp"

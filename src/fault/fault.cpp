@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 
 #include "common/ensure.hpp"
 
@@ -9,11 +10,11 @@ namespace decloud::fault {
 
 namespace {
 
-constexpr std::string_view kKindNames[kNumFaultKinds] = {
+/// The spelling of kFaultKinds[i].
+constexpr std::string_view kKindNames[std::size(kFaultKinds)] = {
     "withhold_reveal",    "corrupt_sealed_bid", "duplicate_sealed_bid",
     "corrupt_allocation", "dishonest_vote",     "deny_agreement",
-    "drop_message",       "delay_message",      "reject_ingest",
-    "crash_at_site",
+    "reject_ingest",      "crash_at_site",
 };
 
 [[nodiscard]] bool in_window(std::uint64_t v, std::uint64_t lo, std::uint64_t hi) {
@@ -62,14 +63,15 @@ void append_range(std::string& out, const char* key, std::uint64_t lo, std::uint
 }  // namespace
 
 std::string_view to_string(FaultKind kind) {
-  const auto i = static_cast<std::size_t>(kind);
-  DECLOUD_EXPECTS(i < kNumFaultKinds);
+  std::size_t i = 0;
+  while (i < std::size(kFaultKinds) && kFaultKinds[i] != kind) ++i;
+  DECLOUD_EXPECTS(i < std::size(kFaultKinds));
   return kKindNames[i];
 }
 
 std::optional<FaultKind> parse_kind(std::string_view name) {
-  for (std::size_t i = 0; i < kNumFaultKinds; ++i) {
-    if (kKindNames[i] == name) return static_cast<FaultKind>(i);
+  for (std::size_t i = 0; i < std::size(kFaultKinds); ++i) {
+    if (kKindNames[i] == name) return kFaultKinds[i];
   }
   return std::nullopt;
 }
@@ -126,8 +128,6 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
         parse_range(value, rule.index_lo, rule.index_hi);
       } else if (key == "attempts") {
         parse_range(value, rule.attempt_lo, rule.attempt_hi);
-      } else if (key == "payload") {
-        rule.payload = parse_u64(value);
       } else {
         DECLOUD_EXPECTS_MSG(false, "fault plan: unknown field key");
       }
@@ -151,8 +151,6 @@ std::string FaultPlan::canonical() const {
     append_range(out, "shards", r.shard_lo, r.shard_hi);
     append_range(out, "index", r.index_lo, r.index_hi);
     append_range(out, "attempts", r.attempt_lo, r.attempt_hi);
-    std::snprintf(buf, sizeof buf, ":payload=%llu", static_cast<unsigned long long>(r.payload));
-    out += buf;
   }
   return out;
 }

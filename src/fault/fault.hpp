@@ -17,7 +17,7 @@
 //   spec     := rule (';' rule)*
 //   rule     := kind (':' field)*
 //   field    := 'p=' FLOAT | 'rounds=' range | 'shards=' range
-//             | 'index=' range | 'attempts=' range | 'payload=' UINT
+//             | 'index=' range | 'attempts=' range
 //   range    := UINT | UINT '-' UINT          (inclusive)
 //
 // e.g. "withhold_reveal:p=0.5:rounds=0-9;dishonest_vote:index=1".
@@ -33,7 +33,9 @@
 
 namespace decloud::fault {
 
-/// Every injectable misbehaviour, one per protocol/engine/sim hook point.
+/// Every injectable misbehaviour, one per protocol/engine hook point.  The
+/// values are frozen: the injector's coin hashes them and the journal
+/// records them, so 6 and 7 (two retired overlay-message kinds) stay unused.
 enum class FaultKind : std::uint8_t {
   kWithholdReveal = 0,   ///< participant never broadcasts its temporary keys
   kCorruptSealedBid,     ///< sealed bid arrives with a flipped ciphertext byte
@@ -41,13 +43,16 @@ enum class FaultKind : std::uint8_t {
   kCorruptAllocation,    ///< producer publishes a corrupted allocation body
   kDishonestVote,        ///< verifier inverts its honest vote
   kDenyAgreement,        ///< client denies a proposed agreement
-  kDropMessage,          ///< sim overlay eats a message
-  kDelayMessage,         ///< sim overlay adds `payload` ms of extra latency
-  kRejectIngest,         ///< engine shard queue refuses an ingest
+  kRejectIngest = 8,     ///< engine shard queue refuses an ingest
   kCrashAtSite,          ///< process exits hard at a durable-market crash site
 };
 
-inline constexpr std::size_t kNumFaultKinds = 10;
+/// Every kind, in value order.
+inline constexpr FaultKind kFaultKinds[] = {
+    FaultKind::kWithholdReveal,    FaultKind::kCorruptSealedBid, FaultKind::kDuplicateSealedBid,
+    FaultKind::kCorruptAllocation, FaultKind::kDishonestVote,    FaultKind::kDenyAgreement,
+    FaultKind::kRejectIngest,      FaultKind::kCrashAtSite,
+};
 
 /// Canonical spelling used by the plan grammar ("withhold_reveal", …).
 [[nodiscard]] std::string_view to_string(FaultKind kind);
@@ -57,8 +62,7 @@ inline constexpr std::size_t kNumFaultKinds = 10;
 /// The coordinates of one potential fault.  Layers fill what they know and
 /// leave the rest 0: the protocol uses (round=chain height, shard, index=
 /// participant/verifier/bid index, attempt=re-mine attempt); the engine
-/// uses (round=epoch, shard, index=ingest sequence, attempt=retry); the
-/// sim overlay uses index=message sequence.
+/// uses (round=epoch, shard, index=ingest sequence, attempt=retry).
 struct FaultSite {
   std::uint64_t round = 0;
   std::uint64_t shard = 0;
@@ -79,9 +83,6 @@ struct FaultRule {
   std::uint64_t index_hi = UINT64_MAX;
   std::uint64_t attempt_lo = 0;
   std::uint64_t attempt_hi = UINT64_MAX;
-  /// Kind-specific magnitude (extra delay in ms for kDelayMessage; unused
-  /// otherwise).
-  std::uint64_t payload = 0;
 
   [[nodiscard]] bool matches(FaultKind k, const FaultSite& site) const;
 };
@@ -94,7 +95,8 @@ struct FaultPlan {
   [[nodiscard]] bool empty() const { return rules.empty(); }
 
   /// Parses the textual grammar above.  Throws precondition_error on
-  /// unknown kinds, probabilities outside [0,1], or inverted ranges.
+  /// unknown kinds or field keys, probabilities outside [0,1], or
+  /// inverted ranges.
   [[nodiscard]] static FaultPlan parse(std::string_view spec);
 
   /// Round-trippable textual form: every field explicit, fixed order,

@@ -25,24 +25,15 @@ namespace {
 
 }  // namespace
 
-const FaultRule* FaultInjector::firing_rule(FaultKind kind, const FaultSite& site) const {
+bool FaultInjector::fires(FaultKind kind, const FaultSite& site) const {
+  DECLOUD_EXPECTS(kind <= FaultKind::kCrashAtSite);
   for (std::size_t i = 0; i < plan_.rules.size(); ++i) {
     const FaultRule& rule = plan_.rules[i];
-    if (!rule.matches(kind, site)) continue;
-    if (site_coin(seed_, i, kind, site) < rule.probability) return &rule;
+    if (rule.matches(kind, site) && site_coin(seed_, i, kind, site) < rule.probability) {
+      return true;
+    }
   }
-  return nullptr;
-}
-
-bool FaultInjector::fires(FaultKind kind, const FaultSite& site) const {
-  DECLOUD_EXPECTS(static_cast<std::size_t>(kind) < kNumFaultKinds);
-  return firing_rule(kind, site) != nullptr;
-}
-
-std::uint64_t FaultInjector::payload(FaultKind kind, const FaultSite& site) const {
-  DECLOUD_EXPECTS(static_cast<std::size_t>(kind) < kNumFaultKinds);
-  const FaultRule* rule = firing_rule(kind, site);
-  return rule == nullptr ? 0 : rule->payload;
+  return false;
 }
 
 }  // namespace decloud::fault

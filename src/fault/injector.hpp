@@ -40,16 +40,10 @@ class FaultInjector {
   /// lands.  Rules are tried in plan order; the first hit wins.
   [[nodiscard]] bool fires(FaultKind kind, const FaultSite& site) const;
 
-  /// The payload of the first firing rule at the site (0 when none fires).
-  [[nodiscard]] std::uint64_t payload(FaultKind kind, const FaultSite& site) const;
-
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
  private:
-  /// First rule that matches AND whose coin lands; null when none.
-  [[nodiscard]] const FaultRule* firing_rule(FaultKind kind, const FaultSite& site) const;
-
   FaultPlan plan_;
   std::uint64_t seed_ = 0;
 };

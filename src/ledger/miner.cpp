@@ -29,7 +29,7 @@ BlockPreamble Miner::mine_preamble(std::vector<SealedBid> bids, const crypto::Di
 }
 
 OpenedBlock Miner::open_block(const BlockPreamble& preamble, const std::vector<KeyReveal>& reveals,
-                              const ReputationRegistry* reputation) {
+                              const ReputationRegistry& reputation) {
   std::unordered_map<crypto::Digest, crypto::SymmetricKey, crypto::DigestHash> keys;
   for (const auto& kr : reveals) keys.emplace(kr.bid_digest, kr.key);
 
@@ -60,7 +60,7 @@ OpenedBlock Miner::open_block(const BlockPreamble& preamble, const std::vector<K
       opened.unopened.push_back(i);
     }
   }
-  if (reputation != nullptr) stamp_reputation(opened.snapshot, *reputation);
+  stamp_reputation(opened.snapshot, reputation);
   return opened;
 }
 
@@ -71,8 +71,9 @@ std::uint64_t Miner::allocation_seed(const BlockPreamble& preamble) {
 }
 
 BlockBody Miner::compute_body(const BlockPreamble& preamble,
-                              const std::vector<KeyReveal>& reveals, obs::MetricsSink* sink,
-                              const ReputationRegistry* reputation) const {
+                              const std::vector<KeyReveal>& reveals,
+                              const ReputationRegistry& reputation,
+                              obs::MetricsSink* sink) const {
   const OpenedBlock opened = open_block(preamble, reveals, reputation);
   if (sink != nullptr) {
     sink->metrics().counter("ledger.bids_opened")
@@ -90,8 +91,8 @@ BlockBody Miner::compute_body(const BlockPreamble& preamble,
 }
 
 bool Miner::verify_body(const BlockPreamble& preamble, const BlockBody& body,
-                        const VerifiedBids* verified,
-                        const ReputationRegistry* reputation) const {
+                        const ReputationRegistry& reputation,
+                        const VerifiedBids* verified) const {
   if (!validate_preamble(preamble, params_.difficulty_bits, verified)) return false;
   const OpenedBlock opened = open_block(preamble, body.revealed_keys, reputation);
   const auction::DeCloudAuction mechanism(params_.auction);

@@ -60,33 +60,33 @@ class Miner {
                                             obs::MetricsSink* sink = nullptr) const;
 
   /// Phase 2 (producer): decrypts the bids with the revealed keys and runs
-  /// the auction seeded by the block hash, producing the body.  `sink` is
-  /// forwarded to the mechanism (stage spans + round counters) and
-  /// `reputation` to open_block.
+  /// the auction seeded by the block hash, producing the body.
+  /// `reputation` is forwarded to open_block and `sink` to the mechanism
+  /// (stage spans + round counters).
   [[nodiscard]] BlockBody compute_body(const BlockPreamble& preamble,
                                        const std::vector<KeyReveal>& reveals,
-                                       obs::MetricsSink* sink = nullptr,
-                                       const ReputationRegistry* reputation = nullptr) const;
+                                       const ReputationRegistry& reputation,
+                                       obs::MetricsSink* sink = nullptr) const;
 
   /// Phase 2 (verifier): re-derives the allocation from the preamble and
   /// revealed keys and accepts the body iff it matches byte-for-byte
   /// ("miners verify the accuracy of the allocation algorithm execution").
-  /// `verified` is forwarded to validate_preamble and `reputation` to
-  /// open_block; the bids are opened and the auction re-run either way.
+  /// `reputation` is forwarded to open_block and `verified` to
+  /// validate_preamble; the bids are opened and the auction re-run either
+  /// way.
   [[nodiscard]] bool verify_body(const BlockPreamble& preamble, const BlockBody& body,
-                                 const VerifiedBids* verified = nullptr,
-                                 const ReputationRegistry* reputation = nullptr) const;
+                                 const ReputationRegistry& reputation,
+                                 const VerifiedBids* verified = nullptr) const;
 
   /// Decrypts a preamble's bids with a key set (shared by producer and
   /// verifier paths).  Bids with missing/wrong keys or malformed plaintext
-  /// are skipped and reported in `unopened`.  With a `reputation`
-  /// registry every opened request is stamped with its client's on-chain
-  /// score (stamp_reputation), so Offer::min_reputation gates consensus
-  /// state, not the value a client sealed into its own bid; without one
-  /// (the latency simulation has no contract) the decoded value stands.
+  /// are skipped and reported in `unopened`.  Every opened request is
+  /// stamped with its client's score in `reputation` (stamp_reputation),
+  /// so Offer::min_reputation gates consensus state, not the value a
+  /// client sealed into its own bid.
   [[nodiscard]] static OpenedBlock open_block(const BlockPreamble& preamble,
                                               const std::vector<KeyReveal>& reveals,
-                                              const ReputationRegistry* reputation = nullptr);
+                                              const ReputationRegistry& reputation);
 
   /// The verifiable-randomization seed derived from the block hash
   /// (fold_digest of it).

@@ -98,7 +98,7 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
   const std::size_t required = required_accepts(params_.quorum, verifiers);
   // Every miner opens the block against the same registry state: the
   // contract changes only after the votes (penalties, registration).
-  const ReputationRegistry* reputation = &contract_.reputation();
+  const ReputationRegistry& reputation = contract_.reputation();
 
   RoundOutcome outcome;
   const std::uint64_t round = chain_.height();
@@ -178,7 +178,7 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
     BlockBody body;
     {
       obs::SpanScope span(hooks_.sink, "allocation");
-      body = producer_.compute_body(preamble, reveals, hooks_.sink, reputation);
+      body = producer_.compute_body(preamble, reveals, reputation, hooks_.sink);
     }
     if (hooks_.fire(fault::FaultKind::kCorruptAllocation, {round, hooks_.shard, 0, attempt},
                     round)) {
@@ -200,7 +200,7 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
       span.add_work(verifiers);
       const Miner verifier(params_);
       for (std::size_t v = 0; v < verifiers; ++v) {
-        bool ok = verifier.verify_body(preamble, body, &verified, reputation);
+        bool ok = verifier.verify_body(preamble, body, reputation, &verified);
         if (hooks_.fire(fault::FaultKind::kDishonestVote, {round, hooks_.shard, v, attempt},
                         round)) {
           ok = !ok;

@@ -1,7 +1,7 @@
 // In-process orchestration of the two-phase bid exposure protocol
-// (Fig. 2 of the paper), without a network between the parties.  The
-// latency-modelled variant lives in src/sim; this class is the reference
-// sequence of protocol steps both share:
+// (Fig. 2 of the paper), without a network between the parties.  This
+// class is the one driver of the protocol's steps; every engine, stream
+// and example round runs through it:
 //
 //   1. participants seal bids and submit them to the mempool;
 //   2. miner A assembles a preamble over the pooled bids and solves PoW;

@@ -1,8 +1,8 @@
 // MetricsSink — the one handle instrumented code touches.
 //
 // A sink bundles a MetricsRegistry and a Tracer under a label ("shard3",
-// "scheduler", …).  Instrumentation sites across auction/, ledger/,
-// engine/ and sim/ take a `MetricsSink*` that defaults to nullptr; every
+// "scheduler", …).  Instrumentation sites across auction/, ledger/ and
+// engine/ take a `MetricsSink*` that defaults to nullptr; every
 // hook (SpanScope, the `if (sink)` counter guards) collapses to a single
 // pointer test when observability is off, so the hot path pays nothing —
 // the null-sink zero-cost contract (DESIGN.md §3e, measured by

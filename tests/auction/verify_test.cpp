@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "auction/mechanism.hpp"
 #include "test_helpers.hpp"
 
@@ -121,6 +123,41 @@ TEST(VerifyInvariants, ReportsTruncatedSettlementVectors) {
   report = verify_invariants(s, r, AuctionConfig{});
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.violations[0].find("settlement vectors"), std::string::npos);
+}
+
+TEST(VerifyInvariants, ReportsNonFinitePayment) {
+  // Every comparison with NaN is false, so each money check must be
+  // written to fail on it.  A non-finite payment or fraction is reported
+  // with payment checks on or off; a NaN ledger entry or total breaks
+  // budget balance.
+  const MarketSnapshot s = tradeable_market();
+  const RoundResult honest = DeCloudAuction{}.run(s, 11);
+  ASSERT_FALSE(honest.matches.empty());
+  const Money nan = std::numeric_limits<Money>::quiet_NaN();
+  const auto rejected = [&s](const RoundResult& r, bool check_payments) {
+    return !verify_invariants(s, r, AuctionConfig{}, check_payments).ok();
+  };
+
+  for (const Money bad : {nan, std::numeric_limits<Money>::infinity()}) {
+    RoundResult r = honest;
+    r.matches[0].payment = bad;
+    EXPECT_TRUE(rejected(r, true)) << bad;
+    EXPECT_TRUE(rejected(r, false)) << bad;
+  }
+  RoundResult r = honest;
+  r.matches[0].fraction = nan;
+  EXPECT_TRUE(rejected(r, false));
+
+  r = honest;
+  r.payment_by_request[honest.matches[0].request] = nan;
+  EXPECT_TRUE(rejected(r, true));
+  r = honest;
+  r.revenue_by_offer[honest.matches[0].offer] = nan;
+  EXPECT_TRUE(rejected(r, true));
+  r = honest;
+  r.total_payments = nan;
+  EXPECT_TRUE(rejected(r, true));
+  EXPECT_FALSE(rejected(honest, true));
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // The per-bid check and hash path makes no heap allocation: a passing
-// DECLOUD_*_MSG check builds no message, and the sealed-bid payload, the
-// signature nonce and challenge, the PoW pre-image and the block header are
-// hashed from stack encodings streamed field by field (DESIGN.md §3d).
+// DECLOUD_*_MSG check or audit::check builds no message, and the sealed-bid
+// payload, the signature nonce and challenge, the PoW pre-image and the
+// block header are hashed from stack encodings streamed field by field
+// (DESIGN.md §3d).
 //
 // This executable replaces the global operator new/delete with counting
 // versions, so it is its own test binary: every allocation the code under
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/audit.hpp"
 #include "common/ensure.hpp"
 #include "common/rng.hpp"
 #include "crypto/hmac.hpp"
@@ -85,6 +87,22 @@ TEST(AllocFree, PassingChecksBuildNoMessage) {
     }
   });
   EXPECT_EQ(n, 0u);
+}
+
+TEST(AllocFree, PassingAuditCheckBuildsNoMessage) {
+  const int bound = g_bound;
+  const std::size_t n = allocations([bound] {
+    for (int i = 0; i < kRepeats; ++i) {
+      audit::check(i < bound, "a literal detail longer than any small-string buffer");
+    }
+  });
+  EXPECT_EQ(n, 0u);
+  try {
+    audit::check(bound < 0, "bound is not negative");
+    FAIL() << "should have thrown";
+  } catch (const audit::audit_error& e) {
+    EXPECT_STREQ(e.what(), "mechanism audit failed: bound is not negative");
+  }
 }
 
 TEST(AllocFree, FailingCheckCarriesExpressionDetailAndFile) {

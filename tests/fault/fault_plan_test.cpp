@@ -9,8 +9,7 @@ namespace decloud::fault {
 namespace {
 
 TEST(FaultPlan, KindNamesRoundTrip) {
-  for (std::size_t k = 0; k < kNumFaultKinds; ++k) {
-    const auto kind = static_cast<FaultKind>(k);
+  for (const FaultKind kind : kFaultKinds) {
     const auto parsed = parse_kind(to_string(kind));
     ASSERT_TRUE(parsed.has_value()) << to_string(kind);
     EXPECT_EQ(*parsed, kind);
@@ -22,7 +21,7 @@ TEST(FaultPlan, KindNamesRoundTrip) {
 TEST(FaultPlan, ParsesFieldsAndDefaults) {
   const FaultPlan plan = FaultPlan::parse(
       "withhold_reveal:p=0.5:rounds=0-9;dishonest_vote:index=1;"
-      "delay_message:payload=250:attempts=2");
+      "reject_ingest:attempts=2");
   ASSERT_EQ(plan.rules.size(), 3u);
 
   const FaultRule& withhold = plan.rules[0];
@@ -39,11 +38,10 @@ TEST(FaultPlan, ParsesFieldsAndDefaults) {
   EXPECT_EQ(vote.index_lo, 1u);
   EXPECT_EQ(vote.index_hi, 1u);  // single value → point window
 
-  const FaultRule& delay = plan.rules[2];
-  EXPECT_EQ(delay.kind, FaultKind::kDelayMessage);
-  EXPECT_EQ(delay.payload, 250u);
-  EXPECT_EQ(delay.attempt_lo, 2u);
-  EXPECT_EQ(delay.attempt_hi, 2u);
+  const FaultRule& reject = plan.rules[2];
+  EXPECT_EQ(reject.kind, FaultKind::kRejectIngest);
+  EXPECT_EQ(reject.attempt_lo, 2u);
+  EXPECT_EQ(reject.attempt_hi, 2u);
 }
 
 TEST(FaultPlan, EmptySpecIsTheEmptyPlan) {
@@ -55,7 +53,7 @@ TEST(FaultPlan, EmptySpecIsTheEmptyPlan) {
 TEST(FaultPlan, CanonicalRoundTrips) {
   const FaultPlan plan = FaultPlan::parse(
       "withhold_reveal:p=0.25:rounds=1-3:index=0-2;"
-      "reject_ingest:shards=1;delay_message:payload=100");
+      "reject_ingest:shards=1;crash_at_site:attempts=0:index=100");
   const std::string canon = plan.canonical();
   const FaultPlan replay = FaultPlan::parse(canon);
   EXPECT_EQ(replay.canonical(), canon);  // fixed point
@@ -63,7 +61,9 @@ TEST(FaultPlan, CanonicalRoundTrips) {
   EXPECT_DOUBLE_EQ(replay.rules[0].probability, 0.25);
   EXPECT_EQ(replay.rules[0].round_hi, 3u);
   EXPECT_EQ(replay.rules[1].shard_lo, 1u);
-  EXPECT_EQ(replay.rules[2].payload, 100u);
+  EXPECT_EQ(replay.rules[2].kind, FaultKind::kCrashAtSite);
+  EXPECT_EQ(replay.rules[2].index_lo, 100u);
+  EXPECT_EQ(canon.find("payload"), std::string::npos);
 }
 
 TEST(FaultPlan, RejectsMalformedSpecs) {
@@ -75,6 +75,11 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW(FaultPlan::parse("withhold_reveal:frequency=2"), precondition_error);
   EXPECT_THROW(FaultPlan::parse("withhold_reveal:rounds"), precondition_error);
   EXPECT_THROW(FaultPlan::parse("withhold_reveal:index=1x"), precondition_error);
+  // Retired: no hook point reads these, so a plan naming them would
+  // never fire.
+  EXPECT_THROW(FaultPlan::parse("drop_message:p=1"), precondition_error);
+  EXPECT_THROW(FaultPlan::parse("delay_message:p=1"), precondition_error);
+  EXPECT_THROW(FaultPlan::parse("withhold_reveal:payload=500"), precondition_error);
 }
 
 TEST(FaultRule, WindowsAreInclusiveOnEveryCoordinate) {
@@ -95,14 +100,13 @@ TEST(FaultRule, WindowsAreInclusiveOnEveryCoordinate) {
   EXPECT_FALSE(rule.matches(FaultKind::kRejectIngest, {3, 0, 0, 0}));   // wrong shard
   EXPECT_FALSE(rule.matches(FaultKind::kRejectIngest, {3, 1, 11, 0}));  // index past hi
   EXPECT_FALSE(rule.matches(FaultKind::kRejectIngest, {3, 1, 0, 1}));   // attempt past hi
-  EXPECT_FALSE(rule.matches(FaultKind::kDropMessage, {3, 1, 0, 0}));    // wrong kind
+  EXPECT_FALSE(rule.matches(FaultKind::kCrashAtSite, {3, 1, 0, 0}));    // wrong kind
 }
 
 TEST(FaultInjector, NullInjectorNeverFires) {
   const FaultInjector null;
   EXPECT_FALSE(null.active());
   EXPECT_FALSE(null.fires(FaultKind::kWithholdReveal, {}));
-  EXPECT_EQ(null.payload(FaultKind::kDelayMessage, {}), 0u);
 }
 
 TEST(FaultInjector, CertainRuleFiresExactlyInsideItsWindow) {
@@ -118,19 +122,19 @@ TEST(FaultInjector, CertainRuleFiresExactlyInsideItsWindow) {
 }
 
 TEST(FaultInjector, ZeroProbabilityNeverFires) {
-  const FaultInjector injector(FaultPlan::parse("drop_message:p=0"), 1);
+  const FaultInjector injector(FaultPlan::parse("reject_ingest:p=0"), 1);
   EXPECT_TRUE(injector.active());  // a plan exists, it just never lands
   for (std::uint64_t i = 0; i < 500; ++i) {
-    EXPECT_FALSE(injector.fires(FaultKind::kDropMessage, {0, 0, i, 0}));
+    EXPECT_FALSE(injector.fires(FaultKind::kRejectIngest, {0, 0, i, 0}));
   }
 }
 
 TEST(FaultInjector, ProbabilityControlsTheFiringRate) {
-  const FaultInjector injector(FaultPlan::parse("drop_message:p=0.3"), 11);
+  const FaultInjector injector(FaultPlan::parse("reject_ingest:p=0.3"), 11);
   std::size_t fired = 0;
   constexpr std::uint64_t kSites = 4000;
   for (std::uint64_t i = 0; i < kSites; ++i) {
-    if (injector.fires(FaultKind::kDropMessage, {0, 0, i, 0})) ++fired;
+    if (injector.fires(FaultKind::kRejectIngest, {0, 0, i, 0})) ++fired;
   }
   EXPECT_GT(fired, kSites / 5);      // well above 0
   EXPECT_LT(fired, 2 * kSites / 5);  // well below 1
@@ -156,14 +160,19 @@ TEST(FaultInjector, DecisionsArePureFunctionsOfSeedAndSite) {
   EXPECT_GT(divergences, 0u);  // the seed is load-bearing
 }
 
-TEST(FaultInjector, FirstMatchingRuleSuppliesThePayload) {
-  // Two delay rules: a window-limited one first, a catch-all second.  Rule
-  // order is part of the schedule's identity.
+TEST(FaultInjector, LaterRulesFireWhereEarlierOnesMiss) {
+  // A matching rule whose coin misses does not end the search: the next
+  // matching rule gets its own coin.
   const FaultInjector injector(
-      FaultPlan::parse("delay_message:payload=100:index=0-4;delay_message:payload=200"), 3);
-  EXPECT_EQ(injector.payload(FaultKind::kDelayMessage, {0, 0, 2, 0}), 100u);
-  EXPECT_EQ(injector.payload(FaultKind::kDelayMessage, {0, 0, 9, 0}), 200u);
-  EXPECT_EQ(injector.payload(FaultKind::kDropMessage, {0, 0, 2, 0}), 0u);  // no rule
+      FaultPlan::parse("reject_ingest:p=0:index=0-4;reject_ingest:index=3-9"), 3);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    EXPECT_FALSE(injector.fires(FaultKind::kRejectIngest, {0, 0, i, 0}));
+  }
+  for (std::uint64_t i = 3; i <= 9; ++i) {
+    EXPECT_TRUE(injector.fires(FaultKind::kRejectIngest, {0, 0, i, 0}));
+  }
+  EXPECT_FALSE(injector.fires(FaultKind::kRejectIngest, {0, 0, 10, 0}));
+  EXPECT_FALSE(injector.fires(FaultKind::kWithholdReveal, {0, 0, 5, 0}));  // no rule
 }
 
 }  // namespace

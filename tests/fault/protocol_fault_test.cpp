@@ -11,6 +11,7 @@
 #include "common/ensure.hpp"
 #include "common/rng.hpp"
 #include "fault/injector.hpp"
+#include "trace/workload.hpp"
 
 namespace decloud::ledger {
 namespace {
@@ -256,6 +257,36 @@ TEST(ProtocolFault, OutcomeJsonCarriesTheFaultReport) {
   EXPECT_NE(json.find("\"reveals_withheld\":2"), std::string::npos);
   EXPECT_NE(json.find("\"producer_penalized\":true"), std::string::npos);
   EXPECT_NE(json.find("\"penalized\":[42]"), std::string::npos);
+}
+
+TEST(FaultInjection, LostRevealsExcludeOnlyTheirOwners) {
+  // A participant whose key reveal never reaches the producer sits the
+  // round out; everyone else proceeds, and its bids wait for a later
+  // preamble.
+  const ConsensusParams consensus = params();
+  LedgerProtocol protocol(consensus);
+  Rng rng(3);
+  Participant lucky(rng);
+  Participant unlucky(rng);
+
+  trace::WorkloadConfig wc;
+  wc.num_requests = 6;
+  wc.num_offers = 4;
+  const auto snap = trace::make_workload(wc, consensus.auction, rng);
+  for (std::size_t i = 0; i < snap.requests.size(); ++i) {
+    auto& owner = (i % 2 == 0) ? lucky : unlucky;
+    protocol.mempool().submit(owner.submit_request(snap.requests[i], rng));
+  }
+  for (const auto& o : snap.offers) {
+    protocol.mempool().submit(lucky.submit_offer(o, rng));
+  }
+
+  // Only `lucky` reveals.
+  const auto outcome = protocol.run_round({&lucky}, /*verifiers=*/1, 0);
+  ASSERT_TRUE(outcome.block_accepted);
+  EXPECT_EQ(outcome.snapshot.requests.size(), 3u);  // only lucky's requests
+  EXPECT_EQ(outcome.snapshot.offers.size(), 4u);
+  EXPECT_EQ(unlucky.pending_bids(), 3u);  // will resubmit later
 }
 
 }  // namespace

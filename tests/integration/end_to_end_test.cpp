@@ -6,7 +6,6 @@
 
 #include "auction/verify.hpp"
 #include "ledger/protocol.hpp"
-#include "sim/simulation.hpp"
 #include "trace/kl_shaper.hpp"
 #include "trace/workload.hpp"
 
@@ -40,12 +39,14 @@ TEST(EndToEnd, TraceWorkloadThroughInProcessProtocol) {
   EXPECT_NEAR(outcome.result.total_payments, outcome.result.total_revenue, 1e-9);
 }
 
-TEST(EndToEnd, MultiRoundEconomicsOverSimulatedNetwork) {
-  sim::SimulationConfig sc;
-  sc.num_miners = 3;
-  sc.num_participants = 6;
-  sc.consensus.difficulty_bits = 8;
-  sim::Simulation simulation(sc);
+TEST(EndToEnd, MultiRoundEconomicsThroughProtocol) {
+  ledger::ConsensusParams params{.difficulty_bits = 8};
+  ledger::LedgerProtocol protocol(params);
+  Rng wallet_rng(6);
+  std::vector<ledger::Participant> wallets;
+  for (std::size_t i = 0; i < 6; ++i) wallets.emplace_back(wallet_rng);
+  std::vector<ledger::Participant*> participants;
+  for (auto& w : wallets) participants.push_back(&w);
 
   Money total_welfare = 0.0;
   std::size_t total_matches = 0;
@@ -54,23 +55,25 @@ TEST(EndToEnd, MultiRoundEconomicsOverSimulatedNetwork) {
     wc.num_requests = 20;
     wc.num_offers = 10;
     Rng rng(100 + round);
-    const auto snap = trace::make_workload(wc, sc.consensus.auction, rng);
+    const auto snap = trace::make_workload(wc, params.auction, rng);
     for (std::size_t i = 0; i < snap.requests.size(); ++i) {
-      simulation.participant(i % simulation.num_participants()).enqueue_request(snap.requests[i]);
+      protocol.mempool().submit(wallets[i % wallets.size()].submit_request(snap.requests[i], rng));
     }
     for (std::size_t i = 0; i < snap.offers.size(); ++i) {
-      simulation.participant(i % simulation.num_participants()).enqueue_offer(snap.offers[i]);
+      protocol.mempool().submit(wallets[i % wallets.size()].submit_offer(snap.offers[i], rng));
     }
-    const auto stats = simulation.run_round(round % sc.num_miners);
-    ASSERT_TRUE(stats.accepted) << "round " << round;
-    EXPECT_TRUE(
-        auction::verify_invariants(stats.snapshot, stats.result, sc.consensus.auction).ok());
-    total_welfare += stats.result.welfare;
-    total_matches += stats.result.matches.size();
+    const auto outcome =
+        protocol.run_round(participants, /*verifiers=*/3, static_cast<Time>(600 * round));
+    ASSERT_TRUE(outcome.block_accepted) << "round " << round;
+    EXPECT_EQ(outcome.snapshot.requests.size(), 20u);
+    EXPECT_TRUE(auction::verify_invariants(outcome.snapshot, outcome.result, params.auction).ok());
+    EXPECT_EQ(outcome.agreements.size(), outcome.result.matches.size());
+    total_welfare += outcome.result.welfare;
+    total_matches += outcome.result.matches.size();
   }
   EXPECT_GT(total_welfare, 0.0);
   EXPECT_GT(total_matches, 0u);
-  EXPECT_EQ(simulation.miner(0).chain().height(), 3u);
+  EXPECT_EQ(protocol.chain().height(), 3u);
 }
 
 TEST(EndToEnd, WelfareRatioInPaperBallpark) {

@@ -14,8 +14,6 @@ TEST(Umbrella, ExposesTheFullApi) {
   EXPECT_EQ(trace::m5_family().size(), 4u);
   const ledger::ConsensusParams consensus;
   EXPECT_EQ(consensus.quorum, 1.0);
-  const sim::LatencyConfig latency;
-  EXPECT_EQ(latency.base_ms, 20);
   Rng rng(1);
   EXPECT_NE(rng.next_u64(), 0u);
 }

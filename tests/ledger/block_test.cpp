@@ -5,6 +5,7 @@
 #include "common/byte_buffer.hpp"
 #include "common/rng.hpp"
 #include "ledger/codec.hpp"
+#include "ledger/contract.hpp"
 #include "ledger/miner.hpp"
 #include "ledger/participant.hpp"
 
@@ -200,11 +201,13 @@ TEST(ValidatePreamble, RepeatedLeafRejectedDespiteEqualRoot) {
   BlockPreamble doubled = honest;
   doubled.sealed_bids.push_back(doubled.sealed_bids.back());
   ASSERT_EQ(bids_merkle_root(doubled.sealed_bids), honest.header.bids_root);
-  ASSERT_EQ(Miner::open_block(doubled, reveals).snapshot.requests.size(), 4u);
+  const ReputationRegistry registry;
+  ASSERT_EQ(Miner::open_block(doubled, reveals, registry).snapshot.requests.size(), 4u);
 
   EXPECT_FALSE(validate_preamble(doubled, kDifficulty));
-  EXPECT_FALSE(miner.verify_body(doubled, miner.compute_body(doubled, reveals)));
-  EXPECT_TRUE(miner.verify_body(honest, miner.compute_body(honest, reveals)));
+  EXPECT_FALSE(
+      miner.verify_body(doubled, miner.compute_body(doubled, reveals, registry), registry));
+  EXPECT_TRUE(miner.verify_body(honest, miner.compute_body(honest, reveals, registry), registry));
   Blockchain chain;
   EXPECT_FALSE(chain.append(Block{.preamble = doubled, .body = {}}, kDifficulty));
   EXPECT_EQ(chain.height(), 0u);
@@ -232,7 +235,9 @@ struct Admitted {
 void expect_rejected_with_set(const BlockPreamble& p, const VerifiedBids& verified) {
   EXPECT_FALSE(validate_preamble(p, kDifficulty, &verified));
   const Miner verifier(ConsensusParams{.difficulty_bits = kDifficulty});
-  EXPECT_FALSE(verifier.verify_body(p, verifier.compute_body(p, {}), &verified));
+  const ReputationRegistry registry;
+  EXPECT_FALSE(
+      verifier.verify_body(p, verifier.compute_body(p, {}, registry), registry, &verified));
   Blockchain chain;
   EXPECT_FALSE(chain.append(Block{.preamble = p, .body = {}}, kDifficulty, &verified));
 }
@@ -251,7 +256,9 @@ TEST(VerifiedBids, AdmittedPreambleValidatesEverywhere) {
   const BlockPreamble p = mine(a.bids, crypto::Digest{}, 0);
   EXPECT_TRUE(validate_preamble(p, kDifficulty, &a.verified));
   const Miner verifier(ConsensusParams{.difficulty_bits = kDifficulty});
-  EXPECT_TRUE(verifier.verify_body(p, verifier.compute_body(p, {}), &a.verified));
+  const ReputationRegistry registry;
+  EXPECT_TRUE(
+      verifier.verify_body(p, verifier.compute_body(p, {}, registry), registry, &a.verified));
   Blockchain chain;
   EXPECT_TRUE(chain.append(Block{.preamble = p, .body = {}}, kDifficulty, &a.verified));
 }

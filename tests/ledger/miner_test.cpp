@@ -6,6 +6,7 @@
 
 #include "auction/verify.hpp"
 #include "ledger/codec.hpp"
+#include "ledger/contract.hpp"
 #include "ledger/participant.hpp"
 
 namespace decloud::ledger {
@@ -15,6 +16,7 @@ struct Round {
   Rng rng{11};
   ConsensusParams params{.difficulty_bits = 8};
   Miner miner{params};
+  ReputationRegistry registry;
   Participant alice{rng};
   Participant bob{rng};
   BlockPreamble preamble;
@@ -64,7 +66,7 @@ TEST(Miner, MinedPreambleValidates) {
 
 TEST(Miner, OpenBlockRecoversAllBids) {
   Round round;
-  const OpenedBlock opened = Miner::open_block(round.preamble, round.reveals);
+  const OpenedBlock opened = Miner::open_block(round.preamble, round.reveals, round.registry);
   EXPECT_EQ(opened.snapshot.requests.size(), 4u);
   EXPECT_EQ(opened.snapshot.offers.size(), 3u);
   EXPECT_TRUE(opened.unopened.empty());
@@ -77,7 +79,7 @@ TEST(Miner, MissingKeysLeaveBidsUnopened) {
   // Withhold the last reveal: that bid stays sealed and out of the round.
   auto partial = round.reveals;
   partial.pop_back();
-  const OpenedBlock opened = Miner::open_block(round.preamble, partial);
+  const OpenedBlock opened = Miner::open_block(round.preamble, partial, round.registry);
   EXPECT_EQ(opened.unopened.size(), 1u);
   EXPECT_EQ(opened.snapshot.requests.size() + opened.snapshot.offers.size(), 6u);
 }
@@ -86,7 +88,7 @@ TEST(Miner, WrongKeyLeavesBidUnopened) {
   Round round;
   auto corrupted = round.reveals;
   corrupted[0].key[0] ^= 0xff;
-  const OpenedBlock opened = Miner::open_block(round.preamble, corrupted);
+  const OpenedBlock opened = Miner::open_block(round.preamble, corrupted, round.registry);
   EXPECT_EQ(opened.unopened.size(), 1u);
 }
 
@@ -102,14 +104,14 @@ TEST(Miner, AllocationSeedComesFromBlockHash) {
 
 TEST(Miner, ComputedBodyPassesVerification) {
   Round round;
-  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals);
-  EXPECT_TRUE(round.miner.verify_body(round.preamble, body));
+  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals, round.registry);
+  EXPECT_TRUE(round.miner.verify_body(round.preamble, body, round.registry));
 }
 
 TEST(Miner, AllocationInBodySatisfiesInvariants) {
   Round round;
-  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals);
-  const OpenedBlock opened = Miner::open_block(round.preamble, body.revealed_keys);
+  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals, round.registry);
+  const OpenedBlock opened = Miner::open_block(round.preamble, body.revealed_keys, round.registry);
   const auto result = decode_allocation({body.allocation.data(), body.allocation.size()},
                                         opened.snapshot.requests.size(),
                                         opened.snapshot.offers.size());
@@ -118,17 +120,18 @@ TEST(Miner, AllocationInBodySatisfiesInvariants) {
 
 TEST(Miner, VerifyRejectsTamperedAllocation) {
   Round round;
-  BlockBody body = round.miner.compute_body(round.preamble, round.reveals);
+  BlockBody body = round.miner.compute_body(round.preamble, round.reveals, round.registry);
   ASSERT_FALSE(body.allocation.empty());
   body.allocation.back() ^= 0x01;  // flip one byte of the allocation
-  EXPECT_FALSE(round.miner.verify_body(round.preamble, body));
+  EXPECT_FALSE(round.miner.verify_body(round.preamble, body, round.registry));
 }
 
 /// The honest body with its allocation decoded, changed by `tamper` and
 /// re-encoded: what a producer claiming a different result would publish.
 template <typename Tamper>
 BlockBody forge_allocation(const Round& round, const BlockBody& honest, Tamper tamper) {
-  const OpenedBlock opened = Miner::open_block(round.preamble, honest.revealed_keys);
+  const OpenedBlock opened =
+      Miner::open_block(round.preamble, honest.revealed_keys, round.registry);
   auction::RoundResult result =
       decode_allocation({honest.allocation.data(), honest.allocation.size()},
                         opened.snapshot.requests.size(), opened.snapshot.offers.size());
@@ -140,22 +143,22 @@ BlockBody forge_allocation(const Round& round, const BlockBody& honest, Tamper t
 
 TEST(Miner, VerifyRejectsDroppedMatch) {
   Round round;
-  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals);
+  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals, round.registry);
   const BlockBody forged = forge_allocation(round, body, [](auction::RoundResult& r) {
     ASSERT_FALSE(r.matches.empty());
     r.matches.pop_back();
   });
-  EXPECT_FALSE(round.miner.verify_body(round.preamble, forged));
+  EXPECT_FALSE(round.miner.verify_body(round.preamble, forged, round.registry));
 }
 
 TEST(Miner, VerifyRejectsAlteredPayment) {
   Round round;
-  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals);
+  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals, round.registry);
   const BlockBody forged = forge_allocation(round, body, [](auction::RoundResult& r) {
     ASSERT_FALSE(r.matches.empty());
     r.matches[0].payment *= 0.5;  // a producer undercharging an accomplice
   });
-  EXPECT_FALSE(round.miner.verify_body(round.preamble, forged));
+  EXPECT_FALSE(round.miner.verify_body(round.preamble, forged, round.registry));
 }
 
 TEST(Miner, VerifyRejectsWrongSeed) {
@@ -164,8 +167,9 @@ TEST(Miner, VerifyRejectsWrongSeed) {
   // 3-core requests for three 4-core offers leave a demand surplus, so
   // the verifiable lottery draws the allocation.
   Round round(8, 3.0);
-  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals);
-  const auction::MarketSnapshot snapshot = Miner::open_block(round.preamble, round.reveals).snapshot;
+  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals, round.registry);
+  const auction::MarketSnapshot snapshot =
+      Miner::open_block(round.preamble, round.reveals, round.registry).snapshot;
   const auction::DeCloudAuction mechanism(round.params.auction);
   const std::uint64_t seed = Miner::allocation_seed(round.preamble);
   BlockBody forged = body;
@@ -174,7 +178,7 @@ TEST(Miner, VerifyRejectsWrongSeed) {
     forged.allocation = encode_allocation(mechanism.run(snapshot, other));
   }
   ASSERT_NE(forged.allocation, body.allocation) << "no other seed moved the lottery";
-  EXPECT_FALSE(round.miner.verify_body(round.preamble, forged));
+  EXPECT_FALSE(round.miner.verify_body(round.preamble, forged, round.registry));
 }
 
 TEST(Miner, VerifyRejectsDroppedKeys) {
@@ -182,13 +186,13 @@ TEST(Miner, VerifyRejectsDroppedKeys) {
   // the replayed snapshot: the claimed allocation — computed with all keys
   // — no longer matches the replay over the reduced key set.
   Round round;
-  BlockBody body = round.miner.compute_body(round.preamble, round.reveals);
+  BlockBody body = round.miner.compute_body(round.preamble, round.reveals, round.registry);
   // Drop every request key: the replay has offers only, so the claimed
   // non-empty allocation cannot reproduce.
   BlockBody tampered = body;
   tampered.revealed_keys.erase(tampered.revealed_keys.begin(),
                                tampered.revealed_keys.begin() + 4);
-  EXPECT_FALSE(round.miner.verify_body(round.preamble, tampered));
+  EXPECT_FALSE(round.miner.verify_body(round.preamble, tampered, round.registry));
 }
 
 TEST(Miner, DroppingAnIrrelevantKeyIsDetectedByItsOwner) {
@@ -197,7 +201,7 @@ TEST(Miner, DroppingAnIrrelevantKeyIsDetectedByItsOwner) {
   // defence is participant-side: the owner sees its key missing from the
   // body and knows it was excluded (Section III-B).
   Round round;
-  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals);
+  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals, round.registry);
   std::vector<crypto::Digest> in_body;
   for (const auto& kr : body.revealed_keys) in_body.push_back(kr.bid_digest);
   // Every reveal the participants sent is present in the honest body.
@@ -208,15 +212,16 @@ TEST(Miner, DroppingAnIrrelevantKeyIsDetectedByItsOwner) {
 
 TEST(Miner, VerifyRejectsDivergentConsensusConfig) {
   Round round;
-  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals);
+  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals, round.registry);
   ConsensusParams other = round.params;
   other.auction.truthful = false;  // the greedy benchmark: no reduction, no payments
   const Miner dissenter(other);
   // The dissenter's replay yields other bytes, so it rejects the honest
   // body that the consensus config accepts.
-  ASSERT_NE(dissenter.compute_body(round.preamble, round.reveals).allocation, body.allocation);
-  EXPECT_FALSE(dissenter.verify_body(round.preamble, body));
-  EXPECT_TRUE(round.miner.verify_body(round.preamble, body));
+  ASSERT_NE(dissenter.compute_body(round.preamble, round.reveals, round.registry).allocation,
+            body.allocation);
+  EXPECT_FALSE(dissenter.verify_body(round.preamble, body, round.registry));
+  EXPECT_TRUE(round.miner.verify_body(round.preamble, body, round.registry));
 }
 
 // Miner::verify_body is the one replay of a round; these cases pin what
@@ -226,13 +231,14 @@ TEST(VerifyReplay, HonestResultMatchesReplay) {
   // The honest body's allocation is byte for byte the mechanism re-run
   // over the opened snapshot with the block-hash seed.
   Round round;
-  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals);
-  const auction::MarketSnapshot snapshot = Miner::open_block(round.preamble, round.reveals).snapshot;
+  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals, round.registry);
+  const auction::MarketSnapshot snapshot =
+      Miner::open_block(round.preamble, round.reveals, round.registry).snapshot;
   const auction::RoundResult replay = auction::DeCloudAuction(round.params.auction)
                                           .run(snapshot, Miner::allocation_seed(round.preamble));
   ASSERT_FALSE(replay.matches.empty());
   EXPECT_EQ(encode_allocation(replay), body.allocation);
-  EXPECT_TRUE(round.miner.verify_body(round.preamble, body));
+  EXPECT_TRUE(round.miner.verify_body(round.preamble, body, round.registry));
 }
 
 TEST(VerifyReplay, DetectsDivergentConfig) {
@@ -243,10 +249,11 @@ TEST(VerifyReplay, DetectsDivergentConfig) {
   ConsensusParams flexible = round.params;
   flexible.auction.flexibility = 0.8;
   const Miner producer(flexible);
-  const BlockBody body = producer.compute_body(round.preamble, round.reveals);
-  ASSERT_NE(round.miner.compute_body(round.preamble, round.reveals).allocation, body.allocation);
-  EXPECT_FALSE(round.miner.verify_body(round.preamble, body));
-  EXPECT_TRUE(producer.verify_body(round.preamble, body));
+  const BlockBody body = producer.compute_body(round.preamble, round.reveals, round.registry);
+  ASSERT_NE(round.miner.compute_body(round.preamble, round.reveals, round.registry).allocation,
+            body.allocation);
+  EXPECT_FALSE(round.miner.verify_body(round.preamble, body, round.registry));
+  EXPECT_TRUE(producer.verify_body(round.preamble, body, round.registry));
 }
 
 }  // namespace

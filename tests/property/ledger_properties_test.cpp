@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "ledger/codec.hpp"
+#include "ledger/contract.hpp"
 #include "ledger/miner.hpp"
 #include "ledger/participant.hpp"
 #include "market_fixtures.hpp"
@@ -63,14 +64,15 @@ TEST_P(LedgerSweep, FullRoundVerifiesAndTamperingIsCaught) {
   const auto reveals = wallet.on_preamble(preamble);
   ASSERT_EQ(reveals.size(), market.requests.size() + market.offers.size());
 
-  const BlockBody body = producer.compute_body(preamble, reveals);
-  EXPECT_TRUE(producer.verify_body(preamble, body));
+  const ReputationRegistry registry;
+  const BlockBody body = producer.compute_body(preamble, reveals, registry);
+  EXPECT_TRUE(producer.verify_body(preamble, body, registry));
 
   // Any single-byte tamper in the allocation is caught.
   BlockBody tampered = body;
   if (!tampered.allocation.empty()) {
     tampered.allocation[tampered.allocation.size() / 2] ^= 0x40;
-    EXPECT_FALSE(producer.verify_body(preamble, tampered));
+    EXPECT_FALSE(producer.verify_body(preamble, tampered, registry));
   }
 }
 
