@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <ostream>
 #include <string>
 
 #include "auction/mechanism.hpp"
@@ -120,12 +121,16 @@ TEST(AuditRound, AuditErrorIsAnInvariantError) {
 
 // Tampered results that only the verify_invariants half of check_round
 // catches (the settlement still reconciles exactly), plus a NaN payment,
-// which passes every tolerance comparison there and is caught by
-// check_round's own checks.
+// which verify_invariants reports as non-finite.
 struct RoundTamper {
   const char* name;
   void (*apply)(MarketSnapshot&, RoundResult&);
 };
+
+// Print the case by name: gtest's default dumps the struct's bytes, two
+// pointers that change with every build, and that dump becomes part of the
+// test's CTest name.
+void PrintTo(const RoundTamper& t, std::ostream* os) { *os << t.name; }
 
 class AuditRoundRejects : public ::testing::TestWithParam<RoundTamper> {};
 
