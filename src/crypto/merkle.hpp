@@ -32,6 +32,10 @@ class MerkleTree {
 
   [[nodiscard]] const Digest& root() const { return root_; }
   [[nodiscard]] std::size_t leaf_count() const { return leaf_count_; }
+  /// The leaves the tree was built over, in order.
+  [[nodiscard]] std::span<const Digest> leaves() const {
+    return levels_.empty() ? std::span<const Digest>{} : std::span<const Digest>(levels_.front());
+  }
 
   /// Builds an inclusion proof for the leaf at `index`.
   [[nodiscard]] MerkleProof prove(std::size_t index) const;

@@ -27,11 +27,20 @@ constexpr std::string_view kKindNames[std::size(kFaultKinds)] = {
   return s;
 }
 
+/// Refuses a plan unless `ok`, naming the token at fault: the message is
+/// what a command line prints, so it carries no source location.
+void check(bool ok, std::string_view what, std::string_view token) {
+  if (!ok) {
+    throw precondition_error("fault plan: " + std::string(what) + " '" + std::string(token) +
+                             "'");
+  }
+}
+
 [[nodiscard]] std::uint64_t parse_u64(std::string_view tok) {
-  DECLOUD_EXPECTS_MSG(!tok.empty(), "fault plan: empty number");
+  check(!tok.empty(), "empty number", tok);
   std::uint64_t value = 0;
   for (const char c : tok) {
-    DECLOUD_EXPECTS_MSG(c >= '0' && c <= '9', "fault plan: malformed unsigned integer");
+    check(c >= '0' && c <= '9', "malformed unsigned integer", tok);
     value = value * 10 + static_cast<std::uint64_t>(c - '0');
   }
   return value;
@@ -46,7 +55,7 @@ void parse_range(std::string_view tok, std::uint64_t& lo, std::uint64_t& hi) {
   }
   lo = parse_u64(tok.substr(0, dash));
   hi = parse_u64(tok.substr(dash + 1));
-  DECLOUD_EXPECTS_MSG(lo <= hi, "fault plan: inverted range");
+  check(lo <= hi, "inverted range", tok);
 }
 
 void append_range(std::string& out, const char* key, std::uint64_t lo, std::uint64_t hi) {
@@ -103,23 +112,22 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
       field_pos = colon == std::string_view::npos ? entry.size() + 1 : colon + 1;
       if (!have_kind) {
         const auto kind = parse_kind(field);
-        DECLOUD_EXPECTS_MSG(kind.has_value(), "fault plan: unknown fault kind");
+        check(kind.has_value(), "unknown fault kind", field);
         rule.kind = *kind;
         have_kind = true;
         continue;
       }
       const std::size_t eq = field.find('=');
-      DECLOUD_EXPECTS_MSG(eq != std::string_view::npos, "fault plan: field needs key=value");
+      check(eq != std::string_view::npos, "field needs key=value", field);
       const std::string_view key = field.substr(0, eq);
       const std::string_view value = field.substr(eq + 1);
       if (key == "p") {
         const std::string copy(value);
         char* end = nullptr;
         rule.probability = std::strtod(copy.c_str(), &end);
-        DECLOUD_EXPECTS_MSG(end == copy.c_str() + copy.size() && !copy.empty(),
-                            "fault plan: malformed probability");
-        DECLOUD_EXPECTS_MSG(rule.probability >= 0.0 && rule.probability <= 1.0,
-                            "fault plan: probability outside [0,1]");
+        check(end == copy.c_str() + copy.size() && !copy.empty(), "malformed probability", value);
+        check(rule.probability >= 0.0 && rule.probability <= 1.0, "probability outside [0,1]",
+              value);
       } else if (key == "rounds") {
         parse_range(value, rule.round_lo, rule.round_hi);
       } else if (key == "shards") {
@@ -129,10 +137,10 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
       } else if (key == "attempts") {
         parse_range(value, rule.attempt_lo, rule.attempt_hi);
       } else {
-        DECLOUD_EXPECTS_MSG(false, "fault plan: unknown field key");
+        check(false, "unknown field key", key);
       }
     }
-    DECLOUD_EXPECTS_MSG(have_kind, "fault plan: rule without a fault kind");
+    check(have_kind, "rule without a fault kind", entry);
     plan.rules.push_back(rule);
   }
   return plan;

@@ -96,7 +96,8 @@ struct FaultPlan {
 
   /// Parses the textual grammar above.  Throws precondition_error on
   /// unknown kinds or field keys, probabilities outside [0,1], or
-  /// inverted ranges.
+  /// inverted ranges; its message names the offending token
+  /// ("fault plan: unknown fault kind 'drop_message'").
   [[nodiscard]] static FaultPlan parse(std::string_view spec);
 
   /// Round-trippable textual form: every field explicit, fixed order,

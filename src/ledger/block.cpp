@@ -15,11 +15,15 @@ std::array<std::uint8_t, BlockHeader::kBytes> BlockHeader::bytes() const {
   return w.bytes();
 }
 
-crypto::Digest bids_merkle_root(const std::vector<SealedBid>& bids) {
+std::vector<crypto::Digest> bid_digests(const std::vector<SealedBid>& bids) {
   std::vector<crypto::Digest> leaves;
   leaves.reserve(bids.size());
   for (const auto& b : bids) leaves.push_back(b.digest());
-  return crypto::MerkleTree(std::move(leaves)).root();
+  return leaves;
+}
+
+crypto::Digest bids_merkle_root(const std::vector<SealedBid>& bids) {
+  return crypto::MerkleTree(bid_digests(bids)).root();
 }
 
 bool VerifiedBids::admit(const SealedBid& bid) {
@@ -28,19 +32,21 @@ bool VerifiedBids::admit(const SealedBid& bid) {
   return true;
 }
 
-bool validate_preamble(const BlockPreamble& preamble, unsigned difficulty_bits,
-                       const VerifiedBids* verified) {
+namespace {
+
+/// validate_preamble's checks, with the bids' leaves and the tree over
+/// them already derived from `preamble`.
+bool check_preamble(const BlockPreamble& preamble, const crypto::MerkleTree& tree,
+                    unsigned difficulty_bits, const VerifiedBids* verified) {
   if (!crypto::verify_pow(preamble.header.bytes(), difficulty_bits, preamble.pow)) return false;
-  std::vector<crypto::Digest> leaves;
-  leaves.reserve(preamble.sealed_bids.size());
-  for (const auto& bid : preamble.sealed_bids) leaves.push_back(bid.digest());
+  const std::span<const crypto::Digest> leaves = tree.leaves();
   // An odd Merkle level duplicates its last node, so [A, B, C] and
   // [A, B, C, C] share a root, PoW and block hash (CVE-2012-2459): refuse
   // a repeated leaf instead of decoding the bid twice.
-  std::vector<crypto::Digest> sorted = leaves;
+  std::vector<crypto::Digest> sorted(leaves.begin(), leaves.end());
   std::sort(sorted.begin(), sorted.end());
   if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) return false;
-  if (crypto::MerkleTree(leaves).root() != preamble.header.bids_root) return false;
+  if (tree.root() != preamble.header.bids_root) return false;
   for (std::size_t i = 0; i < leaves.size(); ++i) {
     const SealedBid& bid = preamble.sealed_bids[i];
     if (verified != nullptr && verified->contains(leaves[i], bid.signature)) continue;
@@ -49,13 +55,27 @@ bool validate_preamble(const BlockPreamble& preamble, unsigned difficulty_bits,
   return true;
 }
 
-bool Blockchain::append(const Block& block, unsigned difficulty_bits,
+}  // namespace
+
+bool validate_preamble(const BlockPreamble& preamble, unsigned difficulty_bits,
+                       const VerifiedBids* verified) {
+  return check_preamble(preamble, crypto::MerkleTree(bid_digests(preamble.sealed_bids)),
+                        difficulty_bits, verified);
+}
+
+bool validate_preamble(const RoundState& state, unsigned difficulty_bits,
+                       const VerifiedBids* verified) {
+  return check_preamble(state.preamble(), state.tree(), difficulty_bits, verified);
+}
+
+bool Blockchain::append(const RoundState& state, unsigned difficulty_bits,
                         const VerifiedBids* verified) {
-  if (block.preamble.header.height != height_) return false;
-  if (block.preamble.header.prev_hash != tip_) return false;
-  if (!validate_preamble(block.preamble, difficulty_bits, verified)) return false;
+  const BlockHeader& header = state.preamble().header;
+  if (header.height != height_) return false;
+  if (header.prev_hash != tip_) return false;
+  if (!validate_preamble(state, difficulty_bits, verified)) return false;
   ++height_;
-  tip_ = block.preamble.hash();
+  tip_ = state.preamble().hash();
   return true;
 }
 

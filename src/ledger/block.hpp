@@ -11,7 +11,9 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "auction/allocation.hpp"
@@ -64,6 +66,9 @@ struct Block {
   BlockBody body;
 };
 
+/// The Merkle leaves of `bids`: each one's digest, in order.
+[[nodiscard]] std::vector<crypto::Digest> bid_digests(const std::vector<SealedBid>& bids);
+
 /// Computes the Merkle root over sealed-bid digests (all-zero for none).
 [[nodiscard]] crypto::Digest bids_merkle_root(const std::vector<SealedBid>& bids);
 
@@ -98,11 +103,41 @@ class VerifiedBids {
   std::unordered_set<Entry, EntryHash> entries_;
 };
 
+/// What a producer derives from its sealed bids in one mining attempt: the
+/// mined preamble, each bid's digest (hashed once, in bid order) and the
+/// one Merkle tree over those leaves, whose root is the header's
+/// bids_root.  Only Miner::mine_preamble builds one, and the preamble is
+/// read-only from then on, so the leaves are always the digests of the
+/// preamble's own bytes; a re-mine builds a fresh state.  The producer's
+/// own checks read it instead of re-hashing.  Verifiers never see it: they
+/// derive everything from the bytes (DESIGN.md §3b).
+class RoundState {
+ public:
+  [[nodiscard]] const BlockPreamble& preamble() const { return preamble_; }
+  [[nodiscard]] const crypto::MerkleTree& tree() const { return tree_; }
+  /// The sealed bids' digests, leaves()[i] of preamble().sealed_bids[i].
+  [[nodiscard]] std::span<const crypto::Digest> leaves() const { return tree_.leaves(); }
+  /// Hands the preamble to the block being appended; the state is spent.
+  [[nodiscard]] BlockPreamble take_preamble() && { return std::move(preamble_); }
+
+ private:
+  friend class Miner;
+  RoundState(BlockPreamble preamble, crypto::MerkleTree tree)
+      : preamble_(std::move(preamble)), tree_(std::move(tree)) {}
+
+  BlockPreamble preamble_;
+  crypto::MerkleTree tree_;
+};
+
 /// Validates a preamble: PoW meets `difficulty_bits` over the header bytes,
 /// no two carried bids share a digest, the Merkle root matches the carried
 /// bids, and every sealed bid's signature verifies.  A bid found in
 /// `verified` (non-null) counts as verified without a second check.
 [[nodiscard]] bool validate_preamble(const BlockPreamble& preamble, unsigned difficulty_bits,
+                                     const VerifiedBids* verified = nullptr);
+/// The same checks on a producer's own mining attempt, over the leaves and
+/// tree it already holds.
+[[nodiscard]] bool validate_preamble(const RoundState& state, unsigned difficulty_bits,
                                      const VerifiedBids* verified = nullptr);
 
 /// An append-only chain that keeps only its height and tip hash.  The tip
@@ -115,12 +150,12 @@ class Blockchain {
   [[nodiscard]] const crypto::Digest& tip_hash() const { return tip_; }
   [[nodiscard]] std::uint64_t height() const { return height_; }
 
-  /// Appends a block after checking linkage (prev_hash/height) and the
-  /// preamble (validate_preamble, consulting `verified`).  Returns false
+  /// Appends the block of a mining attempt after checking linkage
+  /// (prev_hash/height) and its preamble against the attempt's state
+  /// (validate_preamble(state, …), consulting `verified`).  Returns false
   /// (and leaves the chain untouched) on any mismatch.
-  bool append(const Block& block, unsigned difficulty_bits,
+  bool append(const RoundState& state, unsigned difficulty_bits,
               const VerifiedBids* verified = nullptr);
-
 
  private:
   std::uint64_t height_ = 0;

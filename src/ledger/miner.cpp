@@ -1,5 +1,6 @@
 #include "ledger/miner.hpp"
 
+#include <span>
 #include <unordered_map>
 
 #include "common/ensure.hpp"
@@ -9,34 +10,20 @@
 
 namespace decloud::ledger {
 
-BlockPreamble Miner::mine_preamble(std::vector<SealedBid> bids, const crypto::Digest& prev_hash,
-                                   std::uint64_t height, Time timestamp,
-                                   obs::MetricsSink* sink) const {
-  obs::SpanScope span(sink, "pow");
-  BlockPreamble preamble;
-  preamble.header.height = height;
-  preamble.header.prev_hash = prev_hash;
-  preamble.header.timestamp = timestamp;
-  preamble.header.bids_root = bids_merkle_root(bids);
-  preamble.sealed_bids = std::move(bids);
+namespace {
 
-  const auto solution = crypto::solve_pow(preamble.header.bytes(), params_.difficulty_bits);
-  DECLOUD_ENSURES_MSG(solution.has_value(), "PoW search exhausted the nonce space");
-  preamble.pow = *solution;
-  span.add_work(solution->nonce + 1);  // attempts, not the winning nonce
-  if (sink != nullptr) sink->metrics().counter("ledger.pow_attempts").add(solution->nonce + 1);
-  return preamble;
-}
-
-OpenedBlock Miner::open_block(const BlockPreamble& preamble, const std::vector<KeyReveal>& reveals,
-                              const ReputationRegistry& reputation) {
+/// Miner::open_block with the bids' digests already in hand:
+/// leaves[i] is preamble.sealed_bids[i].digest().
+OpenedBlock open_bids(const BlockPreamble& preamble, std::span<const crypto::Digest> leaves,
+                      const std::vector<KeyReveal>& reveals,
+                      const ReputationRegistry& reputation) {
   std::unordered_map<crypto::Digest, crypto::SymmetricKey, crypto::DigestHash> keys;
   for (const auto& kr : reveals) keys.emplace(kr.bid_digest, kr.key);
 
   OpenedBlock opened;
   for (std::size_t i = 0; i < preamble.sealed_bids.size(); ++i) {
     const SealedBid& bid = preamble.sealed_bids[i];
-    const auto it = keys.find(bid.digest());
+    const auto it = keys.find(leaves[i]);
     if (it == keys.end()) {
       opened.unopened.push_back(i);
       continue;
@@ -64,17 +51,46 @@ OpenedBlock Miner::open_block(const BlockPreamble& preamble, const std::vector<K
   return opened;
 }
 
+}  // namespace
+
+RoundState Miner::mine_preamble(std::vector<SealedBid> bids, const crypto::Digest& prev_hash,
+                                std::uint64_t height, Time timestamp,
+                                obs::MetricsSink* sink) const {
+  obs::SpanScope span(sink, "pow");
+  crypto::MerkleTree tree(bid_digests(bids));
+
+  BlockPreamble preamble;
+  preamble.header.height = height;
+  preamble.header.prev_hash = prev_hash;
+  preamble.header.timestamp = timestamp;
+  preamble.header.bids_root = tree.root();
+  preamble.sealed_bids = std::move(bids);
+
+  const auto solution = crypto::solve_pow(preamble.header.bytes(), params_.difficulty_bits);
+  DECLOUD_ENSURES_MSG(solution.has_value(), "PoW search exhausted the nonce space");
+  preamble.pow = *solution;
+  span.add_work(solution->nonce + 1);  // attempts, not the winning nonce
+  if (sink != nullptr) sink->metrics().counter("ledger.pow_attempts").add(solution->nonce + 1);
+  return RoundState(std::move(preamble), std::move(tree));
+}
+
+OpenedBlock Miner::open_block(const BlockPreamble& preamble, const std::vector<KeyReveal>& reveals,
+                              const ReputationRegistry& reputation) {
+  return open_bids(preamble, bid_digests(preamble.sealed_bids), reveals, reputation);
+}
+
 std::uint64_t Miner::allocation_seed(const BlockPreamble& preamble) {
   // Fold the block hash into the RNG seed; the hash is PoW-constrained and
   // fixed before keys are revealed, so no one can grind the randomization.
   return crypto::fold_digest(preamble.hash());
 }
 
-BlockBody Miner::compute_body(const BlockPreamble& preamble,
-                              const std::vector<KeyReveal>& reveals,
-                              const ReputationRegistry& reputation,
-                              obs::MetricsSink* sink) const {
-  const OpenedBlock opened = open_block(preamble, reveals, reputation);
+ProducedBody Miner::compute_body(const RoundState& state, const std::vector<KeyReveal>& reveals,
+                                 const ReputationRegistry& reputation,
+                                 obs::MetricsSink* sink) const {
+  ProducedBody produced;
+  produced.opened = open_bids(state.preamble(), state.leaves(), reveals, reputation);
+  const OpenedBlock& opened = produced.opened;
   if (sink != nullptr) {
     sink->metrics().counter("ledger.bids_opened")
         .add(opened.request_source.size() + opened.offer_source.size());
@@ -82,12 +98,11 @@ BlockBody Miner::compute_body(const BlockPreamble& preamble,
   }
   const auction::DeCloudAuction mechanism(params_.auction);
   const auction::RoundResult result =
-      mechanism.run(opened.snapshot, allocation_seed(preamble), sink);
+      mechanism.run(opened.snapshot, allocation_seed(state.preamble()), sink);
 
-  BlockBody body;
-  body.revealed_keys = reveals;
-  body.allocation = encode_allocation(result);
-  return body;
+  produced.body.revealed_keys = reveals;
+  produced.body.allocation = encode_allocation(result);
+  return produced;
 }
 
 bool Miner::verify_body(const BlockPreamble& preamble, const BlockBody& body,

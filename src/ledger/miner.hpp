@@ -43,6 +43,13 @@ struct OpenedBlock {
   std::vector<std::size_t> unopened;
 };
 
+/// The producer's phase-2 output: the body it publishes and the opened
+/// bids the body's allocation was computed over.
+struct ProducedBody {
+  BlockBody body;
+  OpenedBlock opened;
+};
+
 class Miner {
  public:
   explicit Miner(ConsensusParams params) : params_(std::move(params)) {}
@@ -51,22 +58,24 @@ class Miner {
 
   /// Phase 1: assembles a preamble over the given sealed bids on top of the
   /// current tip and solves PoW (the nonce search spans the whole 64-bit
-  /// space; exhausting it is a broken invariant, not a result).  A
-  /// non-null `sink` records a "pow" span whose work counter is the number
-  /// of PoW attempts; the sink never affects mining.
-  [[nodiscard]] BlockPreamble mine_preamble(std::vector<SealedBid> bids,
-                                            const crypto::Digest& prev_hash, std::uint64_t height,
-                                            Time timestamp,
-                                            obs::MetricsSink* sink = nullptr) const;
+  /// space; exhausting it is a broken invariant, not a result).  Each bid
+  /// is hashed once; the returned state keeps those leaves and the Merkle
+  /// tree whose root is bids_root.  A non-null `sink` records a "pow" span
+  /// whose work counter is the number of PoW attempts; the sink never
+  /// affects mining.
+  [[nodiscard]] RoundState mine_preamble(std::vector<SealedBid> bids,
+                                         const crypto::Digest& prev_hash, std::uint64_t height,
+                                         Time timestamp, obs::MetricsSink* sink = nullptr) const;
 
-  /// Phase 2 (producer): decrypts the bids with the revealed keys and runs
-  /// the auction seeded by the block hash, producing the body.
-  /// `reputation` is forwarded to open_block and `sink` to the mechanism
-  /// (stage spans + round counters).
-  [[nodiscard]] BlockBody compute_body(const BlockPreamble& preamble,
-                                       const std::vector<KeyReveal>& reveals,
-                                       const ReputationRegistry& reputation,
-                                       obs::MetricsSink* sink = nullptr) const;
+  /// Phase 2 (producer): decrypts the mined bids with the revealed keys,
+  /// looked up by the state's leaves, and runs the auction seeded by the
+  /// block hash, producing the body and the opened bids it was computed
+  /// over.  `reputation` stamps the opened requests as in open_block, and
+  /// `sink` goes to the mechanism (stage spans + round counters).
+  [[nodiscard]] ProducedBody compute_body(const RoundState& state,
+                                          const std::vector<KeyReveal>& reveals,
+                                          const ReputationRegistry& reputation,
+                                          obs::MetricsSink* sink = nullptr) const;
 
   /// Phase 2 (verifier): re-derives the allocation from the preamble and
   /// revealed keys and accepts the body iff it matches byte-for-byte
@@ -78,8 +87,9 @@ class Miner {
                                  const ReputationRegistry& reputation,
                                  const VerifiedBids* verified = nullptr) const;
 
-  /// Decrypts a preamble's bids with a key set (shared by producer and
-  /// verifier paths).  Bids with missing/wrong keys or malformed plaintext
+  /// Decrypts a preamble's bids with a key set, hashing each bid to find
+  /// its key (the verifier's path; the producer's compute_body opens over
+  /// the leaves it mined).  Bids with missing/wrong keys or malformed plaintext
   /// are skipped and reported in `unopened`.  Every opened request is
   /// stamped with its client's score in `reputation` (stamp_reputation),
   /// so Offer::min_reputation gates consensus state, not the value a

@@ -146,8 +146,11 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
     // Phase 1: assemble + PoW over the sealed bids.  The "pow" span is
     // opened by mine_preamble itself (it knows the attempt count).  The
     // bids are passed by copy: a rejected attempt re-mines from them.
-    BlockPreamble preamble =
+    // `state` keeps this attempt's leaves and Merkle tree, so the
+    // producer's own checks below hash no bid again (DESIGN.md §3b).
+    RoundState state =
         producer_.mine_preamble(bids, chain_.tip_hash(), chain_.height(), now, hooks_.sink);
+    const BlockPreamble& preamble = state.preamble();
 
     // Participants validate the preamble and reveal keys for their bids.
     // A withhold fault silences one participant: its keys stay secret,
@@ -155,7 +158,7 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
     {
       obs::SpanScope span(hooks_.sink, "key_reveal");
       std::size_t fresh = 0;
-      if (validate_preamble(preamble, params_.difficulty_bits, &verified)) {
+      if (validate_preamble(state, params_.difficulty_bits, &verified)) {
         for (std::size_t i = 0; i < participants.size(); ++i) {
           if (hooks_.fire(fault::FaultKind::kWithholdReveal, {round, hooks_.shard, i, attempt},
                           round)) {
@@ -174,12 +177,15 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
       hooks_.count("ledger.keys_revealed", fresh);
     }
 
-    // Phase 2: allocation computation and block body.
-    BlockBody body;
+    // Phase 2: allocation computation and block body.  The producer keeps
+    // the block it opened: the penalty, decode and append steps read it.
+    ProducedBody produced;
     {
       obs::SpanScope span(hooks_.sink, "allocation");
-      body = producer_.compute_body(preamble, reveals, reputation, hooks_.sink);
+      produced = producer_.compute_body(state, reveals, reputation, hooks_.sink);
     }
+    BlockBody& body = produced.body;
+    OpenedBlock& opened = produced.opened;
     if (hooks_.fire(fault::FaultKind::kCorruptAllocation, {round, hooks_.shard, 0, attempt},
                     round)) {
       if (body.allocation.empty()) {
@@ -212,8 +218,6 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
       }
     }
     const bool quorum_reached = accepts >= required;
-
-    OpenedBlock opened = Miner::open_block(preamble, body.revealed_keys, reputation);
 
     // Withholding penalty: every distinct sender of a bid that never
     // opened is debited BEFORE any allocation registers — exclusion from
@@ -248,8 +252,9 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
     if (quorum_reached && decodable) {
       {
         obs::SpanScope span(hooks_.sink, "append");
-        outcome.block = Block{.preamble = std::move(preamble), .body = std::move(body)};
-        outcome.block_accepted = chain_.append(outcome.block, params_.difficulty_bits, &verified);
+        outcome.block_accepted = chain_.append(state, params_.difficulty_bits, &verified);
+        outcome.block =
+            Block{.preamble = std::move(state).take_preamble(), .body = std::move(body)};
         if (outcome.block_accepted) {
           outcome.agreements =
               contract_.register_allocation(chain_.height() - 1, outcome.snapshot, outcome.result);

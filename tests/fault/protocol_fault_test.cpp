@@ -188,6 +188,58 @@ TEST(ProtocolFault, RemineExcludesTheWithheldBids) {
   EXPECT_EQ(protocol.chain().height(), 1u);
 }
 
+TEST(ProtocolFault, AnIndependentNodeAcceptsEveryAppendedBlock) {
+  // The producer checks its own attempts against the leaves and tree it
+  // mined (ledger::RoundState) instead of re-hashing the bids.  A state
+  // carried over from an earlier attempt would show here: every block the
+  // protocol appends must pass a fresh node's checks, which derive all of
+  // it from the bytes.  Only verifier 0 lies, so a corrupted body can
+  // never reach the unanimous quorum.
+  ConsensusParams p = params();
+  p.max_remine_attempts = 1;
+  LedgerProtocol protocol(p);
+  const fault::FaultInjector injector(
+      fault::FaultPlan::parse(
+          "withhold_reveal:p=0.3;corrupt_allocation:p=0.3;dishonest_vote:p=0.3:index=0"),
+      31);
+  protocol.attach({.faults = &injector});
+
+  Rng rng(9);
+  Participant clients(rng);
+  Participant providers(rng);
+  Participant third(rng);
+  std::size_t accepted = 0;
+  std::size_t remined = 0;
+  for (std::uint64_t round = 0; round < 12; ++round) {
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      Participant& sender = i == 2 ? third : clients;
+      protocol.mempool().submit(sender.submit_request(
+          simple_request(round * 10 + i, 2.0 + static_cast<double>(i)), rng));
+    }
+    protocol.mempool().submit(providers.submit_offer(simple_offer(round * 10 + 1, 0.2), rng));
+    protocol.mempool().submit(providers.submit_offer(simple_offer(round * 10 + 2, 0.3), rng));
+    // The registry every miner of this round opens against: the contract
+    // changes only after the votes.
+    const ReputationRegistry registry = protocol.contract().reputation();
+
+    const RoundOutcome outcome =
+        protocol.run_round({&clients, &providers, &third}, 2, Time(round * 100));
+    if (!outcome.block_accepted) continue;
+    ++accepted;
+    if (outcome.fault.remine_attempts > 0) ++remined;
+    const BlockPreamble& preamble = outcome.block.preamble;
+    EXPECT_EQ(preamble.header.bids_root, bids_merkle_root(preamble.sealed_bids))
+        << "round " << round;
+    EXPECT_TRUE(validate_preamble(preamble, kDifficulty)) << "round " << round;
+    EXPECT_TRUE(Miner(p).verify_body(preamble, outcome.block.body, registry))
+        << "round " << round;
+  }
+  // The plan bit: some rounds re-mined and still appended a block.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(remined, 0u);
+  EXPECT_EQ(protocol.chain().height(), accepted);
+}
+
 TEST(ProtocolFault, TamperedSealedBidIsDroppedBeforeMining) {
   LedgerProtocol protocol(params());
   Rng rng(7);

@@ -29,17 +29,16 @@ SealedBid make_bid(Rng& rng, std::uint64_t id) {
   return seal_bid(BidKind::kRequest, encode_request(r), key, nonce, signer);
 }
 
+const Miner kMiner(ConsensusParams{.difficulty_bits = kDifficulty});
+
+RoundState mine_state(std::vector<SealedBid> bids, const crypto::Digest& prev,
+                      std::uint64_t height) {
+  return kMiner.mine_preamble(std::move(bids), prev, height, 1000);
+}
+
 BlockPreamble mine(std::vector<SealedBid> bids, const crypto::Digest& prev,
                    std::uint64_t height) {
-  BlockPreamble p;
-  p.header.height = height;
-  p.header.prev_hash = prev;
-  p.header.timestamp = 1000;
-  p.header.bids_root = bids_merkle_root(bids);
-  p.sealed_bids = std::move(bids);
-  const auto hb = p.header.bytes();
-  p.pow = *crypto::solve_pow({hb.data(), hb.size()}, kDifficulty);
-  return p;
+  return mine_state(std::move(bids), prev, height).take_preamble();
 }
 
 TEST(BlockHeader, BytesAreDeterministic) {
@@ -123,18 +122,17 @@ TEST(Blockchain, GenesisAppend) {
   Blockchain chain;
   EXPECT_EQ(chain.height(), 0u);
   EXPECT_EQ(chain.tip_hash(), crypto::Digest{});
-  Block b;
-  b.preamble = mine({make_bid(rng, 1)}, crypto::Digest{}, 0);
+  const RoundState b = mine_state({make_bid(rng, 1)}, crypto::Digest{}, 0);
   EXPECT_TRUE(chain.append(b, kDifficulty));
   EXPECT_EQ(chain.height(), 1u);
-  EXPECT_EQ(chain.tip_hash(), b.preamble.hash());
+  EXPECT_EQ(chain.tip_hash(), b.preamble().hash());
 }
 
 TEST(Blockchain, RejectsWrongHeight) {
   Rng rng(8);
   Blockchain chain;
-  Block b;
-  b.preamble = mine({make_bid(rng, 1)}, crypto::Digest{}, 5);  // height 5 on empty chain
+  // Height 5 on an empty chain.
+  const RoundState b = mine_state({make_bid(rng, 1)}, crypto::Digest{}, 5);
   EXPECT_FALSE(chain.append(b, kDifficulty));
   EXPECT_EQ(chain.height(), 0u);
 }
@@ -144,31 +142,27 @@ TEST(Blockchain, RejectsWrongPrevHash) {
   Blockchain chain;
   crypto::Digest not_the_tip{};
   not_the_tip[0] = 1;
-  Block b;
-  b.preamble = mine({make_bid(rng, 1)}, not_the_tip, 0);
+  const RoundState b = mine_state({make_bid(rng, 1)}, not_the_tip, 0);
   EXPECT_FALSE(chain.append(b, kDifficulty));
 }
 
 TEST(Blockchain, LinksSuccessiveBlocks) {
   Rng rng(10);
   Blockchain chain;
-  Block b0;
-  b0.preamble = mine({make_bid(rng, 1)}, crypto::Digest{}, 0);
+  const RoundState b0 = mine_state({make_bid(rng, 1)}, crypto::Digest{}, 0);
   ASSERT_TRUE(chain.append(b0, kDifficulty));
-  EXPECT_EQ(chain.tip_hash(), b0.preamble.hash());
-  Block b1;
-  b1.preamble = mine({make_bid(rng, 2)}, chain.tip_hash(), 1);
+  EXPECT_EQ(chain.tip_hash(), b0.preamble().hash());
+  const RoundState b1 = mine_state({make_bid(rng, 2)}, chain.tip_hash(), 1);
   EXPECT_TRUE(chain.append(b1, kDifficulty));
   EXPECT_EQ(chain.height(), 2u);
-  EXPECT_EQ(b1.preamble.header.prev_hash, b0.preamble.hash());
-  EXPECT_EQ(chain.tip_hash(), b1.preamble.hash());
+  EXPECT_EQ(b1.preamble().header.prev_hash, b0.preamble().hash());
+  EXPECT_EQ(chain.tip_hash(), b1.preamble().hash());
 }
 
 TEST(Blockchain, RejectsInsufficientDifficulty) {
   Rng rng(11);
   Blockchain chain;
-  Block b;
-  b.preamble = mine({make_bid(rng, 1)}, crypto::Digest{}, 0);
+  const RoundState b = mine_state({make_bid(rng, 1)}, crypto::Digest{}, 0);
   // Demand far more zero bits than the solution provides.
   EXPECT_FALSE(chain.append(b, 64));
 }
@@ -193,7 +187,8 @@ TEST(ValidatePreamble, RepeatedLeafRejectedDespiteEqualRoot) {
     r.bid = 1.0 + static_cast<double>(i);
     bids.push_back(wallet.submit_request(r, rng));
   }
-  const BlockPreamble honest = mine(bids, crypto::Digest{}, 0);
+  const RoundState state = miner.mine_preamble(bids, crypto::Digest{}, 0, 1000);
+  const BlockPreamble& honest = state.preamble();
   const std::vector<KeyReveal> reveals = wallet.on_preamble(honest);
   ASSERT_EQ(reveals.size(), 3u);
   ASSERT_TRUE(validate_preamble(honest, kDifficulty));
@@ -202,16 +197,30 @@ TEST(ValidatePreamble, RepeatedLeafRejectedDespiteEqualRoot) {
   doubled.sealed_bids.push_back(doubled.sealed_bids.back());
   ASSERT_EQ(bids_merkle_root(doubled.sealed_bids), honest.header.bids_root);
   const ReputationRegistry registry;
-  ASSERT_EQ(Miner::open_block(doubled, reveals, registry).snapshot.requests.size(), 4u);
+  const OpenedBlock opened_doubled = Miner::open_block(doubled, reveals, registry);
+  ASSERT_EQ(opened_doubled.snapshot.requests.size(), 4u);
+  // The body a producer would publish for the doubled block: its own
+  // allocation over the four opened requests.
+  const BlockBody doubled_body{
+      .revealed_keys = reveals,
+      .allocation = encode_allocation(auction::DeCloudAuction(miner.params().auction)
+                                          .run(opened_doubled.snapshot,
+                                               Miner::allocation_seed(doubled)))};
 
   EXPECT_FALSE(validate_preamble(doubled, kDifficulty));
-  EXPECT_FALSE(
-      miner.verify_body(doubled, miner.compute_body(doubled, reveals, registry), registry));
-  EXPECT_TRUE(miner.verify_body(honest, miner.compute_body(honest, reveals, registry), registry));
+  EXPECT_FALSE(miner.verify_body(doubled, doubled_body, registry));
+  EXPECT_TRUE(
+      miner.verify_body(honest, miner.compute_body(state, reveals, registry).body, registry));
+  // A producer mining the repeated bid itself is refused by its own
+  // state's check, so the chain does not take the block either.
+  std::vector<SealedBid> repeated = bids;
+  repeated.push_back(repeated.back());
+  const RoundState doubled_state = miner.mine_preamble(repeated, crypto::Digest{}, 0, 1000);
+  EXPECT_FALSE(validate_preamble(doubled_state, kDifficulty));
   Blockchain chain;
-  EXPECT_FALSE(chain.append(Block{.preamble = doubled, .body = {}}, kDifficulty));
+  EXPECT_FALSE(chain.append(doubled_state, kDifficulty));
   EXPECT_EQ(chain.height(), 0u);
-  EXPECT_TRUE(chain.append(Block{.preamble = honest, .body = {}}, kDifficulty));
+  EXPECT_TRUE(chain.append(state, kDifficulty));
 }
 
 // The round-scoped verified set (VerifiedBids) lets key reveal, collective
@@ -232,14 +241,19 @@ struct Admitted {
   }
 };
 
-void expect_rejected_with_set(const BlockPreamble& p, const VerifiedBids& verified) {
+/// Mines `bids` and expects every check that consults `verified` to refuse
+/// the block: the standalone and the producer's own preamble check, a
+/// verifier's replay, and the chain append.
+void expect_rejected_with_set(std::vector<SealedBid> bids, const VerifiedBids& verified) {
+  const RoundState state = mine_state(std::move(bids), crypto::Digest{}, 0);
+  const BlockPreamble& p = state.preamble();
   EXPECT_FALSE(validate_preamble(p, kDifficulty, &verified));
-  const Miner verifier(ConsensusParams{.difficulty_bits = kDifficulty});
+  EXPECT_FALSE(validate_preamble(state, kDifficulty, &verified));
   const ReputationRegistry registry;
-  EXPECT_FALSE(
-      verifier.verify_body(p, verifier.compute_body(p, {}, registry), registry, &verified));
+  EXPECT_FALSE(kMiner.verify_body(p, kMiner.compute_body(state, {}, registry).body, registry,
+                                  &verified));
   Blockchain chain;
-  EXPECT_FALSE(chain.append(Block{.preamble = p, .body = {}}, kDifficulty, &verified));
+  EXPECT_FALSE(chain.append(state, kDifficulty, &verified));
 }
 
 TEST(VerifiedBids, AdmitRecordsOnlyValidSignatures) {
@@ -253,35 +267,37 @@ TEST(VerifiedBids, AdmitRecordsOnlyValidSignatures) {
 
 TEST(VerifiedBids, AdmittedPreambleValidatesEverywhere) {
   Admitted a;
-  const BlockPreamble p = mine(a.bids, crypto::Digest{}, 0);
+  const RoundState state = mine_state(a.bids, crypto::Digest{}, 0);
+  const BlockPreamble& p = state.preamble();
   EXPECT_TRUE(validate_preamble(p, kDifficulty, &a.verified));
-  const Miner verifier(ConsensusParams{.difficulty_bits = kDifficulty});
+  EXPECT_TRUE(validate_preamble(state, kDifficulty, &a.verified));
   const ReputationRegistry registry;
-  EXPECT_TRUE(
-      verifier.verify_body(p, verifier.compute_body(p, {}, registry), registry, &a.verified));
+  EXPECT_TRUE(kMiner.verify_body(p, kMiner.compute_body(state, {}, registry).body, registry,
+                                 &a.verified));
   Blockchain chain;
-  EXPECT_TRUE(chain.append(Block{.preamble = p, .body = {}}, kDifficulty, &a.verified));
+  EXPECT_TRUE(chain.append(state, kDifficulty, &a.verified));
+  EXPECT_EQ(chain.tip_hash(), p.hash());
 }
 
 TEST(VerifiedBids, FlippedCiphertextReRootedAndReMinedIsRejected) {
   Admitted a;
   std::vector<SealedBid> tampered = a.bids;
   tampered[1].ciphertext[0] ^= 1;  // the digest moves, so the lookup misses
-  expect_rejected_with_set(mine(tampered, crypto::Digest{}, 0), a.verified);
+  expect_rejected_with_set(tampered, a.verified);
 }
 
 TEST(VerifiedBids, BorrowedSignatureIsRejected) {
   Admitted a;
   std::vector<SealedBid> tampered = a.bids;
   tampered[2].signature = tampered[0].signature;  // admitted, but for another payload
-  expect_rejected_with_set(mine(tampered, crypto::Digest{}, 0), a.verified);
+  expect_rejected_with_set(tampered, a.verified);
 }
 
 TEST(VerifiedBids, AdmittedPayloadWithAlteredSignatureIsRejected) {
   Admitted a;
   std::vector<SealedBid> tampered = a.bids;
   tampered[0].signature.s ^= 1;  // same digest, different signature: the key misses
-  expect_rejected_with_set(mine(tampered, crypto::Digest{}, 0), a.verified);
+  expect_rejected_with_set(tampered, a.verified);
 }
 
 TEST(VerifiedBids, UnadmittedBadSignatureIsRejected) {
@@ -289,7 +305,7 @@ TEST(VerifiedBids, UnadmittedBadSignatureIsRejected) {
   std::vector<SealedBid> bids = a.bids;
   bids.push_back(make_bid(a.rng, 4));
   bids.back().signature.r ^= 1;
-  expect_rejected_with_set(mine(bids, crypto::Digest{}, 0), a.verified);
+  expect_rejected_with_set(bids, a.verified);
   // The same bid with its signature intact is checked in full and passes.
   bids.back().signature.r ^= 1;
   EXPECT_TRUE(validate_preamble(mine(bids, crypto::Digest{}, 0), kDifficulty, &a.verified));

@@ -19,14 +19,24 @@ struct Round {
   ReputationRegistry registry;
   Participant alice{rng};
   Participant bob{rng};
-  BlockPreamble preamble;
+  RoundState state;
+  const BlockPreamble& preamble = state.preamble();
   std::vector<KeyReveal> reveals;
 
   /// `num_requests` requests of `request_cpu` cores each, from two clients,
   /// against three 4-core offers.  A `cpu_significance` below 1 makes the
   /// requests' CPU non-strict.
   explicit Round(std::uint64_t num_requests = 4, double request_cpu = 1.0,
-                 double cpu_significance = 1.0) {
+                 double cpu_significance = 1.0)
+      : state(mine(num_requests, request_cpu, cpu_significance)) {
+    auto ra = alice.on_preamble(preamble);
+    auto rb = bob.on_preamble(preamble);
+    reveals = ra;
+    reveals.insert(reveals.end(), rb.begin(), rb.end());
+  }
+
+ private:
+  RoundState mine(std::uint64_t num_requests, double request_cpu, double cpu_significance) {
     std::vector<SealedBid> bids;
     for (std::uint64_t i = 0; i < num_requests; ++i) {
       auction::Request r;
@@ -50,11 +60,7 @@ struct Round {
       o.bid = 0.1 + 0.1 * static_cast<double>(i);
       bids.push_back(bob.submit_offer(o, rng));
     }
-    preamble = miner.mine_preamble(std::move(bids), crypto::Digest{}, 0, 1000);
-    auto ra = alice.on_preamble(preamble);
-    auto rb = bob.on_preamble(preamble);
-    reveals = ra;
-    reveals.insert(reveals.end(), rb.begin(), rb.end());
+    return miner.mine_preamble(std::move(bids), crypto::Digest{}, 0, 1000);
   }
 };
 
@@ -62,6 +68,39 @@ TEST(Miner, MinedPreambleValidates) {
   Round round;
   EXPECT_TRUE(validate_preamble(round.preamble, round.params.difficulty_bits));
   EXPECT_EQ(round.preamble.sealed_bids.size(), 7u);
+}
+
+TEST(Miner, MinedStateHoldsEachBidsDigestAndTheRootsTree) {
+  Round round;
+  ASSERT_EQ(round.state.leaves().size(), round.preamble.sealed_bids.size());
+  for (std::size_t i = 0; i < round.preamble.sealed_bids.size(); ++i) {
+    EXPECT_EQ(round.state.leaves()[i], round.preamble.sealed_bids[i].digest());
+  }
+  EXPECT_EQ(round.state.tree().root(), round.preamble.header.bids_root);
+  EXPECT_EQ(round.preamble.header.bids_root, bids_merkle_root(round.preamble.sealed_bids));
+  EXPECT_TRUE(validate_preamble(round.state, round.params.difficulty_bits));
+  EXPECT_FALSE(validate_preamble(round.state, 64));
+}
+
+TEST(Miner, ProducerOpensTheBlockAVerifierOpens) {
+  // compute_body opens over the mined leaves; Miner::open_block hashes
+  // the bids itself.  Both must open the same bids into the same rows,
+  // with a withheld key as well as with every key.
+  Round round;
+  auto partial = round.reveals;
+  partial.erase(partial.begin() + 1);
+  for (const auto& reveals : {round.reveals, partial}) {
+    const ProducedBody produced = round.miner.compute_body(round.state, reveals, round.registry);
+    const OpenedBlock opened = Miner::open_block(round.preamble, reveals, round.registry);
+    EXPECT_EQ(produced.opened.request_source, opened.request_source);
+    EXPECT_EQ(produced.opened.offer_source, opened.offer_source);
+    EXPECT_EQ(produced.opened.unopened, opened.unopened);
+    const auction::DeCloudAuction mechanism(round.params.auction);
+    EXPECT_EQ(produced.body.allocation,
+              encode_allocation(
+                  mechanism.run(opened.snapshot, Miner::allocation_seed(round.preamble))));
+    EXPECT_TRUE(round.miner.verify_body(round.preamble, produced.body, round.registry));
+  }
 }
 
 TEST(Miner, OpenBlockRecoversAllBids) {
@@ -104,13 +143,13 @@ TEST(Miner, AllocationSeedComesFromBlockHash) {
 
 TEST(Miner, ComputedBodyPassesVerification) {
   Round round;
-  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals, round.registry);
+  const BlockBody body = round.miner.compute_body(round.state, round.reveals, round.registry).body;
   EXPECT_TRUE(round.miner.verify_body(round.preamble, body, round.registry));
 }
 
 TEST(Miner, AllocationInBodySatisfiesInvariants) {
   Round round;
-  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals, round.registry);
+  const BlockBody body = round.miner.compute_body(round.state, round.reveals, round.registry).body;
   const OpenedBlock opened = Miner::open_block(round.preamble, body.revealed_keys, round.registry);
   const auto result = decode_allocation({body.allocation.data(), body.allocation.size()},
                                         opened.snapshot.requests.size(),
@@ -120,7 +159,7 @@ TEST(Miner, AllocationInBodySatisfiesInvariants) {
 
 TEST(Miner, VerifyRejectsTamperedAllocation) {
   Round round;
-  BlockBody body = round.miner.compute_body(round.preamble, round.reveals, round.registry);
+  BlockBody body = round.miner.compute_body(round.state, round.reveals, round.registry).body;
   ASSERT_FALSE(body.allocation.empty());
   body.allocation.back() ^= 0x01;  // flip one byte of the allocation
   EXPECT_FALSE(round.miner.verify_body(round.preamble, body, round.registry));
@@ -143,7 +182,7 @@ BlockBody forge_allocation(const Round& round, const BlockBody& honest, Tamper t
 
 TEST(Miner, VerifyRejectsDroppedMatch) {
   Round round;
-  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals, round.registry);
+  const BlockBody body = round.miner.compute_body(round.state, round.reveals, round.registry).body;
   const BlockBody forged = forge_allocation(round, body, [](auction::RoundResult& r) {
     ASSERT_FALSE(r.matches.empty());
     r.matches.pop_back();
@@ -153,7 +192,7 @@ TEST(Miner, VerifyRejectsDroppedMatch) {
 
 TEST(Miner, VerifyRejectsAlteredPayment) {
   Round round;
-  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals, round.registry);
+  const BlockBody body = round.miner.compute_body(round.state, round.reveals, round.registry).body;
   const BlockBody forged = forge_allocation(round, body, [](auction::RoundResult& r) {
     ASSERT_FALSE(r.matches.empty());
     r.matches[0].payment *= 0.5;  // a producer undercharging an accomplice
@@ -167,7 +206,7 @@ TEST(Miner, VerifyRejectsWrongSeed) {
   // 3-core requests for three 4-core offers leave a demand surplus, so
   // the verifiable lottery draws the allocation.
   Round round(8, 3.0);
-  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals, round.registry);
+  const BlockBody body = round.miner.compute_body(round.state, round.reveals, round.registry).body;
   const auction::MarketSnapshot snapshot =
       Miner::open_block(round.preamble, round.reveals, round.registry).snapshot;
   const auction::DeCloudAuction mechanism(round.params.auction);
@@ -186,7 +225,7 @@ TEST(Miner, VerifyRejectsDroppedKeys) {
   // the replayed snapshot: the claimed allocation — computed with all keys
   // — no longer matches the replay over the reduced key set.
   Round round;
-  BlockBody body = round.miner.compute_body(round.preamble, round.reveals, round.registry);
+  BlockBody body = round.miner.compute_body(round.state, round.reveals, round.registry).body;
   // Drop every request key: the replay has offers only, so the claimed
   // non-empty allocation cannot reproduce.
   BlockBody tampered = body;
@@ -201,7 +240,7 @@ TEST(Miner, DroppingAnIrrelevantKeyIsDetectedByItsOwner) {
   // defence is participant-side: the owner sees its key missing from the
   // body and knows it was excluded (Section III-B).
   Round round;
-  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals, round.registry);
+  const BlockBody body = round.miner.compute_body(round.state, round.reveals, round.registry).body;
   std::vector<crypto::Digest> in_body;
   for (const auto& kr : body.revealed_keys) in_body.push_back(kr.bid_digest);
   // Every reveal the participants sent is present in the honest body.
@@ -212,13 +251,13 @@ TEST(Miner, DroppingAnIrrelevantKeyIsDetectedByItsOwner) {
 
 TEST(Miner, VerifyRejectsDivergentConsensusConfig) {
   Round round;
-  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals, round.registry);
+  const BlockBody body = round.miner.compute_body(round.state, round.reveals, round.registry).body;
   ConsensusParams other = round.params;
   other.auction.truthful = false;  // the greedy benchmark: no reduction, no payments
   const Miner dissenter(other);
   // The dissenter's replay yields other bytes, so it rejects the honest
   // body that the consensus config accepts.
-  ASSERT_NE(dissenter.compute_body(round.preamble, round.reveals, round.registry).allocation,
+  ASSERT_NE(dissenter.compute_body(round.state, round.reveals, round.registry).body.allocation,
             body.allocation);
   EXPECT_FALSE(dissenter.verify_body(round.preamble, body, round.registry));
   EXPECT_TRUE(round.miner.verify_body(round.preamble, body, round.registry));
@@ -231,7 +270,7 @@ TEST(VerifyReplay, HonestResultMatchesReplay) {
   // The honest body's allocation is byte for byte the mechanism re-run
   // over the opened snapshot with the block-hash seed.
   Round round;
-  const BlockBody body = round.miner.compute_body(round.preamble, round.reveals, round.registry);
+  const BlockBody body = round.miner.compute_body(round.state, round.reveals, round.registry).body;
   const auction::MarketSnapshot snapshot =
       Miner::open_block(round.preamble, round.reveals, round.registry).snapshot;
   const auction::RoundResult replay = auction::DeCloudAuction(round.params.auction)
@@ -249,8 +288,8 @@ TEST(VerifyReplay, DetectsDivergentConfig) {
   ConsensusParams flexible = round.params;
   flexible.auction.flexibility = 0.8;
   const Miner producer(flexible);
-  const BlockBody body = producer.compute_body(round.preamble, round.reveals, round.registry);
-  ASSERT_NE(round.miner.compute_body(round.preamble, round.reveals, round.registry).allocation,
+  const BlockBody body = producer.compute_body(round.state, round.reveals, round.registry).body;
+  ASSERT_NE(round.miner.compute_body(round.state, round.reveals, round.registry).body.allocation,
             body.allocation);
   EXPECT_FALSE(round.miner.verify_body(round.preamble, body, round.registry));
   EXPECT_TRUE(producer.verify_body(round.preamble, body, round.registry));

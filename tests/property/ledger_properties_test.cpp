@@ -60,12 +60,13 @@ TEST_P(LedgerSweep, FullRoundVerifiesAndTamperingIsCaught) {
   for (const auto& r : market.requests) bids.push_back(wallet.submit_request(r, rng));
   for (const auto& o : market.offers) bids.push_back(wallet.submit_offer(o, rng));
 
-  const BlockPreamble preamble = producer.mine_preamble(std::move(bids), crypto::Digest{}, 0, 1);
+  const RoundState state = producer.mine_preamble(std::move(bids), crypto::Digest{}, 0, 1);
+  const BlockPreamble& preamble = state.preamble();
   const auto reveals = wallet.on_preamble(preamble);
   ASSERT_EQ(reveals.size(), market.requests.size() + market.offers.size());
 
   const ReputationRegistry registry;
-  const BlockBody body = producer.compute_body(preamble, reveals, registry);
+  const BlockBody body = producer.compute_body(state, reveals, registry).body;
   EXPECT_TRUE(producer.verify_body(preamble, body, registry));
 
   // Any single-byte tamper in the allocation is caught.
