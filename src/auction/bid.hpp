@@ -80,12 +80,15 @@ struct Offer {
   [[nodiscard]] Seconds window_length() const { return window_end - window_start; }
 };
 
-/// Validates the structural invariants of a request (non-negative bid,
-/// consistent window/duration, σ ∈ (0,1], at least one resource).  Throws
-/// precondition_error describing the first violation.
+/// Validates the structural invariants of a request (finite non-negative
+/// bid and reputation, consistent window/duration, σ ∈ (0,1], at least one
+/// resource, finite location).  Throws precondition_error describing the
+/// first violation.
 void validate(const Request& r);
 
-/// Validates the structural invariants of an offer.
+/// Validates the structural invariants of an offer (finite non-negative bid
+/// and reputation threshold, positive window, at least one resource, finite
+/// location).
 void validate(const Offer& o);
 
 /// All requests and offers accepted into one block β: the input of a single

@@ -118,8 +118,6 @@ class CandidateIndex {
   /// Static QoM upper bound of one offer (tests/bench introspection).
   [[nodiscard]] double upper_bound(std::size_t offer) const { return ub_[offer]; }
 
-  [[nodiscard]] std::size_t cell_count() const { return cells_.size(); }
-
  private:
   struct Cell {
     std::vector<std::size_t> offers;  // sorted by (ub desc, index asc)

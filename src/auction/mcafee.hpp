@@ -2,9 +2,9 @@
 // budget-balanced variant SBBA (Segal-Halevi et al., 2016).
 //
 // DeCloud's mechanism generalizes these to heterogeneous goods; we keep the
-// originals as reference substrates — the unit tests replay Fig. 3 of the
-// paper against them, and the ablation benches compare DeCloud's pricing
-// against both on degenerate single-good markets.
+// originals as reference substrates: the unit tests replay Figs. 3 and 4 of
+// the paper against them and check that the unit-good core is exactly
+// truthful, which the DSIC study (EXPERIMENTS.md E7) relies on.
 #pragma once
 
 #include <cstddef>

@@ -28,13 +28,15 @@ ResourceVector::ResourceVector(std::vector<ResourceAmount> entries) : entries_(s
   std::sort(entries_.begin(), entries_.end(),
             [](const ResourceAmount& a, const ResourceAmount& b) { return a.type < b.type; });
   for (std::size_t i = 0; i < entries_.size(); ++i) {
-    DECLOUD_EXPECTS_MSG(entries_[i].amount >= 0.0, "resource amounts must be non-negative");
+    DECLOUD_EXPECTS_MSG(std::isfinite(entries_[i].amount) && entries_[i].amount >= 0.0,
+                        "resource amounts must be finite and non-negative");
     if (i > 0) DECLOUD_EXPECTS_MSG(entries_[i].type != entries_[i - 1].type, "duplicate resource type");
   }
 }
 
 void ResourceVector::set(ResourceId type, double amount) {
-  DECLOUD_EXPECTS(amount >= 0.0);
+  DECLOUD_EXPECTS_MSG(std::isfinite(amount) && amount >= 0.0,
+                      "resource amounts must be finite and non-negative");
   const auto it = std::lower_bound(
       entries_.begin(), entries_.end(), type,
       [](const ResourceAmount& e, ResourceId t) { return e.type < t; });

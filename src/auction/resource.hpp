@@ -42,9 +42,6 @@ class ResourceSchema {
   [[nodiscard]] const std::string& name(ResourceId id) const;
   [[nodiscard]] std::size_t size() const { return interner_.size(); }
 
-  /// True for the built-in critical resource types.
-  [[nodiscard]] static bool is_builtin_critical(ResourceId id) { return id <= kDisk; }
-
  private:
   Interner interner_;
 };
@@ -57,7 +54,7 @@ struct ResourceAmount {
   friend bool operator==(const ResourceAmount&, const ResourceAmount&) = default;
 };
 
-/// A sparse resource vector ρ, sorted by type id.  Amounts are
+/// A sparse resource vector ρ, sorted by type id.  Amounts are finite and
 /// non-negative; a zero amount is allowed (it still declares the type).
 class ResourceVector {
  public:

@@ -22,10 +22,6 @@ void ByteWriter::write_bytes(std::span<const std::uint8_t> bytes) {
   buf_.insert(buf_.end(), bytes.begin(), bytes.end());
 }
 
-void ByteWriter::write_string(std::string_view s) {
-  write_bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
-}
-
 void ByteReader::require(std::size_t n) {
   DECLOUD_EXPECTS_MSG(remaining() >= n, "truncated message");
 }
@@ -56,14 +52,6 @@ std::vector<std::uint8_t> ByteReader::read_bytes() {
   require(n);
   std::vector<std::uint8_t> out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
                                 data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return out;
-}
-
-std::string ByteReader::read_string() {
-  const std::uint32_t n = read_u32();
-  require(n);
-  std::string out(reinterpret_cast<const char*>(data_.data() + pos_), n);
   pos_ += n;
   return out;
 }

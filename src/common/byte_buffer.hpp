@@ -16,8 +16,6 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/ensure.hpp"
@@ -42,8 +40,6 @@ class ByteWriter {
   void write_double(double v);
   /// Length-prefixed (u32) raw bytes.
   void write_bytes(std::span<const std::uint8_t> bytes);
-  /// Length-prefixed (u32) UTF-8 string.
-  void write_string(std::string_view s);
 
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return buf_; }
   [[nodiscard]] std::vector<std::uint8_t> take() && { return std::move(buf_); }
@@ -96,7 +92,6 @@ class ByteReader {
   std::int64_t read_i64() { return static_cast<std::int64_t>(read_u64()); }
   double read_double();
   std::vector<std::uint8_t> read_bytes();
-  std::string read_string();
 
   [[nodiscard]] bool exhausted() const { return pos_ == data_.size(); }
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }

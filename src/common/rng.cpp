@@ -18,16 +18,6 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& s : state_) s = sm.next();
 }
 
-Rng Rng::from_bytes(std::span<const std::uint8_t> evidence) {
-  // FNV-1a 64-bit fold of the evidence, then normal expansion.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::uint8_t b : evidence) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return Rng(h);
-}
-
 std::uint64_t Rng::next_u64() {
   const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
   const std::uint64_t t = state_[1] << 17;
@@ -83,13 +73,6 @@ double Rng::normal(double mean, double stddev) {
 }
 
 double Rng::lognormal(double mu, double sigma) { return std::exp(normal(mu, sigma)); }
-
-double Rng::exponential(double lambda) {
-  DECLOUD_EXPECTS(lambda > 0.0);
-  double u = next_double();
-  if (u <= 0.0) u = 0x1.0p-53;
-  return -std::log(u) / lambda;
-}
 
 bool Rng::bernoulli(double p) {
   DECLOUD_EXPECTS(p >= 0.0 && p <= 1.0);

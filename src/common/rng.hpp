@@ -46,10 +46,6 @@ class Rng {
   /// Seeds from a single 64-bit value via SplitMix64 state expansion.
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-  /// Seeds from arbitrary evidence bytes (e.g. a block hash).  The bytes
-  /// are folded into 64 bits with an FNV-1a pass before expansion.
-  static Rng from_bytes(std::span<const std::uint8_t> evidence);
-
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~result_type{0}; }
 
@@ -74,9 +70,6 @@ class Rng {
 
   /// Log-normal with the given parameters of the underlying normal.
   double lognormal(double mu, double sigma);
-
-  /// Exponential with the given rate λ.
-  double exponential(double lambda);
 
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p);

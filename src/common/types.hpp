@@ -15,7 +15,6 @@ struct ClientTag {};
 struct ProviderTag {};
 struct RequestTag {};
 struct OfferTag {};
-struct BlockTag {};
 struct ContractTag {};
 
 /// Identifies a client i ∈ N.
@@ -26,8 +25,6 @@ using ProviderId = StrongId<ProviderTag>;
 using RequestId = StrongId<RequestTag>;
 /// Identifies a single offer o (one computational device).
 using OfferId = StrongId<OfferTag>;
-/// Identifies a block β ∈ B.
-using BlockId = StrongId<BlockTag>;
 /// Identifies a smart-contract agreement instance.
 using ContractId = StrongId<ContractTag>;
 

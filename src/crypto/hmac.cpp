@@ -1,9 +1,7 @@
 #include "crypto/hmac.hpp"
 
+#include <algorithm>
 #include <array>
-#include <vector>
-
-#include "common/byte_buffer.hpp"
 
 namespace decloud::crypto {
 
@@ -31,22 +29,6 @@ Digest hmac_sha256(std::span<const std::uint8_t> key, MessageParts message) {
 
   const Digest inner = Sha256().update({ipad.data(), ipad.size()}).update(message).finish();
   return Sha256().update({opad.data(), opad.size()}).update({inner.data(), inner.size()}).finish();
-}
-
-std::vector<std::uint8_t> derive_bytes(std::span<const std::uint8_t> key,
-                                       std::span<const std::uint8_t> info, std::size_t n) {
-  std::vector<std::uint8_t> out;
-  out.reserve(n);
-  std::uint32_t counter = 0;
-  while (out.size() < n) {
-    const auto counter_bytes = le_bytes(counter);
-    const std::span<const std::uint8_t> parts[] = {info, counter_bytes};
-    const Digest block = hmac_sha256(key, parts);
-    const std::size_t take = std::min(block.size(), n - out.size());
-    out.insert(out.end(), block.begin(), block.begin() + static_cast<std::ptrdiff_t>(take));
-    ++counter;
-  }
-  return out;
 }
 
 }  // namespace decloud::crypto

@@ -1,6 +1,6 @@
 #include "crypto/merkle.hpp"
 
-#include "common/ensure.hpp"
+#include <vector>
 
 namespace decloud::crypto {
 
@@ -13,42 +13,19 @@ Digest merkle_parent(const Digest& left, const Digest& right) {
   return h.finish();
 }
 
-MerkleTree::MerkleTree(std::vector<Digest> leaves) : leaf_count_(leaves.size()) {
-  if (leaves.empty()) return;  // root_ stays all-zero
-  levels_.push_back(std::move(leaves));
-  while (levels_.back().size() > 1) {
-    const auto& prev = levels_.back();
-    std::vector<Digest> next;
-    next.reserve((prev.size() + 1) / 2);
-    for (std::size_t i = 0; i < prev.size(); i += 2) {
-      const Digest& left = prev[i];
-      const Digest& right = (i + 1 < prev.size()) ? prev[i + 1] : prev[i];
-      next.push_back(merkle_parent(left, right));
+Digest merkle_root(std::span<const Digest> leaves) {
+  if (leaves.empty()) return Digest{};
+  // Fold one level at a time in place: parent i/2 overwrites a node its
+  // level has already read.
+  std::vector<Digest> level(leaves.begin(), leaves.end());
+  while (level.size() > 1) {
+    const std::size_t n = level.size();
+    for (std::size_t i = 0; i < n; i += 2) {
+      level[i / 2] = merkle_parent(level[i], level[i + 1 < n ? i + 1 : i]);
     }
-    levels_.push_back(std::move(next));
+    level.resize((n + 1) / 2);
   }
-  root_ = levels_.back().front();
-}
-
-MerkleProof MerkleTree::prove(std::size_t index) const {
-  DECLOUD_EXPECTS(index < leaf_count_);
-  MerkleProof proof;
-  std::size_t i = index;
-  for (std::size_t level = 0; level + 1 < levels_.size(); ++level) {
-    const auto& nodes = levels_[level];
-    const std::size_t sibling = (i % 2 == 0) ? std::min(i + 1, nodes.size() - 1) : i - 1;
-    proof.push_back({nodes[sibling], /*sibling_is_left=*/i % 2 == 1});
-    i /= 2;
-  }
-  return proof;
-}
-
-bool MerkleTree::verify(const Digest& leaf, const MerkleProof& proof, const Digest& root) {
-  Digest cur = leaf;
-  for (const auto& step : proof) {
-    cur = step.sibling_is_left ? merkle_parent(step.sibling, cur) : merkle_parent(cur, step.sibling);
-  }
-  return cur == root;
+  return level.front();
 }
 
 }  // namespace decloud::crypto

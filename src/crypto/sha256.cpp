@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "common/ensure.hpp"
-#include "common/hex.hpp"
 
 namespace decloud::crypto {
 
@@ -144,7 +143,5 @@ void Sha256::process_block(const std::uint8_t* block) {
 Digest Sha256::hash(std::span<const std::uint8_t> data) { return Sha256().update(data).finish(); }
 
 Digest Sha256::hash(std::string_view data) { return Sha256().update(data).finish(); }
-
-std::string digest_hex(const Digest& d) { return to_hex(d); }
 
 }  // namespace decloud::crypto

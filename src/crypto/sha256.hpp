@@ -9,7 +9,6 @@
 #include <array>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <string_view>
 
 namespace decloud::crypto {
@@ -50,9 +49,6 @@ class Sha256 {
   std::size_t buffer_len_ = 0;
   bool finished_ = false;
 };
-
-/// Hex string of a digest (convenience for logs/tests).
-[[nodiscard]] std::string digest_hex(const Digest& d);
 
 /// The first 8 bytes of a digest folded big-endian into one word: the
 /// block-hash lottery seed, a key's ledger address and DigestHash all use

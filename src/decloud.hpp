@@ -25,7 +25,6 @@
 
 // Workload generation and trace handling
 #include "trace/ec2_catalog.hpp"
-#include "trace/google_csv.hpp"
 #include "trace/google_trace.hpp"
 #include "trace/kl_shaper.hpp"
 #include "trace/workload.hpp"

@@ -23,7 +23,7 @@ std::vector<crypto::Digest> bid_digests(const std::vector<SealedBid>& bids) {
 }
 
 crypto::Digest bids_merkle_root(const std::vector<SealedBid>& bids) {
-  return crypto::MerkleTree(bid_digests(bids)).root();
+  return crypto::merkle_root(bid_digests(bids));
 }
 
 bool VerifiedBids::admit(const SealedBid& bid) {
@@ -34,19 +34,19 @@ bool VerifiedBids::admit(const SealedBid& bid) {
 
 namespace {
 
-/// validate_preamble's checks, with the bids' leaves and the tree over
-/// them already derived from `preamble`.
-bool check_preamble(const BlockPreamble& preamble, const crypto::MerkleTree& tree,
-                    unsigned difficulty_bits, const VerifiedBids* verified) {
+/// validate_preamble's checks, with the bids' leaves and the Merkle root
+/// over them already derived from `preamble`.
+bool check_preamble(const BlockPreamble& preamble, std::span<const crypto::Digest> leaves,
+                    const crypto::Digest& root, unsigned difficulty_bits,
+                    const VerifiedBids* verified) {
   if (!crypto::verify_pow(preamble.header.bytes(), difficulty_bits, preamble.pow)) return false;
-  const std::span<const crypto::Digest> leaves = tree.leaves();
   // An odd Merkle level duplicates its last node, so [A, B, C] and
   // [A, B, C, C] share a root, PoW and block hash (CVE-2012-2459): refuse
   // a repeated leaf instead of decoding the bid twice.
   std::vector<crypto::Digest> sorted(leaves.begin(), leaves.end());
   std::sort(sorted.begin(), sorted.end());
   if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) return false;
-  if (tree.root() != preamble.header.bids_root) return false;
+  if (root != preamble.header.bids_root) return false;
   for (std::size_t i = 0; i < leaves.size(); ++i) {
     const SealedBid& bid = preamble.sealed_bids[i];
     if (verified != nullptr && verified->contains(leaves[i], bid.signature)) continue;
@@ -59,13 +59,13 @@ bool check_preamble(const BlockPreamble& preamble, const crypto::MerkleTree& tre
 
 bool validate_preamble(const BlockPreamble& preamble, unsigned difficulty_bits,
                        const VerifiedBids* verified) {
-  return check_preamble(preamble, crypto::MerkleTree(bid_digests(preamble.sealed_bids)),
-                        difficulty_bits, verified);
+  const std::vector<crypto::Digest> leaves = bid_digests(preamble.sealed_bids);
+  return check_preamble(preamble, leaves, crypto::merkle_root(leaves), difficulty_bits, verified);
 }
 
 bool validate_preamble(const RoundState& state, unsigned difficulty_bits,
                        const VerifiedBids* verified) {
-  return check_preamble(state.preamble(), state.tree(), difficulty_bits, verified);
+  return check_preamble(state.preamble(), state.leaves(), state.root(), difficulty_bits, verified);
 }
 
 bool Blockchain::append(const RoundState& state, unsigned difficulty_bits,

@@ -105,28 +105,30 @@ class VerifiedBids {
 
 /// What a producer derives from its sealed bids in one mining attempt: the
 /// mined preamble, each bid's digest (hashed once, in bid order) and the
-/// one Merkle tree over those leaves, whose root is the header's
-/// bids_root.  Only Miner::mine_preamble builds one, and the preamble is
-/// read-only from then on, so the leaves are always the digests of the
-/// preamble's own bytes; a re-mine builds a fresh state.  The producer's
-/// own checks read it instead of re-hashing.  Verifiers never see it: they
-/// derive everything from the bytes (DESIGN.md §3b).
+/// Merkle root over those leaves, which is the header's bids_root.  Only
+/// Miner::mine_preamble builds one, and the preamble is read-only from then
+/// on, so the leaves are always the digests of the preamble's own bytes; a
+/// re-mine builds a fresh state.  The producer's own checks read it instead
+/// of re-hashing.  Verifiers never see it: they derive everything from the
+/// bytes (DESIGN.md §3b).
 class RoundState {
  public:
   [[nodiscard]] const BlockPreamble& preamble() const { return preamble_; }
-  [[nodiscard]] const crypto::MerkleTree& tree() const { return tree_; }
   /// The sealed bids' digests, leaves()[i] of preamble().sealed_bids[i].
-  [[nodiscard]] std::span<const crypto::Digest> leaves() const { return tree_.leaves(); }
+  [[nodiscard]] std::span<const crypto::Digest> leaves() const { return leaves_; }
+  /// merkle_root(leaves()), computed once when the preamble was mined.
+  [[nodiscard]] const crypto::Digest& root() const { return root_; }
   /// Hands the preamble to the block being appended; the state is spent.
   [[nodiscard]] BlockPreamble take_preamble() && { return std::move(preamble_); }
 
  private:
   friend class Miner;
-  RoundState(BlockPreamble preamble, crypto::MerkleTree tree)
-      : preamble_(std::move(preamble)), tree_(std::move(tree)) {}
+  RoundState(BlockPreamble preamble, std::vector<crypto::Digest> leaves, const crypto::Digest& root)
+      : preamble_(std::move(preamble)), leaves_(std::move(leaves)), root_(root) {}
 
   BlockPreamble preamble_;
-  crypto::MerkleTree tree_;
+  std::vector<crypto::Digest> leaves_;
+  crypto::Digest root_;
 };
 
 /// Validates a preamble: PoW meets `difficulty_bits` over the header bytes,
@@ -136,7 +138,7 @@ class RoundState {
 [[nodiscard]] bool validate_preamble(const BlockPreamble& preamble, unsigned difficulty_bits,
                                      const VerifiedBids* verified = nullptr);
 /// The same checks on a producer's own mining attempt, over the leaves and
-/// tree it already holds.
+/// root it already holds.
 [[nodiscard]] bool validate_preamble(const RoundState& state, unsigned difficulty_bits,
                                      const VerifiedBids* verified = nullptr);
 

@@ -48,10 +48,6 @@ std::size_t ReputationRegistry::consecutive_denials(ClientId client) const {
   return it == entries_.end() ? 0 : it->second.denial_streak;
 }
 
-void stamp_reputation(auction::MarketSnapshot& snapshot, const ReputationRegistry& registry) {
-  for (auto& r : snapshot.requests) r.reputation = registry.score(r.client);
-}
-
 std::vector<ContractId> AgreementContract::register_allocation(
     std::uint64_t block_height, const auction::MarketSnapshot& snapshot,
     const auction::RoundResult& result, std::optional<auction::ResourceId> tee_resource) {

@@ -69,13 +69,6 @@ class ReputationRegistry {
   std::unordered_map<ClientId, Entry> entries_;
 };
 
-/// Stamps every request in the snapshot with its client's current
-/// reputation score (Section III-B).  Miner::open_block applies it with
-/// the protocol's registry for the producer and every verifier alike, so
-/// Offer::min_reputation gates consensus state rather than the value a
-/// client sealed into its own bid.
-void stamp_reputation(auction::MarketSnapshot& snapshot, const ReputationRegistry& registry);
-
 /// The DeCloud agreement contract.  One instance per deployment; holds the
 /// agreements of all settled blocks.  Methods mirror the smart-contract
 /// interface of the paper (`accept`, `deny`), including the on-chain checks

@@ -34,20 +34,27 @@ OpenedBlock open_bids(const BlockPreamble& preamble, std::span<const crypto::Dig
       continue;
     }
     // A malformed plaintext (wrong key that happened to hit the right tag,
-    // or a corrupt submission) is contained here: the bid is skipped.
+    // or a corrupt submission) or a signed bid the market boundary would
+    // refuse (auction::validate) is contained here: the bid is skipped.
+    // A request's reputation is the registry's score, never the value its
+    // client sealed, so Offer::min_reputation gates consensus state.
     try {
       if (bid.kind == BidKind::kRequest) {
-        opened.snapshot.requests.push_back(decode_request(*plaintext));
+        auction::Request r = decode_request(*plaintext);
+        r.reputation = reputation.score(r.client);
+        auction::validate(r);
+        opened.snapshot.requests.push_back(std::move(r));
         opened.request_source.push_back(i);
       } else {
-        opened.snapshot.offers.push_back(decode_offer(*plaintext));
+        auction::Offer o = decode_offer(*plaintext);
+        auction::validate(o);
+        opened.snapshot.offers.push_back(std::move(o));
         opened.offer_source.push_back(i);
       }
     } catch (const precondition_error&) {
       opened.unopened.push_back(i);
     }
   }
-  stamp_reputation(opened.snapshot, reputation);
   return opened;
 }
 
@@ -57,13 +64,14 @@ RoundState Miner::mine_preamble(std::vector<SealedBid> bids, const crypto::Diges
                                 std::uint64_t height, Time timestamp,
                                 obs::MetricsSink* sink) const {
   obs::SpanScope span(sink, "pow");
-  crypto::MerkleTree tree(bid_digests(bids));
+  std::vector<crypto::Digest> leaves = bid_digests(bids);
+  const crypto::Digest root = crypto::merkle_root(leaves);
 
   BlockPreamble preamble;
   preamble.header.height = height;
   preamble.header.prev_hash = prev_hash;
   preamble.header.timestamp = timestamp;
-  preamble.header.bids_root = tree.root();
+  preamble.header.bids_root = root;
   preamble.sealed_bids = std::move(bids);
 
   const auto solution = crypto::solve_pow(preamble.header.bytes(), params_.difficulty_bits);
@@ -71,7 +79,7 @@ RoundState Miner::mine_preamble(std::vector<SealedBid> bids, const crypto::Diges
   preamble.pow = *solution;
   span.add_work(solution->nonce + 1);  // attempts, not the winning nonce
   if (sink != nullptr) sink->metrics().counter("ledger.pow_attempts").add(solution->nonce + 1);
-  return RoundState(std::move(preamble), std::move(tree));
+  return RoundState(std::move(preamble), std::move(leaves), root);
 }
 
 OpenedBlock Miner::open_block(const BlockPreamble& preamble, const std::vector<KeyReveal>& reveals,

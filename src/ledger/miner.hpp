@@ -60,7 +60,7 @@ class Miner {
   /// current tip and solves PoW (the nonce search spans the whole 64-bit
   /// space; exhausting it is a broken invariant, not a result).  Each bid
   /// is hashed once; the returned state keeps those leaves and the Merkle
-  /// tree whose root is bids_root.  A non-null `sink` records a "pow" span
+  /// root over them, which is bids_root.  A non-null `sink` records a "pow" span
   /// whose work counter is the number of PoW attempts; the sink never
   /// affects mining.
   [[nodiscard]] RoundState mine_preamble(std::vector<SealedBid> bids,
@@ -89,11 +89,12 @@ class Miner {
 
   /// Decrypts a preamble's bids with a key set, hashing each bid to find
   /// its key (the verifier's path; the producer's compute_body opens over
-  /// the leaves it mined).  Bids with missing/wrong keys or malformed plaintext
-  /// are skipped and reported in `unopened`.  Every opened request is
-  /// stamped with its client's score in `reputation` (stamp_reputation),
-  /// so Offer::min_reputation gates consensus state, not the value a
-  /// client sealed into its own bid.
+  /// the leaves it mined).  Bids with missing/wrong keys, malformed
+  /// plaintext or values auction::validate refuses are skipped and reported
+  /// in `unopened`, so one signed bad bid cannot halt the round.  Every
+  /// opened request carries its client's score in `reputation`, so
+  /// Offer::min_reputation gates consensus state, not the value a client
+  /// sealed into its own bid.
   [[nodiscard]] static OpenedBlock open_block(const BlockPreamble& preamble,
                                               const std::vector<KeyReveal>& reveals,
                                               const ReputationRegistry& reputation);

@@ -146,7 +146,7 @@ RoundOutcome LedgerProtocol::run_round(std::span<Participant* const> participant
     // Phase 1: assemble + PoW over the sealed bids.  The "pow" span is
     // opened by mine_preamble itself (it knows the attempt count).  The
     // bids are passed by copy: a rejected attempt re-mines from them.
-    // `state` keeps this attempt's leaves and Merkle tree, so the
+    // `state` keeps this attempt's leaves and Merkle root, so the
     // producer's own checks below hash no bid again (DESIGN.md §3b).
     RoundState state =
         producer_.mine_preamble(bids, chain_.tip_hash(), chain_.height(), now, hooks_.sink);

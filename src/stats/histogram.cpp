@@ -1,6 +1,7 @@
 #include "stats/histogram.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/ensure.hpp"
 
@@ -12,10 +13,12 @@ Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi),
 }
 
 std::size_t Histogram::bin_of(double sample) const {
-  const double t = (sample - lo_) / (hi_ - lo_);
-  const auto raw = static_cast<std::ptrdiff_t>(t * static_cast<double>(counts_.size()));
-  return static_cast<std::size_t>(
-      std::clamp<std::ptrdiff_t>(raw, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1));
+  DECLOUD_EXPECTS_MSG(!std::isnan(sample), "histogram sample must not be NaN");
+  // Clamp before the cast: a double past the integer range (or ±inf) has
+  // no defined conversion.  The half-open upper edge maps into the last bin.
+  const double t = std::clamp((sample - lo_) / (hi_ - lo_), 0.0, 1.0);
+  return std::min(static_cast<std::size_t>(t * static_cast<double>(counts_.size())),
+                  counts_.size() - 1);
 }
 
 void Histogram::add(double sample, double weight) {
@@ -34,12 +37,6 @@ void Histogram::merge(const Histogram& other) {
   total_ += other.total_;
   sum_ += other.sum_;
 }
-
-void Histogram::add_all(std::span<const double> samples) {
-  for (const double s : samples) add(s);
-}
-
-std::vector<double> Histogram::to_distribution() const { return normalize(counts_); }
 
 std::vector<double> normalize(std::span<const double> weights) {
   double total = 0.0;

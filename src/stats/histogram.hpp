@@ -1,8 +1,9 @@
 // Fixed-bin histograms and discrete probability distributions.
 //
-// The flexibility study (Fig. 5d–5f) controls the divergence between the
-// distributions of requested and offered resources; these helpers convert
-// samples into normalized distributions the KL-divergence code consumes.
+// The metrics registry keeps its distributions (clearing prices, per-block
+// welfare and trades) in Histograms; the flexibility study (Fig. 5d–5f)
+// normalizes resource weights into the distributions the KL-divergence
+// code consumes.
 #pragma once
 
 #include <cstddef>
@@ -12,13 +13,13 @@
 namespace decloud::stats {
 
 /// A histogram with `bins` equal-width bins over [lo, hi).  Samples outside
-/// the range are clamped into the boundary bins, so no mass is lost.
+/// the range (±inf included) are clamped into the boundary bins, so no mass
+/// is lost; a NaN sample throws precondition_error.
 class Histogram {
  public:
   Histogram(double lo, double hi, std::size_t bins);
 
   void add(double sample, double weight = 1.0);
-  void add_all(std::span<const double> samples);
 
   /// Accumulates another histogram into this one, bin by bin.  Both
   /// histograms must describe the SAME bucket layout — identical [lo, hi)
@@ -37,11 +38,6 @@ class Histogram {
   [[nodiscard]] double sum() const { return sum_; }
   [[nodiscard]] double lo() const { return lo_; }
   [[nodiscard]] double hi() const { return hi_; }
-
-  /// Normalizes to a probability distribution.  An empty histogram yields a
-  /// uniform distribution (the least-informative choice).
-  [[nodiscard]] std::vector<double> to_distribution() const;
-
 
  private:
   double lo_;

@@ -10,33 +10,26 @@ namespace decloud::stats {
 
 namespace {
 
-std::vector<double> smooth_and_normalize(std::span<const double> dist, double epsilon) {
+constexpr double kSmoothing = 1e-9;
+
+std::vector<double> smooth_and_normalize(std::span<const double> dist) {
   std::vector<double> out(dist.begin(), dist.end());
-  for (auto& v : out) v += epsilon;
+  for (auto& v : out) v += kSmoothing;
   return normalize(out);
 }
 
 }  // namespace
 
-double kl_divergence(std::span<const double> p, std::span<const double> q, double epsilon) {
+double kl_divergence(std::span<const double> p, std::span<const double> q) {
   DECLOUD_EXPECTS(p.size() == q.size());
   DECLOUD_EXPECTS(!p.empty());
-  const auto ps = smooth_and_normalize(p, epsilon);
-  const auto qs = smooth_and_normalize(q, epsilon);
+  const auto ps = smooth_and_normalize(p);
+  const auto qs = smooth_and_normalize(q);
   double kld = 0.0;
   for (std::size_t i = 0; i < ps.size(); ++i) {
     if (ps[i] > 0.0) kld += ps[i] * std::log(ps[i] / qs[i]);
   }
   return std::max(kld, 0.0);  // guard tiny negative rounding
-}
-
-double js_divergence(std::span<const double> p, std::span<const double> q) {
-  DECLOUD_EXPECTS(p.size() == q.size());
-  const auto ps = smooth_and_normalize(p, 1e-12);
-  const auto qs = smooth_and_normalize(q, 1e-12);
-  std::vector<double> m(ps.size());
-  for (std::size_t i = 0; i < ps.size(); ++i) m[i] = 0.5 * (ps[i] + qs[i]);
-  return 0.5 * kl_divergence(ps, m, 0.0) + 0.5 * kl_divergence(qs, m, 0.0);
 }
 
 double similarity(std::span<const double> p, std::span<const double> q) {

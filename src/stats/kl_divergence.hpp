@@ -11,15 +11,10 @@
 
 namespace decloud::stats {
 
-/// KL(p ‖ q) in nats with additive (Laplace) smoothing `epsilon` applied to
+/// KL(p ‖ q) in nats with additive (Laplace) smoothing of 1e-9 applied to
 /// both distributions before renormalization.  Inputs must be equal-length,
 /// non-negative; they are normalized internally.
-[[nodiscard]] double kl_divergence(std::span<const double> p, std::span<const double> q,
-                                   double epsilon = 1e-9);
-
-/// Symmetric Jensen–Shannon divergence (bounded by ln 2); exposed for
-/// comparison/ablation experiments.
-[[nodiscard]] double js_divergence(std::span<const double> p, std::span<const double> q);
+[[nodiscard]] double kl_divergence(std::span<const double> p, std::span<const double> q);
 
 /// The paper's similarity metric: 1 − KLD(p, q), clamped to [0, 1].
 [[nodiscard]] double similarity(std::span<const double> p, std::span<const double> q);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/ensure.hpp"
 #include "test_helpers.hpp"
 
@@ -17,6 +19,22 @@ TEST(RequestValidation, DefaultBuilderIsValid) {
 
 TEST(RequestValidation, NegativeBidRejected) {
   EXPECT_THROW(validate(RequestBuilder(1).bid(-0.01).build()), precondition_error);
+}
+
+TEST(RequestValidation, NonFiniteValuesRejected) {
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(validate(RequestBuilder(1).bid(bad).build()), precondition_error) << bad;
+    Request r = RequestBuilder(1).build();
+    r.reputation = bad;
+    EXPECT_THROW(validate(r), precondition_error) << bad;
+    r = RequestBuilder(1).build();
+    r.location = Location{bad, 0.0};
+    EXPECT_THROW(validate(r), precondition_error) << bad;
+    r.location = Location{0.0, bad};
+    EXPECT_THROW(validate(r), precondition_error) << bad;
+  }
 }
 
 TEST(RequestValidation, ZeroBidAllowed) {
@@ -82,6 +100,22 @@ TEST(OfferValidation, DefaultBuilderIsValid) {
 
 TEST(OfferValidation, NegativeBidRejected) {
   EXPECT_THROW(validate(OfferBuilder(1).bid(-1.0).build()), precondition_error);
+}
+
+TEST(OfferValidation, NonFiniteValuesRejected) {
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(validate(OfferBuilder(1).bid(bad).build()), precondition_error) << bad;
+    Offer o = OfferBuilder(1).build();
+    o.min_reputation = bad;
+    EXPECT_THROW(validate(o), precondition_error) << bad;
+    o = OfferBuilder(1).build();
+    o.location = Location{bad, 0.0};
+    EXPECT_THROW(validate(o), precondition_error) << bad;
+    o.location = Location{0.0, bad};
+    EXPECT_THROW(validate(o), precondition_error) << bad;
+  }
 }
 
 TEST(OfferValidation, EmptyResourcesRejected) {

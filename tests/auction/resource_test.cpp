@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/ensure.hpp"
 
@@ -14,8 +15,6 @@ TEST(ResourceSchema, BuiltinCriticalResources) {
   EXPECT_EQ(schema.find("cpu"), ResourceSchema::kCpu);
   EXPECT_EQ(schema.find("memory"), ResourceSchema::kMemory);
   EXPECT_EQ(schema.find("disk"), ResourceSchema::kDisk);
-  EXPECT_TRUE(ResourceSchema::is_builtin_critical(ResourceSchema::kCpu));
-  EXPECT_TRUE(ResourceSchema::is_builtin_critical(ResourceSchema::kDisk));
 }
 
 TEST(ResourceSchema, CustomTypesExtendTheSpace) {
@@ -24,7 +23,6 @@ TEST(ResourceSchema, CustomTypesExtendTheSpace) {
   const ResourceId sgx = schema.intern("sgx");
   EXPECT_GT(latency, ResourceSchema::kDisk);
   EXPECT_NE(latency, sgx);
-  EXPECT_FALSE(ResourceSchema::is_builtin_critical(latency));
   EXPECT_EQ(schema.name(sgx), "sgx");
   EXPECT_EQ(schema.find("unknown"), std::nullopt);
 }
@@ -72,6 +70,16 @@ TEST(ResourceVector, ConstructorSortsAndValidates) {
 TEST(ResourceVector, NegativeAmountRejected) {
   ResourceVector v;
   EXPECT_THROW(v.set(0, -0.5), precondition_error);
+}
+
+TEST(ResourceVector, NonFiniteAmountRejected) {
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    ResourceVector v;
+    EXPECT_THROW(v.set(0, bad), precondition_error) << bad;
+    EXPECT_THROW(ResourceVector({{0, bad}}), precondition_error) << bad;
+  }
 }
 
 TEST(ResourceVector, ZeroAmountStillDeclaresType) {

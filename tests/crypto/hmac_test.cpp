@@ -49,29 +49,5 @@ TEST(Hmac, KeySensitivity) {
   EXPECT_NE(hmac_sha256(bytes_of("k1"), msg), hmac_sha256(bytes_of("k2"), msg));
 }
 
-TEST(DeriveBytes, ProducesRequestedLength) {
-  const auto key = bytes_of("key");
-  const auto info = bytes_of("info");
-  for (const std::size_t n : {0UL, 1UL, 31UL, 32UL, 33UL, 100UL}) {
-    EXPECT_EQ(derive_bytes(key, info, n).size(), n);
-  }
-}
-
-TEST(DeriveBytes, DeterministicAndPrefixStable) {
-  const auto key = bytes_of("key");
-  const auto info = bytes_of("info");
-  const auto a = derive_bytes(key, info, 64);
-  const auto b = derive_bytes(key, info, 64);
-  EXPECT_EQ(a, b);
-  // A shorter request is a prefix of a longer one (counter-block layout).
-  const auto c = derive_bytes(key, info, 16);
-  EXPECT_TRUE(std::equal(c.begin(), c.end(), a.begin()));
-}
-
-TEST(DeriveBytes, InfoSeparatesStreams) {
-  const auto key = bytes_of("key");
-  EXPECT_NE(derive_bytes(key, bytes_of("a"), 32), derive_bytes(key, bytes_of("b"), 32));
-}
-
 }  // namespace
 }  // namespace decloud::crypto

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/ensure.hpp"
+#include "common/hex.hpp"
 
 namespace decloud::crypto {
 namespace {
@@ -13,32 +14,32 @@ namespace {
 // FIPS 180-4 / NIST CAVP test vectors.
 
 TEST(Sha256, EmptyInput) {
-  EXPECT_EQ(digest_hex(Sha256::hash("")),
+  EXPECT_EQ(to_hex(Sha256::hash("")),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
 }
 
 TEST(Sha256, Abc) {
-  EXPECT_EQ(digest_hex(Sha256::hash("abc")),
+  EXPECT_EQ(to_hex(Sha256::hash("abc")),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
 }
 
 TEST(Sha256, TwoBlockMessage) {
-  EXPECT_EQ(digest_hex(Sha256::hash("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
+  EXPECT_EQ(to_hex(Sha256::hash("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
 }
 
 TEST(Sha256, ExactBlockBoundary) {
   // 64 bytes: padding spills into a second block.
   const std::string m(64, 'a');
-  EXPECT_EQ(digest_hex(Sha256::hash(m)),
+  EXPECT_EQ(to_hex(Sha256::hash(m)),
             "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb");
 }
 
 TEST(Sha256, FiftyFiveAndFiftySixBytes) {
   // 55 bytes: length fits the same block; 56: forces an extra block.
-  EXPECT_EQ(digest_hex(Sha256::hash(std::string(55, 'a'))),
+  EXPECT_EQ(to_hex(Sha256::hash(std::string(55, 'a'))),
             "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318");
-  EXPECT_EQ(digest_hex(Sha256::hash(std::string(56, 'a'))),
+  EXPECT_EQ(to_hex(Sha256::hash(std::string(56, 'a'))),
             "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a");
 }
 
@@ -46,7 +47,7 @@ TEST(Sha256, MillionAs) {
   Sha256 h;
   const std::string chunk(1000, 'a');
   for (int i = 0; i < 1000; ++i) h.update(chunk);
-  EXPECT_EQ(digest_hex(h.finish()),
+  EXPECT_EQ(to_hex(h.finish()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "auction/verify.hpp"
 #include "common/ensure.hpp"
 #include "common/rng.hpp"
@@ -85,6 +87,42 @@ TEST(ProtocolFault, WithheldRevealExcludesOnlyThatSenderAndDebitsReputation) {
   EXPECT_TRUE(auction::verify_invariants(outcome.snapshot, outcome.result,
                                          protocol.params().auction)
                   .ok());
+}
+
+TEST(ProtocolFault, InvalidSealedBidIsUnopenedNotFatal) {
+  // A validly signed bid whose values the market boundary refuses
+  // (auction::validate) must not reach the mechanism, whose own check
+  // would throw and halt every round that carries it.  It is treated like
+  // an unopened bid: excluded, its sender penalized, the block accepted.
+  LedgerProtocol protocol(params());
+  Rng rng(8);
+  Participant honest(rng);
+  Participant byzantine(rng);
+  protocol.mempool().submit(honest.submit_request(simple_request(1, 5.0), rng));
+  protocol.mempool().submit(honest.submit_offer(simple_offer(1, 0.1), rng));
+  protocol.mempool().submit(honest.submit_offer(simple_offer(2, 0.2), rng));
+  auction::Request negative = simple_request(2, -1.0);
+  auction::Request too_long = simple_request(3, 9.0);
+  too_long.duration = too_long.window_end + 1;
+  auction::Request infinite =
+      simple_request(4, std::numeric_limits<double>::infinity());
+  for (const auction::Request& r : {negative, too_long, infinite}) {
+    protocol.mempool().submit(byzantine.submit_request(r, rng));
+  }
+
+  const RoundOutcome outcome = protocol.run_round({&honest, &byzantine}, 1, 0);
+
+  ASSERT_TRUE(outcome.block_accepted);
+  ASSERT_EQ(outcome.snapshot.requests.size(), 1u);
+  EXPECT_EQ(outcome.snapshot.requests[0].id, RequestId(1));
+  EXPECT_EQ(outcome.fault.bids_unopened, 3u);
+  ASSERT_EQ(outcome.fault.penalized.size(), 1u);
+  EXPECT_EQ(outcome.fault.penalized[0], ledger_address(byzantine.public_key()));
+  ASSERT_EQ(outcome.result.matches.size(), 1u);  // the honest trade is struck
+  EXPECT_TRUE(auction::verify_invariants(outcome.snapshot, outcome.result,
+                                         protocol.params().auction)
+                  .ok());
+  EXPECT_EQ(protocol.chain().height(), 1u);
 }
 
 TEST(ProtocolFault, QuorumToleratesADishonestMinority) {
@@ -189,7 +227,7 @@ TEST(ProtocolFault, RemineExcludesTheWithheldBids) {
 }
 
 TEST(ProtocolFault, AnIndependentNodeAcceptsEveryAppendedBlock) {
-  // The producer checks its own attempts against the leaves and tree it
+  // The producer checks its own attempts against the leaves and root it
   // mined (ledger::RoundState) instead of re-hashing the bids.  A state
   // carried over from an earlier attempt would show here: every block the
   // protocol appends must pass a fresh node's checks, which derive all of

@@ -76,7 +76,7 @@ TEST(Miner, MinedStateHoldsEachBidsDigestAndTheRootsTree) {
   for (std::size_t i = 0; i < round.preamble.sealed_bids.size(); ++i) {
     EXPECT_EQ(round.state.leaves()[i], round.preamble.sealed_bids[i].digest());
   }
-  EXPECT_EQ(round.state.tree().root(), round.preamble.header.bids_root);
+  EXPECT_EQ(round.state.root(), round.preamble.header.bids_root);
   EXPECT_EQ(round.preamble.header.bids_root, bids_merkle_root(round.preamble.sealed_bids));
   EXPECT_TRUE(validate_preamble(round.state, round.params.difficulty_bits));
   EXPECT_FALSE(validate_preamble(round.state, 64));

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/ensure.hpp"
 
 namespace decloud::stats {
@@ -21,6 +23,16 @@ TEST(Histogram, ClampsOutOfRangeSamples) {
   EXPECT_EQ(h.count(0), 1.0);
   EXPECT_EQ(h.count(3), 1.0);
   EXPECT_EQ(h.total(), 2.0);
+
+  // Samples past the integer range and infinities land in the boundary
+  // bins too: the clamp happens before the cast to an index.
+  const Histogram wide(0.0, 4.0, 16);
+  EXPECT_EQ(wide.bin_of(1e19), 15u);
+  EXPECT_EQ(wide.bin_of(1e300), 15u);
+  EXPECT_EQ(wide.bin_of(std::numeric_limits<double>::infinity()), 15u);
+  EXPECT_EQ(wide.bin_of(-1e300), 0u);
+  EXPECT_EQ(wide.bin_of(-std::numeric_limits<double>::infinity()), 0u);
+  EXPECT_THROW((void)wide.bin_of(std::numeric_limits<double>::quiet_NaN()), precondition_error);
 }
 
 TEST(Histogram, UpperBoundFallsInLastBin) {
@@ -35,9 +47,7 @@ TEST(Histogram, WeightedSamples) {
   h.add(0.75, 1.0);
   EXPECT_EQ(h.count(0), 3.0);
   EXPECT_EQ(h.count(1), 1.0);
-  const auto d = h.to_distribution();
-  EXPECT_DOUBLE_EQ(d[0], 0.75);
-  EXPECT_DOUBLE_EQ(d[1], 0.25);
+  EXPECT_EQ(h.total(), 4.0);
 }
 
 TEST(Histogram, NegativeWeightRejected) {
@@ -45,25 +55,10 @@ TEST(Histogram, NegativeWeightRejected) {
   EXPECT_THROW(h.add(0.5, -1.0), precondition_error);
 }
 
-TEST(Histogram, EmptyDistributionIsUniform) {
-  Histogram h(0.0, 1.0, 4);
-  const auto d = h.to_distribution();
-  for (const double p : d) EXPECT_DOUBLE_EQ(p, 0.25);
-}
-
 TEST(Histogram, InvalidConstructionRejected) {
   EXPECT_THROW(Histogram(1.0, 1.0, 4), precondition_error);
   EXPECT_THROW(Histogram(2.0, 1.0, 4), precondition_error);
   EXPECT_THROW(Histogram(0.0, 1.0, 0), precondition_error);
-}
-
-TEST(Histogram, AddAllMatchesLoop) {
-  Histogram a(0.0, 1.0, 4);
-  Histogram b(0.0, 1.0, 4);
-  const std::vector<double> samples = {0.1, 0.3, 0.6, 0.9, 0.95};
-  a.add_all(samples);
-  for (const double s : samples) b.add(s);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(a.count(i), b.count(i));
 }
 
 TEST(Histogram, MergeAccumulatesBinWise) {

@@ -63,20 +63,6 @@ TEST(KlDivergence, EmptyThrows) {
   EXPECT_THROW(kl_divergence(e, e), precondition_error);
 }
 
-TEST(JsDivergence, SymmetricAndBounded) {
-  const std::vector<double> p = {1.0, 0.0, 0.0};
-  const std::vector<double> q = {0.0, 0.0, 1.0};
-  const double js = js_divergence(p, q);
-  EXPECT_NEAR(js, js_divergence(q, p), 1e-9);
-  EXPECT_LE(js, std::numbers::ln2 + 1e-6);  // maximal for disjoint support
-  EXPECT_NEAR(js, std::numbers::ln2, 1e-3);
-}
-
-TEST(JsDivergence, ZeroForIdentical) {
-  const std::vector<double> p = {0.3, 0.7};
-  EXPECT_NEAR(js_divergence(p, p), 0.0, 1e-9);
-}
-
 TEST(Similarity, OneForIdenticalZeroFloorForDistant) {
   const std::vector<double> p = {0.25, 0.25, 0.25, 0.25};
   EXPECT_NEAR(similarity(p, p), 1.0, 1e-6);
